@@ -13,7 +13,7 @@ from .sequence import (EmptyGraphError, IncrementalBuilder, InvalidTokenError,
                        TruncatedSequenceError, Vocabulary, decode_graph,
                        detokenize_build, encode_graph, flatten_tokenize,
                        node_position, position_paths, prune,
-                       read_token_stream, unprune, write_token_stream)
+                       read_token_stream, write_token_stream)
 from .sampling import (GenerationConfig, GenerationError,
                        MaxLengthExceededError, ZeroMassError, ngram_model,
                        sample_sequence, uniform_model, valid_token_mask)

@@ -15,14 +15,13 @@ import numpy as np
 from .generators import (FAMILIES, Dataset, gen_community, gen_er, gen_grid,
                          gen_planar, read_dataset, write_dataset)
 from .graphs import GraphError, order_nodes, apply_ordering, parse_edge_list, serialize_edge_list
-from .metrics import (METRIC_NAMES, KernelConfig, MetricsError, compression_ratio,
-                      evaluate_sets)
+from .metrics import (METRIC_NAMES, KernelConfig, MetricsError, evaluate_sets,
+                      sequence_ratio)
 from .sampling import (GenerationConfig, GenerationError, empirical_sizes,
                        ngram_model, sample_sequence, uniform_model)
-from .sequence import (SequenceError, Vocabulary, decode_graph, detokenize_build,
-                       encode_graph, flatten_tokenize, prune, read_token_stream,
+from .sequence import (SequenceError, Vocabulary, decode_graph, encode_graph,
+                       full_tree_attrs, read_token_stream, tree_levels,
                        write_token_stream)
-from .tree import build_k2tree, tree_stats
 
 
 class UsageError(Exception):
@@ -62,16 +61,11 @@ def _cmd_decode(args) -> int:
 
 def _cmd_stats(args) -> int:
     g = parse_edge_list(_read(args.infile))
-    ratio = compression_ratio(g, args.k, ordering=args.order, reverse=args.reverse)
-    if args.order != "identity":
-        g = apply_ordering(g, order_nodes(g, args.order, reverse=args.reverse))
-    t = build_k2tree(g, args.k)
-    full = tree_stats(t)
-    s = flatten_tokenize(prune(t))
-    print(f"ratio\t{_float_str(ratio)}")
+    s = encode_graph(g, args.k, ordering=args.order, reverse=args.reverse)
+    print(f"ratio\t{_float_str(sequence_ratio(s))}")
     print(f"tokens\t{len(s.tokens)}")
-    print(f"depth\t{full.depth}")
-    print(f"attrs_full\t{full.attr_count}")
+    print(f"depth\t{tree_levels(s.padded_n, s.k)}")
+    print(f"attrs_full\t{full_tree_attrs(s)}")
     print(f"attrs_pruned\t{s.total_values}")
     return 0
 

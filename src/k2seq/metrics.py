@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .graphs import Graph
-from .sequence import EmptyGraphError, encode_graph
+from .sequence import TokenSequence, encode_graph
 
 CLUSTERING_BINS = 100
 ORBIT_COUNT = 11
@@ -216,10 +216,11 @@ def compression_ratio(g: Graph, k: int, ordering: str = "identity",
     Undefined for graphs whose matrix is all zero (a plain graph without
     edges).
     """
-    try:
-        s = encode_graph(g, k, ordering=ordering, reverse=reverse)
-    except EmptyGraphError as exc:
-        raise MetricsError("compression ratio is undefined for an empty graph") from exc
+    return sequence_ratio(encode_graph(g, k, ordering=ordering, reverse=reverse))
+
+
+def sequence_ratio(s: TokenSequence) -> float:
+    """:func:`compression_ratio` of the graph that ``s`` encodes."""
     if not s.tokens:
         raise MetricsError("compression ratio is undefined for an empty graph")
-    return s.total_values / float(g.n * g.n)
+    return s.total_values / float(s.original_n * s.original_n)

@@ -9,6 +9,13 @@ tree is flattened breadth-first into one token per internal node: the tuple of
 its children's attributes, typed by whether that node touches the diagonal.
 Reconstruction replays tokens against a FIFO queue of pending nodes and is
 complete exactly when the queue empties.
+
+:func:`encode_graph` produces the same tokens without building a tree: it
+sorts the lower-triangle cells once by their root-to-cell path and reads each
+level's tokens off the distinct path prefixes (the level-bitmap construction
+of Brisaboa, Ladra & Navarro, SPIRE 2009).  :func:`prune` and
+:func:`flatten_tokenize` over :func:`~k2seq.tree.build_k2tree` remain as the
+reference it is tested against.
 """
 
 from __future__ import annotations
@@ -16,8 +23,10 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field, replace
 
-from .graphs import Graph, apply_ordering, invert_permutation, order_nodes, padded_size
-from .tree import K2Tree, TreeNode, build_from_matrix, build_k2tree, rebuild_graph, rebuild_matrix
+import numpy as np
+
+from .graphs import Graph, GraphError, apply_ordering, invert_permutation, order_nodes, padded_size
+from .tree import K2Tree, TreeNode, edge_label_token, node_label_token, rebuild_graph
 
 DIAGONAL = "d"
 OFFDIAGONAL = "o"
@@ -159,19 +168,6 @@ def prune(t: K2Tree) -> K2Tree:
                 queue.append((cid, nid, diag and i == j))
         new_nodes[nuid].children = tuple(kept)
     return replace(t, nodes=new_nodes, pruned=True)
-
-
-def unprune(t: K2Tree) -> K2Tree:
-    """Restore the full tree of a pruned one by mirroring across the diagonal.
-
-    The full tree of a matrix is unique, so it is rebuilt from the symmetrized
-    matrix recovered from the pruned tree's leaves.
-    """
-    if not t.pruned:
-        raise ValueError("tree is not pruned")
-    mat = rebuild_matrix(t)
-    return build_from_matrix(mat, t.k, t.original_n, featured=t.featured,
-                             node_vocab=t.node_vocab, edge_vocab=t.edge_vocab)
 
 
 def flatten_tokenize(t: K2Tree) -> TokenSequence:
@@ -578,29 +574,110 @@ def _parse_token(word: str, featured: bool) -> Token:
     return Token(kind=word[0], values=values)
 
 
+def tree_levels(padded_n: int, k: int) -> int:
+    """Depth of the 1x1 cells under a ``padded_n`` root: the L with k**L == padded_n."""
+    levels, size = 1, k
+    while size < padded_n:
+        size *= k
+        levels += 1
+    return levels
+
+
+def full_tree_attrs(s: TokenSequence) -> int:
+    """Attribute count of the unpruned tree of the matrix ``s`` encodes.
+
+    Every internal node of the full tree is a kept one or the mirror image of
+    a kept off-diagonal one, and each has ``k*k`` children.
+    """
+    diagonal = sum(1 for t in s.tokens if t.kind == DIAGONAL)
+    return s.k * s.k * (2 * len(s.tokens) - diagonal)
+
+
+def _lower_cells(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows, columns and values of the nonzero cells on and below the diagonal:
+    ``(v, u)`` for each edge ``u < v``, plus the node-label cells of a labeled
+    graph, valued as :func:`build_k2tree` values them."""
+    if not g.labeled:
+        edges = np.array(list(g.edges), dtype=np.int64).reshape(-1, 2)
+        return edges[:, 1], edges[:, 0], np.ones(len(edges), dtype=np.int64)
+    if g.node_labels is None or g.edge_labels is None:
+        raise GraphError("featured build requires node and edge labels")
+    edges = np.array(list(g.edge_labels), dtype=np.int64).reshape(-1, 2)
+    nodes = np.arange(g.n, dtype=np.int64)
+    values = [node_label_token(lab) for lab in g.node_labels.values()]
+    values += [edge_label_token(lab, g.node_vocab) for lab in g.edge_labels.values()]
+    return (np.concatenate([nodes, edges[:, 1]]), np.concatenate([nodes, edges[:, 0]]),
+            np.array(values, dtype=np.int64))
+
+
+def _level_tokens(rows: np.ndarray, cols: np.ndarray, values: np.ndarray,
+                  k: int, levels: int) -> list[Token]:
+    """Breadth-first tokens of the pruned tree, one level at a time.
+
+    Each cell's key is its path from the root in base ``k*k`` digits, digit
+    ``d`` being the slot ``i*k + j`` (0-based) of its depth-``d + 1`` block
+    among its siblings.  Sorted keys list the blocks of every depth in
+    breadth-first order, so at depth ``d`` the distinct key prefixes of
+    length ``d`` are that level's tokens and digit ``d`` scatters into their
+    child slots.
+    """
+    kk = k * k
+    keys = np.zeros(len(rows), dtype=np.int64)
+    for d in range(levels):
+        scale = k ** (levels - 1 - d)
+        keys = keys * kk + (rows // scale % k) * k + cols // scale % k
+    order = np.argsort(keys)
+    keys, rows, cols, values = keys[order], rows[order], cols[order], values[order]
+    diag_slots = [(i - 1) * k + (j - 1) for i, j in child_orders(k, True)]
+    tokens = []
+    for d in range(levels):
+        prefix = keys // kk ** (levels - d)
+        first = np.ones(len(keys), dtype=bool)
+        first[1:] = prefix[1:] != prefix[:-1]
+        parent = np.cumsum(first) - 1
+        slot = keys // kk ** (levels - 1 - d) % kk
+        grid = np.zeros((int(parent[-1]) + 1, kk), dtype=np.int64)
+        grid[parent, slot] = values if d == levels - 1 else 1
+        block = k ** (levels - d)
+        diag = rows[first] // block == cols[first] // block
+        for bits, on_diag in zip(grid.tolist(), diag.tolist()):
+            if on_diag:
+                tokens.append(Token(DIAGONAL, tuple([bits[s] for s in diag_slots])))
+            else:
+                tokens.append(Token(OFFDIAGONAL, tuple(bits)))
+    return tokens
+
+
 def encode_graph(g: Graph, k: int, ordering: str = "identity",
                  reverse: bool = False) -> TokenSequence:
-    """Full encode pipeline: order, build, prune, flatten.
+    """Full encode pipeline: order, then encode level by level from the
+    lower-triangle cells (:func:`_level_tokens`).
 
-    The all-zero case (a plain graph with no edges) becomes a header-only
-    sequence.  With a non-identity ordering the permutation is stored on the
-    sequence so :func:`decode_graph` can restore original node ids.
+    Produces the same tokens as ``flatten_tokenize(prune(build_k2tree(g, k)))``
+    in O(m * levels) memory, without the padded ``n x n`` matrix or the full
+    tree.  The all-zero case (a plain graph with no edges) becomes a
+    header-only sequence.  With a non-identity ordering the permutation is
+    stored on the sequence so :func:`decode_graph` can restore original node
+    ids.
     """
     perm = None
     if ordering != "identity":
         perm = order_nodes(g, ordering, reverse=reverse)
         g = apply_ordering(g, perm)
-    t = build_k2tree(g, k)
-    if not t.nodes[t.root].children:
-        return TokenSequence(k=k, padded_n=t.padded_n, original_n=t.original_n,
-                             featured=t.featured, node_vocab=t.node_vocab,
-                             edge_vocab=t.edge_vocab, tokens=(), perm=perm)
-    s = flatten_tokenize(prune(t))
-    return replace(s, perm=perm)
+    padded_n = padded_size(g.n, k)
+    rows, cols, values = _lower_cells(g)
+    tokens = ()
+    if len(rows):
+        tokens = tuple(_level_tokens(rows, cols, values, k, tree_levels(padded_n, k)))
+    return TokenSequence(k=k, padded_n=padded_n, original_n=g.n, featured=g.labeled,
+                         node_vocab=g.node_vocab, edge_vocab=g.edge_vocab,
+                         tokens=tokens, perm=perm)
 
 
 def decode_graph(s: TokenSequence) -> Graph:
     """Inverse of :func:`encode_graph`, undoing any stored node ordering."""
+    if s.perm is not None and sorted(s.perm) != list(range(s.original_n)):
+        raise SequenceError(f"perm is not a permutation of 0..{s.original_n - 1}")
     g = rebuild_graph(detokenize_build(s))
     if s.perm is not None:
         g = apply_ordering(g, invert_permutation(s.perm))

@@ -7,6 +7,7 @@ patterns, and planarity from a contraction-based complete-minor search.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from itertools import combinations, permutations
 
 import numpy as np
@@ -14,6 +15,9 @@ from hypothesis import strategies as st
 
 from k2seq import Graph
 from k2seq.generators import gen_community, gen_er, gen_grid, gen_planar
+from k2seq.graphs import apply_ordering, order_nodes
+from k2seq.sequence import TokenSequence, flatten_tokenize, prune
+from k2seq.tree import build_k2tree
 
 
 @st.composite
@@ -32,6 +36,22 @@ def graph_strategy(draw, max_n=12, labeled=False):
     edge_labels = {e: draw(st.integers(0, ev - 1)) for e in edges}
     return Graph(n=n, edges=edges, node_labels=node_labels, edge_labels=edge_labels,
                  node_vocab=nv, edge_vocab=ev)
+
+
+def reference_encode(g: Graph, k: int, ordering: str = "identity",
+                     reverse: bool = False) -> TokenSequence:
+    """Encode through the full tree: dense build, prune, then breadth-first
+    flatten.  The reference the level-wise :func:`encode_graph` must match."""
+    perm = None
+    if ordering != "identity":
+        perm = order_nodes(g, ordering, reverse=reverse)
+        g = apply_ordering(g, perm)
+    t = build_k2tree(g, k)
+    if not t.nodes[t.root].children:
+        return TokenSequence(k=k, padded_n=t.padded_n, original_n=t.original_n,
+                             featured=t.featured, node_vocab=t.node_vocab,
+                             edge_vocab=t.edge_vocab, perm=perm)
+    return replace(flatten_tokenize(prune(t)), perm=perm)
 
 
 def random_er(seed: int, n: int, p: float) -> Graph:

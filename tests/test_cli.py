@@ -149,6 +149,11 @@ class TestExitCodes:
         bad = write(tmp_path / "bad.k2s", "2 4 4 0\nd:120\n")
         assert main(["decode", "--in", bad, "--out", str(tmp_path / "o.txt")]) == 2
 
+    def test_perm_that_is_not_a_bijection_is_a_data_error(self, tmp_path, capsys):
+        bad = write(tmp_path / "bad.k2s", "2 4 4 0\nd:110 d:010 o:0101\nperm 1 1 2 3\n")
+        assert main(["decode", "--in", bad, "--out", str(tmp_path / "o.txt")]) == 2
+        assert "perm" in capsys.readouterr().err
+
     def test_undefined_ratio_is_a_data_error(self, tmp_path, capsys):
         src = write(tmp_path / "g.txt", "3 0\n")
         assert main(["stats", "--k", "2", "--in", src]) == 2

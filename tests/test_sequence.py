@@ -9,12 +9,13 @@ from k2seq.sequence import (DIAGONAL, OFFDIAGONAL, EmptyGraphError,
                             TrailingTokensError, TruncatedSequenceError, Vocabulary,
                             child_orders, detokenize_build, diagonal_arity,
                             decode_graph, element_rules, encode_graph, encode_ids,
-                            flatten_tokenize, node_position, offdiagonal_arity,
-                            position_paths, prune, read_token_stream, region_origin,
-                            unprune, write_token_stream)
+                            flatten_tokenize, full_tree_attrs, node_position,
+                            offdiagonal_arity, position_paths, prune,
+                            read_token_stream, region_origin, tree_levels,
+                            write_token_stream)
 from k2seq.tree import build_k2tree, tree_stats
 
-from helpers import graph_strategy
+from helpers import graph_strategy, random_labeled_er, reference_encode
 
 SINGLE_EDGE = Graph(n=4, edges=frozenset({(0, 1)}))
 K4 = Graph(n=4, edges=frozenset({(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)}))
@@ -97,8 +98,6 @@ class TestPrune:
         pt = prune(build_k2tree(K4, 2))
         with pytest.raises(ValueError, match="already pruned"):
             prune(pt)
-        with pytest.raises(ValueError, match="not pruned"):
-            unprune(build_k2tree(K4, 2))
 
     def test_flatten_requires_a_pruned_tree(self):
         with pytest.raises(ValueError, match="pruned"):
@@ -107,14 +106,6 @@ class TestPrune:
     def test_flatten_rejects_the_all_zero_tree(self):
         with pytest.raises(EmptyGraphError):
             flatten_tokenize(prune(build_k2tree(Graph(n=4), 2)))
-
-    @settings(max_examples=50, deadline=None)
-    @given(graph_strategy(max_n=10), st.sampled_from([2, 3]))
-    def test_unprune_inverts_prune(self, g, k):
-        t = build_k2tree(g, k)
-        pt = prune(t)
-        assert unprune(pt) == t
-        assert prune(unprune(pt)) == pt
 
     @settings(max_examples=50, deadline=None)
     @given(graph_strategy(max_n=10), st.sampled_from([2, 3]))
@@ -429,6 +420,12 @@ class TestGraphPipeline:
         assert s.tokens == () and s.perm == (0, 1, 2)
         assert decode_graph(s) == Graph(n=3)
 
+    @pytest.mark.parametrize("perm", ["1 1 2 3", "-1 0 2 3", "1 0 2", "1 0 2 3 4"])
+    def test_perm_that_is_not_a_bijection_is_rejected(self, perm):
+        s = read_token_stream(f"2 4 4 0\nd:110 d:010 o:0101\nperm {perm}\n")
+        with pytest.raises(SequenceError, match="perm"):
+            decode_graph(s)
+
     def test_sequence_header_reflects_the_graph(self):
         s = encode_graph(TRIANGLE_LABELED, 2)
         assert (s.k, s.padded_n, s.original_n) == (2, 4, 3)
@@ -445,3 +442,53 @@ class TestGraphPipeline:
            st.sampled_from(["identity", "bfs", "dfs", "cm"]))
     def test_labeled_round_trip_property(self, g, k, ordering):
         assert decode_graph(encode_graph(g, k, ordering=ordering)) == g
+
+
+class TestLevelEncoder:
+    """``encode_graph`` encodes level by level; ``reference_encode`` goes through
+    the full tree.  Their streams must agree byte for byte."""
+
+    @staticmethod
+    def assert_matches_reference(g, k, ordering):
+        s, ref = encode_graph(g, k, ordering=ordering), reference_encode(g, k, ordering)
+        assert write_token_stream(s) == write_token_stream(ref)
+        assert s == ref
+
+    @settings(max_examples=80, deadline=None)
+    @given(graph_strategy(max_n=12), st.sampled_from([2, 3]),
+           st.sampled_from(["identity", "cm"]))
+    def test_plain_streams_match_the_reference(self, g, k, ordering):
+        self.assert_matches_reference(g, k, ordering)
+
+    @settings(max_examples=80, deadline=None)
+    @given(graph_strategy(max_n=12, labeled=True), st.sampled_from([2, 3]),
+           st.sampled_from(["identity", "cm"]))
+    def test_labeled_streams_match_the_reference(self, g, k, ordering):
+        self.assert_matches_reference(g, k, ordering)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("ordering", ["identity", "cm"])
+    @pytest.mark.parametrize("g", [
+        Graph(n=1),
+        Graph(n=1, node_labels={0: 2}, edge_labels={}, node_vocab=3, edge_vocab=1),
+        Graph(n=7),
+        K4,
+        Graph(n=9, edges=frozenset((u, v) for u in range(9) for v in range(u + 1, 9))),
+        Graph(n=8, edges=frozenset({(0, 7), (3, 4), (5, 6)})),
+        random_labeled_er(5, 27, 0.3, node_vocab=3, edge_vocab=2),
+    ], ids=["n1", "n1-labeled", "edgeless", "k4", "k9", "n8", "labeled-n27"])
+    def test_edge_cases_match_the_reference(self, g, k, ordering):
+        self.assert_matches_reference(g, k, ordering)
+
+    @settings(max_examples=60, deadline=None)
+    @given(graph_strategy(max_n=12), st.sampled_from([2, 3]))
+    def test_full_tree_attrs_match_tree_stats(self, g, k):
+        s = encode_graph(g, k)
+        full = tree_stats(build_k2tree(g, k))
+        assert full_tree_attrs(s) == full.attr_count
+        if g.m:
+            assert tree_levels(s.padded_n, k) == full.depth
+
+    def test_tree_levels(self):
+        assert [tree_levels(n, 2) for n in (2, 4, 8, 1024)] == [1, 2, 3, 10]
+        assert [tree_levels(n, 3) for n in (3, 9, 27)] == [1, 2, 3]
