@@ -11,9 +11,9 @@ from k2seq.sampling import (GenerationConfig, GenerationError,
                             valid_token_mask)
 from k2seq.sequence import (DIAGONAL, OFFDIAGONAL, IncrementalBuilder,
                             SequenceError, Token, Vocabulary, decode_graph,
-                            encode_graph)
+                            encode_graph, write_token_stream)
 
-from helpers import random_er
+from helpers import mixed_family_graphs, random_er, random_labeled_er
 
 SINGLE_EDGE = Graph(n=4, edges=frozenset({(0, 1)}))
 K4 = Graph(n=4, edges=frozenset({(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)}))
@@ -273,6 +273,50 @@ class TestNGram:
         corpus = [encode_graph(SINGLE_EDGE, 2), encode_graph(Graph(n=5), 2),
                   encode_graph(TRIANGLE_LABELED, 2)]
         assert empirical_sizes(corpus) == ((4, 4), (8, 5), (4, 3))
+
+
+class TestGoldenSamples:
+    """Exact stream texts of fixed-seed samples: a change to the masks or the
+    models must reproduce them byte for byte."""
+
+    NGRAM = {
+        (2, 0): "2 16 12 0\nd:101 d:010 d:100 o:1101 d:111 o:1001 o:1100 o:1000 d:010 "
+                "o:1100 d:010\n",
+        (2, 1): "2 32 32 0\nd:111 d:010 o:1111 d:010 o:0110 o:1101 o:0111 o:1001 o:0001 "
+                "o:1100 o:1001 o:0100 o:1100 o:0101 o:0110 o:0011 o:0101 o:0100 o:0100 "
+                "o:1011 o:0100 o:0111 o:1111 o:1111 o:1100 o:1000 o:0100 o:0010 o:1111 "
+                "o:1000 o:0010 o:1001 o:1100 o:1001 o:1101 o:0001 o:1001 o:1000 o:0001 "
+                "o:1011 o:1101 o:1001 o:0100 o:1101 o:1000 o:1001 o:1100 o:0011 o:1100\n",
+        (2, 2): "2 16 12 0\nd:101 d:111 d:100 d:110 o:1100 d:010 d:001 d:010 o:1010 "
+                "o:1001 o:0011 o:0110 d:010\n",
+        (3, 0): "3 27 12 0\nd:100000 d:000010 o:000000100\n",
+        (3, 1): "3 81 32 0\nd:111000 d:001010 o:110000000 d:100000 d:010110 o:110100001 "
+                "o:010011000 o:011001000 d:001000 o:101111000 o:100000100 o:010011010 "
+                "o:110001011 o:010001101 o:011010110 o:000111111 o:011000000 o:001000000 "
+                "o:001001000 o:101110110 o:010000000 o:011000000 d:010000\n",
+        (3, 2): "3 27 12 0\nd:100000 d:111000 d:000010 o:100100111 d:010100\n",
+    }
+    FEATURED = ("2 8 5 1\n2 2\nd:1,1,1 d:1,1,1 o:0,1,0,0 d:1,0,0 d:1,3,2 o:0,4,0,0 "
+                "d:2,4,1 o:3,0,0,0 d:1,0,0\n")
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_order_three_ngram_samples(self, k):
+        corpus = [encode_graph(g, k, ordering="cm")
+                  for g in mixed_family_graphs(5, 8, max_n=16)]
+        model = ngram_model(corpus, 3)
+        sizes = empirical_sizes(corpus)
+        for seed in range(3):
+            s = sample_sequence(model, GenerationConfig(k=k, seed=seed, sizes=sizes))
+            assert write_token_stream(s) == self.NGRAM[k, seed]
+
+    def test_featured_uniform_sample(self):
+        corpus = [encode_graph(random_labeled_er(seed, 5, 0.5, 2, 2), 2)
+                  for seed in range(4)]
+        model = uniform_model(Vocabulary.from_corpus(2, corpus))
+        s = sample_sequence(model, GenerationConfig(
+            k=2, padded_n=8, original_n=5, seed=1, featured=True,
+            node_vocab=2, edge_vocab=2))
+        assert write_token_stream(s) == self.FEATURED
 
 
 class TestSamplingErrors:
