@@ -16,7 +16,7 @@ from .sequence import (EmptyGraphError, IncrementalBuilder, InvalidTokenError,
                        read_token_stream, write_token_stream)
 from .sampling import (GenerationConfig, GenerationError,
                        MaxLengthExceededError, ZeroMassError, ngram_model,
-                       sample_sequence, uniform_model, valid_token_mask)
+                       sample_sequence, uniform_model)
 from .metrics import (Histogram, KernelConfig, MetricsError,
                       clustering_histogram, compression_ratio,
                       degree_histogram, evaluate_sets, mmd, orbit4_counts)

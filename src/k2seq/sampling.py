@@ -10,16 +10,13 @@ queue empties; EOS is never required to stop.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Protocol, Sequence
 
 import numpy as np
 
-from .graphs import padded_size
-from .sequence import (BOS, DIAGONAL, EOS, IncrementalBuilder, Token, TokenSequence,
-                       Vocabulary, child_orders, element_rules, encode_ids,
-                       region_origin)
+from .sequence import (BOS, EOS, IncrementalBuilder, Token, TokenSequence,
+                       Vocabulary, encode_ids)
 
 
 class GenerationError(RuntimeError):
@@ -70,61 +67,19 @@ class GenerationConfig:
 
 def _mask_for_rules(vocab: Vocabulary, kind: str,
                     rules: tuple[frozenset[int], ...]) -> np.ndarray:
-    """Boolean mask over all vocabulary ids for one pending sibling group."""
+    """Boolean mask over all vocabulary ids for one pending sibling group:
+    the tokens of ``kind`` in the vocabulary's value table that are not all
+    zero and whose every slot holds a value its rule allows."""
+    ids, values = vocab._tables[kind]
+    top = int(values.max()) + 1
+    admitted = values.any(axis=1)
+    for slot, allowed in enumerate(rules):
+        lookup = np.zeros(top, dtype=bool)
+        lookup[[v for v in allowed if v < top]] = True
+        admitted &= lookup[values[:, slot]]
     mask = np.zeros(vocab.size, dtype=bool)
-    arity = len(rules)
-    for token_id in range(3, vocab.size):
-        token = vocab.decode(token_id)
-        if token.kind != kind or len(token.values) != arity:
-            continue
-        if any(v not in allowed for v, allowed in zip(token.values, rules)):
-            continue
-        if all(v == 0 for v in token.values):
-            continue
-        mask[token_id] = True
+    mask[ids[admitted]] = True
     return mask
-
-
-def valid_token_mask(kind: str, depth: int, parent_attr: int, featured: bool,
-                     vocab: Vocabulary, *, padded_n: int,
-                     original_n: int | None = None,
-                     path: tuple[tuple[int, int], ...] | None = None,
-                     node_vocab: int = 0, edge_vocab: int = 0) -> np.ndarray:
-    """Admissible-token mask for a sibling group at ``depth`` (root children
-    are at depth 1).
-
-    Reserved ids and all-zero groups are always excluded; so are tokens that
-    could not appear in any valid encoding at the position: wrong kind or
-    arity, values at slots whose sub-block is forced zero (padding regions,
-    single diagonal cells of a plain tree), and non-label values at featured
-    cells.  ``path`` locates the parent; it is required whenever
-    ``original_n < padded_n``, otherwise position does not matter beyond kind
-    and depth and a canonical path of the right kind is assumed.
-    """
-    k = vocab.k
-    if parent_attr == 0:
-        return np.zeros(vocab.size, dtype=bool)
-    if padded_n != padded_size(padded_n, k):
-        raise ValueError(f"padded size {padded_n} is not a power of {k}")
-    levels, size = 0, padded_n
-    while size > 1:
-        size //= k
-        levels += 1
-    if not 1 <= depth <= levels:
-        raise ValueError(f"depth {depth} outside [1, {levels}]")
-    original_n = padded_n if original_n is None else original_n
-    if path is None:
-        if original_n != padded_n:
-            raise ValueError("path is required when the matrix is padded")
-        block = padded_n // k ** (depth - 1)
-        r0, c0 = (0, 0) if kind == DIAGONAL else (block, 0)
-    else:
-        if len(path) != depth - 1:
-            raise ValueError(f"path length {len(path)} does not match depth {depth}")
-        r0, c0, block = region_origin(path, k, padded_n)
-    rules = element_rules(k, original_n, featured, node_vocab, edge_vocab,
-                          kind == DIAGONAL, r0, c0, block)
-    return _mask_for_rules(vocab, kind, rules)
 
 
 def builder_mask(builder: IncrementalBuilder, vocab: Vocabulary) -> np.ndarray:
@@ -153,6 +108,10 @@ class NGramModel:
 
     Sequences are framed as ``(n-1) * BOS, tokens..., EOS`` for counting.  An
     unseen context falls back to the smoothed unigram distribution.
+
+    Each seen context keeps one count row, stored sparse as ``{next id:
+    count}`` (most contexts are followed by a few ids; dense rows would
+    take ``vocab.size`` int64 each), and the unigram is one dense int64 row.
     """
 
     def __init__(self, vocab: Vocabulary, n: int):
@@ -160,21 +119,16 @@ class NGramModel:
             raise ValueError("n-gram order must be >= 1")
         self.vocab = vocab
         self.n = n
-        self._context_counts: Counter = Counter()
-        self._next_counts: Counter = Counter()
-        self._unigram = Counter()
-        self._total = 0
+        self._rows: dict[tuple[int, ...], dict[int, int]] = {}
+        self._unigram = np.zeros(vocab.size, dtype=np.int64)
 
     def train(self, sequences: list[TokenSequence]) -> "NGramModel":
         for s in sequences:
             ids = [BOS] * (self.n - 1) + encode_ids(s, self.vocab) + [EOS]
             for pos in range(self.n - 1, len(ids)):
-                ctx = tuple(ids[pos - self.n + 1:pos])
-                nxt = ids[pos]
-                self._context_counts[ctx] += 1
-                self._next_counts[ctx + (nxt,)] += 1
-                self._unigram[nxt] += 1
-                self._total += 1
+                row = self._rows.setdefault(tuple(ids[pos - self.n + 1:pos]), {})
+                row[ids[pos]] = row.get(ids[pos], 0) + 1
+            np.add.at(self._unigram, ids[self.n - 1:], 1)
         return self
 
     def _context(self, prefix: Sequence[int]) -> tuple[int, ...]:
@@ -184,16 +138,13 @@ class NGramModel:
         return tuple(padded[-(self.n - 1):])
 
     def __call__(self, prefix, kind, path) -> np.ndarray:
-        size = self.vocab.size
-        ctx = self._context(prefix)
-        if self.n > 1 and self._context_counts[ctx] > 0:
-            denom = self._context_counts[ctx] + size
-            probs = np.array([(self._next_counts[ctx + (i,)] + 1) / denom
-                              for i in range(size)])
+        row = self._rows.get(self._context(prefix))
+        if row is None:
+            counts = self._unigram
         else:
-            denom = self._total + size
-            probs = np.array([(self._unigram[i] + 1) / denom for i in range(size)])
-        return probs
+            counts = np.zeros(self.vocab.size, dtype=np.int64)
+            counts[list(row)] = list(row.values())
+        return (counts + 1) / (counts.sum() + self.vocab.size)
 
 
 def ngram_model(corpus: list[TokenSequence], n: int,

@@ -260,7 +260,7 @@ class IncrementalBuilder:
     def __init__(self, k: int, padded_n: int, original_n: int | None = None,
                  featured: bool = False, node_vocab: int = 0, edge_vocab: int = 0):
         if k < 2:
-            raise ValueError("k must be >= 2")
+            raise SequenceError("k must be >= 2")
         if padded_n != padded_size(padded_n, k) or padded_n < k:
             raise SequenceError(f"padded size {padded_n} is not a power of {k}")
         original_n = padded_n if original_n is None else original_n
@@ -367,12 +367,12 @@ def detokenize_build(s: TokenSequence) -> K2Tree:
     """Rebuild the pruned tree from a token sequence; inverse of flatten_tokenize.
 
     A header-only sequence (zero tokens) denotes the all-zero matrix and yields
-    a root-leaf tree.
+    a root-leaf tree; its header is checked like any other.
     """
-    if not s.tokens:
-        return _empty_tree(s)
     builder = IncrementalBuilder(s.k, s.padded_n, s.original_n, s.featured,
                                  s.node_vocab, s.edge_vocab)
+    if not s.tokens:
+        return _empty_tree(s)
     for token in s.tokens:
         builder.step(token)
     return builder.tree()
@@ -384,10 +384,10 @@ def position_paths(s: TokenSequence) -> list[tuple[tuple[int, int], ...]]:
     The first token expands the root, so its path is empty.  The sequence is
     validated as a side effect.
     """
-    if not s.tokens:
-        return []
     builder = IncrementalBuilder(s.k, s.padded_n, s.original_n, s.featured,
                                  s.node_vocab, s.edge_vocab)
+    if not s.tokens:
+        return []
     paths = []
     for token in s.tokens:
         paths.append(builder.next_path)
@@ -405,6 +405,12 @@ class Vocabulary:
     sibling rank) most significant.  Diagonal and off-diagonal tokens with the
     same bits get distinct ids.  Featured tokens whose values happen to be all
     binary coincide with structural tokens and share their ids.
+
+    ``_tables`` maps each kind to its value table, built once: an ``ids``
+    array and an ``ids x arity`` array of values, first every bit pattern in
+    id order, then the featured tokens of that kind and arity (those with a
+    negative value are left out, as no position admits them).  Masks and
+    :meth:`decode` read it.
     """
 
     BOS = BOS
@@ -414,6 +420,10 @@ class Vocabulary:
     def __init__(self, k: int, featured_tokens: tuple[Token, ...] = ()):
         if k < 2:
             raise ValueError("k must be >= 2")
+        if k > 4:
+            # The off-diagonal value table alone would hold 2**(k*k) rows.
+            raise ValueError(f"k={k} has 2**{k * k} off-diagonal tokens; "
+                             "vocabularies support k <= 4")
         self.k = k
         self.diag_arity = diagonal_arity(k)
         self.off_arity = offdiagonal_arity(k)
@@ -424,6 +434,16 @@ class Vocabulary:
                      key=lambda t: (t.kind, t.values))
         self.featured_tokens = tuple(ext)
         self._ext_ids = {t: self._ext_base + i for i, t in enumerate(ext)}
+        self._tables = {DIAGONAL: self._value_table(DIAGONAL, self.diag_arity, self._diag_base),
+                        OFFDIAGONAL: self._value_table(OFFDIAGONAL, self.off_arity, self._off_base)}
+
+    def _value_table(self, kind: str, arity: int, base: int) -> tuple[np.ndarray, np.ndarray]:
+        bits = np.arange(1 << arity)[:, None] >> np.arange(arity - 1, -1, -1) & 1
+        featured = [t for t in self.featured_tokens
+                    if t.kind == kind and len(t.values) == arity and min(t.values) >= 0]
+        ids = np.array([self._ext_ids[t] for t in featured], dtype=np.int64)
+        values = np.array([t.values for t in featured], dtype=np.int64).reshape(-1, arity)
+        return np.concatenate([base + np.arange(1 << arity), ids]), np.concatenate([bits, values])
 
     def _is_structural(self, token: Token) -> bool:
         arity = self.diag_arity if token.kind == DIAGONAL else self.off_arity
@@ -452,18 +472,13 @@ class Vocabulary:
             raise SequenceError(f"token {token} is not in the vocabulary") from None
 
     def decode(self, token_id: int) -> Token:
-        if self._diag_base <= token_id < self._off_base:
-            return self._bits_token(DIAGONAL, token_id - self._diag_base, self.diag_arity)
-        if self._off_base <= token_id < self._ext_base:
-            return self._bits_token(OFFDIAGONAL, token_id - self._off_base, self.off_arity)
+        for kind, base, end in ((DIAGONAL, self._diag_base, self._off_base),
+                                (OFFDIAGONAL, self._off_base, self._ext_base)):
+            if base <= token_id < end:
+                return Token(kind, tuple(self._tables[kind][1][token_id - base].tolist()))
         if self._ext_base <= token_id < self.size:
             return self.featured_tokens[token_id - self._ext_base]
         raise SequenceError(f"id {token_id} is reserved or out of range")
-
-    @staticmethod
-    def _bits_token(kind: str, value: int, arity: int) -> Token:
-        bits = tuple((value >> (arity - 1 - m)) & 1 for m in range(arity))
-        return Token(kind=kind, values=bits)
 
     def ids_of_kind(self, kind: str) -> range | list[int]:
         if kind == DIAGONAL:
@@ -497,11 +512,8 @@ def write_token_stream(s: TokenSequence) -> str:
     lines = [f"{s.k} {s.padded_n} {s.original_n} {int(s.featured)}"]
     if s.featured:
         lines.append(f"{s.node_vocab} {s.edge_vocab}")
-    if s.featured:
-        toks = [f"{t.kind}:" + ",".join(str(v) for v in t.values) for t in s.tokens]
-    else:
-        toks = [f"{t.kind}:" + "".join(str(v) for v in t.values) for t in s.tokens]
-    lines.append(" ".join(toks))
+    sep = "," if s.featured else ""
+    lines.append(" ".join([f"{t.kind}:{sep.join(map(str, t.values))}" for t in s.tokens]))
     if s.perm is not None:
         lines.append("perm " + " ".join(str(p) for p in s.perm))
     return "\n".join(lines) + "\n"

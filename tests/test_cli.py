@@ -159,6 +159,16 @@ class TestExitCodes:
         assert main(["stats", "--k", "2", "--in", src]) == 2
 
 
+    def test_header_only_stream_with_bad_k_exits_at_once(self, tmp_path):
+        bad = write(tmp_path / "bad.k2s", "1 4 4 0\n\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "k2seq.cli", "decode", "--in", bad,
+             "--out", str(tmp_path / "o.txt")],
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2
+        assert "k must be >= 2" in proc.stderr
+
+
 class TestConsoleScript:
     def test_installed_entry_point(self, tmp_path):
         src = write(tmp_path / "g.txt", serialize_edge_list(STAR4))

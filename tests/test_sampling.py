@@ -7,8 +7,7 @@ from k2seq.graphs import Graph
 from k2seq.sampling import (GenerationConfig, GenerationError,
                             MaxLengthExceededError, NGramModel, UniformModel,
                             ZeroMassError, builder_mask, empirical_sizes,
-                            ngram_model, sample_sequence, uniform_model,
-                            valid_token_mask)
+                            ngram_model, sample_sequence, uniform_model)
 from k2seq.sequence import (DIAGONAL, OFFDIAGONAL, IncrementalBuilder,
                             SequenceError, Token, Vocabulary, decode_graph,
                             encode_graph, write_token_stream)
@@ -52,66 +51,49 @@ def assert_masks_agree_along(sequence, vocab):
     for token in sequence.tokens:
         via_builder = builder_mask(builder, vocab)
         via_simulation = simulated_mask(builder, vocab)
-        via_position = valid_token_mask(
-            builder.next_kind, builder.next_depth, 1, sequence.featured, vocab,
-            padded_n=sequence.padded_n, original_n=sequence.original_n,
-            path=builder.next_path, node_vocab=sequence.node_vocab,
-            edge_vocab=sequence.edge_vocab)
         assert (via_builder == via_simulation).all()
-        assert (via_builder == via_position).all()
         assert via_builder[vocab.encode(token)]
         builder.step(token)
     assert not builder_mask(builder, vocab).any()
 
 
+def mask_after(tokens, vocab, *builder_args):
+    """builder_mask once ``tokens`` have been stepped into a fresh builder."""
+    builder = IncrementalBuilder(*builder_args)
+    for token in tokens:
+        builder.step(token)
+    return builder_mask(builder, vocab)
+
+
 class TestValidTokenMask:
+    """Admissible-token masks at fixed builder positions of a K=2 tree."""
+
     def test_root_group_admits_all_nonzero_diagonal_tokens(self):
         v = Vocabulary(2)
-        mask = valid_token_mask(D, 1, 1, False, v, padded_n=4)
+        mask = mask_after((), v, 2, 4)
         assert mask.sum() == 7
         assert set(np.flatnonzero(mask)) == set(range(4, 11))
 
     def test_max_depth_diagonal_group_admits_one_token(self):
         v = Vocabulary(2)
-        mask = valid_token_mask(D, 2, 1, False, v, padded_n=4)
+        mask = mask_after((tok(D, 1, 0, 0),), v, 2, 4)
         assert set(np.flatnonzero(mask)) == {v.encode(tok(D, 0, 1, 0))}
 
     def test_off_diagonal_cells_admit_all_nonzero_patterns(self):
         v = Vocabulary(2)
-        mask = valid_token_mask(O, 2, 1, False, v, padded_n=4)
+        mask = mask_after((tok(D, 0, 1, 0),), v, 2, 4)
         assert mask.sum() == 15
         assert set(np.flatnonzero(mask)) == set(range(12, 27))
 
-    def test_zero_parent_admits_nothing(self):
-        v = Vocabulary(2)
-        assert not valid_token_mask(D, 1, 0, False, v, padded_n=4).any()
-
     def test_padding_constrains_the_root_group(self):
         v = Vocabulary(2)
-        mask = valid_token_mask(D, 1, 1, False, v, padded_n=4, original_n=3, path=())
+        mask = mask_after((), v, 2, 4, 3)
         assert set(np.flatnonzero(mask)) == {5, 7, 9}
-
-    def test_path_is_required_when_padded(self):
-        v = Vocabulary(2)
-        with pytest.raises(ValueError, match="path"):
-            valid_token_mask(D, 1, 1, False, v, padded_n=4, original_n=3)
-
-    def test_argument_validation(self):
-        v = Vocabulary(2)
-        with pytest.raises(ValueError, match="depth"):
-            valid_token_mask(D, 3, 1, False, v, padded_n=4)
-        with pytest.raises(ValueError, match="depth"):
-            valid_token_mask(D, 0, 1, False, v, padded_n=4)
-        with pytest.raises(ValueError, match="power"):
-            valid_token_mask(D, 1, 1, False, v, padded_n=6)
-        with pytest.raises(ValueError, match="path length"):
-            valid_token_mask(D, 2, 1, False, v, padded_n=4, path=())
 
     def test_reserved_ids_are_never_admissible(self):
         v = Vocabulary(2)
-        for depth, kind in ((1, D), (2, D), (2, O)):
-            mask = valid_token_mask(kind, depth, 1, False, v, padded_n=4)
-            assert not mask[:3].any()
+        for tokens in ((), (tok(D, 1, 0, 0),), (tok(D, 0, 1, 0),)):
+            assert not mask_after(tokens, v, 2, 4)[:3].any()
 
 
 class TestMaskMatchesBuilder:
@@ -129,6 +111,15 @@ class TestMaskMatchesBuilder:
     def test_featured_sequence(self):
         s = encode_graph(TRIANGLE_LABELED, 2)
         v = Vocabulary.from_corpus(2, [s])
+        assert_masks_agree_along(s, v)
+
+    def test_featured_tokens_no_position_admits(self):
+        # A negative value, a wrong arity and an out-of-range label: each
+        # decodes, and no mask admits it.
+        s = encode_graph(TRIANGLE_LABELED, 2)
+        odd = (tok(D, 1, -1, 1), tok(O, 1, 2), tok(D, 1, 9, 2))
+        v = Vocabulary(2, Vocabulary.from_corpus(2, [s]).featured_tokens + odd)
+        assert [v.decode(v.encode(t)) for t in odd] == list(odd)
         assert_masks_agree_along(s, v)
 
     def test_featured_cells_mix_structural_and_extension_ids(self):
@@ -210,8 +201,7 @@ class TestUniformSampling:
 
     def test_featured_depth_one_mask_forces_diagonal_blocks(self):
         v = Vocabulary(2)
-        mask = valid_token_mask(D, 1, 1, True, v, padded_n=4,
-                                node_vocab=1, edge_vocab=1)
+        mask = mask_after((), v, 2, 4, 4, True, 1, 1)
         assert set(np.flatnonzero(mask)) == {v.encode(tok(D, 1, 0, 1)),
                                              v.encode(tok(D, 1, 1, 1))}
 

@@ -156,7 +156,7 @@ class TestIncrementalBuilder:
             IncrementalBuilder(2, 4, original_n=5)
         with pytest.raises(SequenceError, match="outside"):
             IncrementalBuilder(2, 4, original_n=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(SequenceError, match="k must be"):
             IncrementalBuilder(1, 4)
 
     def test_replay_reports_queue_front_positions(self):
@@ -257,6 +257,15 @@ class TestDetokenize:
         assert position_paths(s2) == [(), ((1, 1),), ((2, 1),), ((2, 2),)]
         assert position_paths(TokenSequence(k=2, padded_n=4, original_n=4)) == []
 
+    @pytest.mark.parametrize("text", ["1 4 4 0\n\n", "0 4 4 0\n\n", "2 4 9 0\n\n",
+                                      "2 1 1 0\n\n", "1 4 4 0\nd:110\n"])
+    def test_invalid_headers_are_rejected_with_or_without_tokens(self, text):
+        s = read_token_stream(text)
+        with pytest.raises(SequenceError):
+            decode_graph(s)
+        with pytest.raises(SequenceError):
+            position_paths(s)
+
     def test_truncated_sequence_rejected(self):
         s = flatten_tokenize(prune(build_k2tree(K4, 2)))
         with pytest.raises(TruncatedSequenceError):
@@ -339,6 +348,10 @@ class TestVocabulary:
         v = Vocabulary(2, (tok(D, 1, 0, 0), tok(D, 1, 4, 2)))
         assert v.featured_tokens == (tok(D, 1, 4, 2),)
         assert v.encode(tok(D, 1, 0, 0)) == 7
+
+    def test_k_above_four_rejected_before_any_table_is_built(self):
+        with pytest.raises(ValueError, match="k <= 4"):
+            Vocabulary(5)
 
     def test_unknown_featured_token_rejected(self):
         v = Vocabulary(2)
