@@ -109,9 +109,10 @@ class NGramModel:
     Sequences are framed as ``(n-1) * BOS, tokens..., EOS`` for counting.  An
     unseen context falls back to the smoothed unigram distribution.
 
-    Each seen context keeps one count row, stored sparse as ``{next id:
-    count}`` (most contexts are followed by a few ids; dense rows would
-    take ``vocab.size`` int64 each), and the unigram is one dense int64 row.
+    Each seen context keeps the ids that followed it, one per occurrence, and
+    its count row is their ``bincount``; most contexts are followed by a few
+    ids, so a stored dense row of ``vocab.size`` int64 would mostly hold
+    zeros.  The unigram is one dense int64 count row.
     """
 
     def __init__(self, vocab: Vocabulary, n: int):
@@ -119,16 +120,15 @@ class NGramModel:
             raise ValueError("n-gram order must be >= 1")
         self.vocab = vocab
         self.n = n
-        self._rows: dict[tuple[int, ...], dict[int, int]] = {}
+        self._rows: dict[tuple[int, ...], list[int]] = {}
         self._unigram = np.zeros(vocab.size, dtype=np.int64)
 
     def train(self, sequences: list[TokenSequence]) -> "NGramModel":
         for s in sequences:
             ids = [BOS] * (self.n - 1) + encode_ids(s, self.vocab) + [EOS]
             for pos in range(self.n - 1, len(ids)):
-                row = self._rows.setdefault(tuple(ids[pos - self.n + 1:pos]), {})
-                row[ids[pos]] = row.get(ids[pos], 0) + 1
-            np.add.at(self._unigram, ids[self.n - 1:], 1)
+                self._rows.setdefault(tuple(ids[pos - self.n + 1:pos]), []).append(ids[pos])
+            self._unigram += np.bincount(ids[self.n - 1:], minlength=self.vocab.size)
         return self
 
     def _context(self, prefix: Sequence[int]) -> tuple[int, ...]:
@@ -139,11 +139,7 @@ class NGramModel:
 
     def __call__(self, prefix, kind, path) -> np.ndarray:
         row = self._rows.get(self._context(prefix))
-        if row is None:
-            counts = self._unigram
-        else:
-            counts = np.zeros(self.vocab.size, dtype=np.int64)
-            counts[list(row)] = list(row.values())
+        counts = self._unigram if row is None else np.bincount(row, minlength=self.vocab.size)
         return (counts + 1) / (counts.sum() + self.vocab.size)
 
 
