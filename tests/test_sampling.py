@@ -114,13 +114,20 @@ class TestMaskMatchesBuilder:
         assert_masks_agree_along(s, v)
 
     def test_featured_tokens_no_position_admits(self):
-        # A negative value, a wrong arity and an out-of-range label: each
-        # decodes, and no mask admits it.
+        # A negative value and a wrong arity: each decodes, and no mask admits it.
         s = encode_graph(TRIANGLE_LABELED, 2)
-        odd = (tok(D, 1, -1, 1), tok(O, 1, 2), tok(D, 1, 9, 2))
+        odd = (tok(D, 1, -1, 1), tok(O, 1, 2))
         v = Vocabulary(2, Vocabulary.from_corpus(2, [s]).featured_tokens + odd)
         assert [v.decode(v.encode(t)) for t in odd] == list(odd)
         assert_masks_agree_along(s, v)
+
+    def test_labels_above_every_table_value_are_skipped(self):
+        # The cell rules allow labels up to 4; a structural-only table holds 0 and 1.
+        s = encode_graph(TRIANGLE_LABELED, 2)
+        v = Vocabulary(2)
+        mask = mask_after(s.tokens[:1], v, s.k, s.padded_n, s.original_n, True,
+                          s.node_vocab, s.edge_vocab)
+        assert set(np.flatnonzero(mask)) == {v.encode(tok(D, 1, 0, 1))}
 
     def test_featured_cells_mix_structural_and_extension_ids(self):
         s = encode_graph(TRIANGLE_LABELED, 2)
