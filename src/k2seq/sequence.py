@@ -15,18 +15,23 @@ sorts the lower-triangle cells once by their root-to-cell path and reads each
 level's tokens off the distinct path prefixes (the level-bitmap construction
 of Brisaboa, Ladra & Navarro, SPIRE 2009).  :func:`prune` and
 :func:`flatten_tokenize` over :func:`~k2seq.tree.build_k2tree` remain as the
-reference it is tested against.
+reference it is tested against.  :func:`decode_graph` is its inverse over
+arrays: level ``d``'s tokens are one contiguous run, one per pending block,
+and their nonzero slots are the next level's blocks.  It accepts and rejects
+exactly what the :class:`IncrementalBuilder` replay of :func:`detokenize_build`
+does, which stays for the samplers and as the reference.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 
-from .graphs import Graph, GraphError, apply_ordering, invert_permutation, order_nodes, padded_size
-from .tree import K2Tree, TreeNode, edge_label_token, node_label_token, rebuild_graph
+from .graphs import Graph, GraphError, apply_ordering, order_nodes, padded_size
+from .tree import K2Tree, TreeNode, edge_label_token, node_label_token
 
 DIAGONAL = "d"
 OFFDIAGONAL = "o"
@@ -230,6 +235,51 @@ def element_rules(k: int, original_n: int, featured: bool, node_vocab: int,
     return tuple(rules)
 
 
+def _check_header(k: int, padded_n: int, original_n: int, featured: bool,
+                 node_vocab: int, edge_vocab: int) -> None:
+    """Raise :class:`SequenceError` unless the header can head a stream:
+    ``k >= 2``, ``padded_n`` a power ``k**d`` with ``d >= 1``,
+    ``1 <= original_n <= padded_n``, and, when featured, at least one node
+    label and one edge label."""
+    if k < 2:
+        raise SequenceError("k must be >= 2")
+    if padded_n < k or padded_n != padded_size(padded_n, k):
+        raise SequenceError(f"padded size {padded_n} is not a power of {k}")
+    if not 1 <= original_n <= padded_n:
+        raise SequenceError(f"original size {original_n} outside [1, {padded_n}]")
+    if featured and (node_vocab < 1 or edge_vocab < 1):
+        raise SequenceError(
+            f"featured label vocab sizes {node_vocab} {edge_vocab} must both be >= 1")
+
+
+# Error texts shared by the builder and decode_graph, which must agree.
+_COMPLETE = "the tree is already complete"
+_ALL_ZERO = "all-zero sibling group under a nonzero node"
+
+
+def _token_at(index: int, level: int) -> str:
+    """Names the 0-based token ``index`` 1-based, with the tree level of the
+    sibling group it attaches."""
+    return f"token {index + 1} (level {level})"
+
+
+def _truncated(pending: int, tokens: int) -> str:
+    return f"{pending} nodes still pending after {tokens} tokens"
+
+
+def _shape_error(token: Token, where: str, diag_pending: bool,
+                 k: int) -> TokenMismatchError | None:
+    """The error for a token whose kind or arity does not fit the pending
+    block, if any; checked before its values."""
+    expected = DIAGONAL if diag_pending else OFFDIAGONAL
+    if token.kind != expected:
+        return TokenMismatchError(f"{where}: kind {token.kind!r} where {expected!r} is pending")
+    arity = diagonal_arity(k) if diag_pending else offdiagonal_arity(k)
+    if len(token.values) != arity:
+        return TokenMismatchError(f"{where}: arity {len(token.values)} where {arity} is pending")
+    return None
+
+
 @dataclass(frozen=True)
 class StepResult:
     status: str  # "need_more" or "complete"
@@ -259,13 +309,8 @@ class IncrementalBuilder:
 
     def __init__(self, k: int, padded_n: int, original_n: int | None = None,
                  featured: bool = False, node_vocab: int = 0, edge_vocab: int = 0):
-        if k < 2:
-            raise SequenceError("k must be >= 2")
-        if padded_n != padded_size(padded_n, k) or padded_n < k:
-            raise SequenceError(f"padded size {padded_n} is not a power of {k}")
         original_n = padded_n if original_n is None else original_n
-        if not 1 <= original_n <= padded_n:
-            raise SequenceError(f"original size {original_n} outside [1, {padded_n}]")
+        _check_header(k, padded_n, original_n, featured, node_vocab, edge_vocab)
         self.k = k
         self.padded_n = padded_n
         self.original_n = original_n
@@ -276,6 +321,7 @@ class IncrementalBuilder:
         self.queue: deque[_Pending] = deque(
             [_Pending(uid=0, path=(), diag=True, r0=0, c0=0, block=padded_n, depth=0)])
         self.steps = 0
+        self._rules: tuple[frozenset[int], ...] | None = None  # the front's, once asked
 
     @property
     def complete(self) -> bool:
@@ -301,39 +347,39 @@ class IncrementalBuilder:
         return self.queue[0].depth + 1
 
     def next_rules(self) -> tuple[frozenset[int], ...]:
+        """Admissible values per slot of the pending sibling group, computed
+        once per group: the sampler's mask and :meth:`step` both read them."""
         if not self.queue:
             raise TrailingTokensError("no pending node")
-        front = self.queue[0]
-        return element_rules(self.k, self.original_n, self.featured, self.node_vocab,
-                             self.edge_vocab, front.diag, front.r0, front.c0, front.block)
+        if self._rules is None:
+            front = self.queue[0]
+            self._rules = element_rules(self.k, self.original_n, self.featured,
+                                        self.node_vocab, self.edge_vocab, front.diag,
+                                        front.r0, front.c0, front.block)
+        return self._rules
 
     def step(self, token: Token) -> StepResult:
         """Attach one token; raises a :class:`SequenceError` subclass on misuse."""
         if not self.queue:
-            raise TrailingTokensError("token after the tree completed")
+            raise TrailingTokensError(f"token {self.steps + 1}: {_COMPLETE}")
         front = self.queue[0]
-        expected = DIAGONAL if front.diag else OFFDIAGONAL
-        if token.kind != expected:
-            raise TokenMismatchError(
-                f"token {self.steps + 1}: kind {token.kind!r} where {expected!r} is pending")
-        orders = child_orders(self.k, front.diag)
-        if len(token.values) != len(orders):
-            raise TokenMismatchError(
-                f"token {self.steps + 1}: arity {len(token.values)} where {len(orders)} is pending")
+        where = _token_at(self.steps, front.depth + 1)
+        error = _shape_error(token, where, front.diag, self.k)
+        if error is not None:
+            raise error
         rules = self.next_rules()
         for slot, (value, allowed) in enumerate(zip(token.values, rules)):
             if value not in allowed:
-                raise InvalidTokenError(
-                    f"token {self.steps + 1}: value {value} not allowed at slot {slot}")
+                raise InvalidTokenError(f"{where}: value {value} not allowed at slot {slot}")
         if all(v == 0 for v in token.values):
-            raise InvalidTokenError(
-                f"token {self.steps + 1}: all-zero sibling group under a nonzero node")
+            raise InvalidTokenError(f"{where}: {_ALL_ZERO}")
 
         self.queue.popleft()
+        self._rules = None
         step = front.block // self.k
         depth = front.depth + 1
         child_ids = []
-        for (i, j), value in zip(orders, token.values):
+        for (i, j), value in zip(child_orders(self.k, front.diag), token.values):
             vid = len(self.nodes)
             self.nodes.append(TreeNode(attr=value, depth=depth, order=(i, j), parent=front.uid))
             child_ids.append(vid)
@@ -349,8 +395,7 @@ class IncrementalBuilder:
 
     def tree(self) -> K2Tree:
         if not self.complete:
-            raise TruncatedSequenceError(
-                f"{len(self.queue)} nodes still pending after {self.steps} tokens")
+            raise TruncatedSequenceError(_truncated(len(self.queue), self.steps))
         return K2Tree(k=self.k, padded_n=self.padded_n, original_n=self.original_n,
                       nodes=self.nodes, featured=self.featured,
                       node_vocab=self.node_vocab, edge_vocab=self.edge_vocab, pruned=True)
@@ -686,11 +731,149 @@ def encode_graph(g: Graph, k: int, ordering: str = "identity",
                          tokens=tokens, perm=perm)
 
 
+def _token_grid(tokens: tuple[Token, ...], k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-token diagonal flags, and the child slots of the tokens before the
+    first one whose arity does not match its kind.
+
+    The grid has one row per such token and ``k*k`` columns, the slots
+    ``i*k + j`` (0-based) in row-major order; a diagonal token's values sit
+    in its :func:`child_orders` slots and its other slots hold 0.  Values
+    beyond int64 keep their Python ints in an object grid.
+    """
+    diag = np.fromiter((t.kind == DIAGONAL for t in tokens), dtype=bool, count=len(tokens))
+    rows = [t.values for t in tokens]
+    lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(tokens))
+    kk, arity = k * k, diagonal_arity(k)
+    # No token holds 2**62 values, so an arity that large matches none.
+    wrong = (lengths != np.where(diag, arity, kk)) if kk < 2 ** 62 else np.ones_like(diag)
+    good = int(np.argmax(wrong)) if wrong.any() else len(tokens)
+    if not good:
+        return diag, np.zeros((0, 0), dtype=np.int64)
+    rows = rows[:good]
+    try:
+        flat = np.fromiter(chain.from_iterable(rows), dtype=np.int64,
+                           count=int(lengths[:good].sum()))
+    except OverflowError:
+        flat = np.array(list(chain.from_iterable(rows)), dtype=object)
+    starts = np.cumsum(lengths[:good]) - lengths[:good]
+    grid = np.zeros((good, kk), dtype=flat.dtype)
+    off = np.flatnonzero(~diag[:good])
+    grid[off] = flat[starts[off, None] + np.arange(kk)]
+    on = np.flatnonzero(diag[:good])
+    slots = [i * k + j for i, j in np.argwhere(np.tri(k, dtype=bool)).tolist()]
+    grid[on[:, None], slots] = flat[starts[on, None] + np.arange(arity)]
+    return diag, grid
+
+
+def _rejection(s: TokenSequence, index: int, level: int, diag_pending: bool,
+               bad: np.ndarray | None) -> SequenceError:
+    """The error :meth:`IncrementalBuilder.step` raises at token ``index``
+    (0-based), pending a block with the given diagonal flag; ``bad`` flags
+    the token's grid slots whose value its block does not admit."""
+    token = s.tokens[index]
+    where = _token_at(index, level)
+    error = _shape_error(token, where, diag_pending, s.k)
+    if error is not None:
+        return error
+    if bad is not None and bad.any():
+        held = np.tri(s.k, dtype=bool).ravel() if diag_pending else np.ones(s.k * s.k, bool)
+        slot = int(np.argmax(bad[held]))
+        return InvalidTokenError(f"{where}: value {token.values[slot]} not allowed at slot {slot}")
+    return InvalidTokenError(f"{where}: {_ALL_ZERO}")
+
+
+def _level_cells(s: TokenSequence) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows, columns and values of the nonzero full-depth cells that the
+    tokens of ``s`` encode, all lower-triangle, checked token by token with
+    the rules of :func:`element_rules`.
+
+    Level ``d`` (1-based) takes the next run of tokens, one per pending block
+    of depth ``d - 1``, held as arrays of block origins and diagonal flags.
+    Each run is checked as a whole; the first token breaking a rule raises
+    the error the builder would raise there.  The run's nonzero slots are the
+    blocks of the next level, or, at the last level, the cells.
+    """
+    k, n = s.k, s.original_n
+    diag, grid = _token_grid(s.tokens, k)
+    i, j = np.divmod(np.arange(grid.shape[1]), k)
+    coord = np.int64 if (k + 1) * n < 2 ** 62 else object
+    r0 = c0 = np.zeros(1, dtype=coord)
+    pending_diag = np.ones(1, dtype=bool)
+    start, block = 0, s.padded_n
+    levels = tree_levels(s.padded_n, k)
+    for level in range(1, levels + 1):
+        block //= k
+        # Offsets clamped at n keep coordinates below (k + 1) * n: a slot at
+        # or past row or column n is padding either way.
+        span = min(block, n)
+        run = grid[start:start + len(r0)]
+        count = len(run)
+        r = r0[:count, None] + i.astype(coord) * span
+        c = c0[:count, None] + j.astype(coord) * span
+        on_diag = pending_diag[:count, None] & (i == j)
+        zero_only = (r >= n) | (c >= n)
+        # The slots a diagonal token does not hold are 0 in the grid, and no
+        # rule below flags a 0 off the diagonal.
+        nonzero = run != 0
+        if not s.featured:
+            zero_only |= on_diag & (np.minimum(r + span, n) - r < 2)
+            bad = nonzero & (zero_only | (run != 1))
+        else:
+            if block > 1:
+                out_of_range = run != 1
+            else:
+                nv, ev = s.node_vocab, s.edge_vocab
+                out_of_range = np.where(on_diag, (run < 1) | (run > nv),
+                                        (run <= nv) | (run > nv + ev))
+            bad = np.where(zero_only, nonzero, out_of_range & (on_diag | nonzero))
+        failed = (diag[start:start + count] != pending_diag[:count]) | bad.any(axis=1)
+        failed |= ~nonzero.any(axis=1)
+        if failed.any():
+            t = int(np.argmax(failed))
+            raise _rejection(s, start + t, level, bool(pending_diag[t]), bad[t])
+        if count < len(r0):
+            if start + count < len(s.tokens):
+                raise _rejection(s, start + count, level, bool(pending_diag[count]), None)
+            queued = int(nonzero.sum()) if level < levels else 0
+            raise TruncatedSequenceError(_truncated(len(r0) - count + queued, len(s.tokens)))
+        start += count
+        rows, slots = np.nonzero(nonzero)
+        r0, c0 = r[rows, slots], c[rows, slots]
+        pending_diag = on_diag[rows, slots]
+    if start < len(s.tokens):
+        raise TrailingTokensError(f"token {start + 1}: {_COMPLETE}")
+    return r0, c0, run[rows, slots]
+
+
 def decode_graph(s: TokenSequence) -> Graph:
-    """Inverse of :func:`encode_graph`, undoing any stored node ordering."""
-    if s.perm is not None and sorted(s.perm) != list(range(s.original_n)):
-        raise SequenceError(f"perm is not a permutation of 0..{s.original_n - 1}")
-    g = rebuild_graph(detokenize_build(s))
+    """Inverse of :func:`encode_graph`, undoing any stored node ordering.
+
+    Decodes level by level over arrays (:func:`_level_cells`), with no tree
+    and no builder; the stored ``perm`` relabels the cells by indexing.
+    Memory is bounded by the token count and ``perm``, never by ``padded_n``
+    or ``original_n``: a header-only stream decodes to an edgeless graph
+    without any per-node work.
+    """
+    _check_header(s.k, s.padded_n, s.original_n, s.featured, s.node_vocab, s.edge_vocab)
+    n = s.original_n
+    if s.perm is not None and (len(s.perm) != n or sorted(s.perm) != list(range(n))):
+        raise SequenceError(f"perm is not a permutation of 0..{n - 1}")
+    if not s.tokens:
+        if s.featured:
+            raise GraphError("featured tree does not label every node")
+        return Graph(n=n)
+    rows, cols, values = _level_cells(s)
     if s.perm is not None:
-        g = apply_ordering(g, invert_permutation(s.perm))
-    return g
+        perm = np.asarray(s.perm, dtype=np.int64)
+        rows, cols = perm[rows], perm[cols]
+    lo, hi = np.minimum(rows, cols).tolist(), np.maximum(rows, cols).tolist()
+    if not s.featured:
+        return Graph(n=n, edges=frozenset(zip(lo, hi)))
+    node_labels, edge_labels = {}, {}
+    for u, v, value in zip(lo, hi, values.tolist()):
+        if u == v:
+            node_labels[u] = value - 1
+        else:
+            edge_labels[u, v] = value - s.node_vocab - 1
+    return Graph(n=n, edges=frozenset(edge_labels), node_labels=node_labels,
+                 edge_labels=edge_labels, node_vocab=s.node_vocab, edge_vocab=s.edge_vocab)

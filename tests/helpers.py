@@ -15,9 +15,10 @@ from hypothesis import strategies as st
 
 from k2seq import Graph
 from k2seq.generators import gen_community, gen_er, gen_grid, gen_planar
-from k2seq.graphs import apply_ordering, order_nodes
-from k2seq.sequence import TokenSequence, flatten_tokenize, prune
-from k2seq.tree import build_k2tree
+from k2seq.graphs import apply_ordering, invert_permutation, order_nodes
+from k2seq.sequence import (SequenceError, TokenSequence, detokenize_build,
+                            flatten_tokenize, prune)
+from k2seq.tree import build_k2tree, rebuild_graph
 
 
 @st.composite
@@ -52,6 +53,19 @@ def reference_encode(g: Graph, k: int, ordering: str = "identity",
                              featured=t.featured, node_vocab=t.node_vocab,
                              edge_vocab=t.edge_vocab, perm=perm)
     return replace(flatten_tokenize(prune(t)), perm=perm)
+
+
+def reference_decode(s: TokenSequence) -> Graph:
+    """Decode through the pruned tree: replay every token through the
+    incremental builder, rebuild the graph from the tree's full-depth leaves,
+    then undo the stored ordering.  The reference the array-native
+    :func:`decode_graph` must match."""
+    if s.perm is not None and sorted(s.perm) != list(range(s.original_n)):
+        raise SequenceError(f"perm is not a permutation of 0..{s.original_n - 1}")
+    g = rebuild_graph(detokenize_build(s))
+    if s.perm is not None:
+        g = apply_ordering(g, invert_permutation(s.perm))
+    return g
 
 
 def random_er(seed: int, n: int, p: float) -> Graph:

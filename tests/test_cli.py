@@ -154,6 +154,19 @@ class TestExitCodes:
         assert main(["decode", "--in", bad, "--out", str(tmp_path / "o.txt")]) == 2
         assert "perm" in capsys.readouterr().err
 
+    def test_bad_value_in_a_deep_level_names_the_token_and_level(self, tmp_path, capsys):
+        # The third token sets the (0, 0) cell: a self-loop, three levels down.
+        bad = write(tmp_path / "bad.k2s", "2 8 8 0\nd:100 d:100 d:110\n")
+        assert main(["decode", "--in", bad, "--out", str(tmp_path / "o.txt")]) == 2
+        err = capsys.readouterr().err
+        assert "token 3 (level 3)" in err and "value 1 not allowed at slot 0" in err
+
+    @pytest.mark.parametrize("vocab", ["-1 5", "0 2"])
+    def test_featured_label_vocab_below_one_is_a_data_error(self, tmp_path, capsys, vocab):
+        bad = write(tmp_path / "bad.k2s", f"2 4 3 1\n{vocab}\nd:1,1,1 d:1,4,2 o:4,3,0,0 d:1,0,0\n")
+        assert main(["decode", "--in", bad, "--out", str(tmp_path / "o.txt")]) == 2
+        assert "label vocab" in capsys.readouterr().err
+
     def test_undefined_ratio_is_a_data_error(self, tmp_path, capsys):
         src = write(tmp_path / "g.txt", "3 0\n")
         assert main(["stats", "--k", "2", "--in", src]) == 2

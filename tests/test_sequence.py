@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from k2seq.graphs import Graph
+from k2seq.graphs import Graph, GraphError, apply_ordering
 from k2seq.sequence import (DIAGONAL, OFFDIAGONAL, EmptyGraphError,
                             IncrementalBuilder, InvalidTokenError, SequenceError,
                             Token, TokenMismatchError, TokenSequence,
@@ -15,7 +17,7 @@ from k2seq.sequence import (DIAGONAL, OFFDIAGONAL, EmptyGraphError,
                             write_token_stream)
 from k2seq.tree import build_k2tree, tree_stats
 
-from helpers import graph_strategy, random_labeled_er, reference_encode
+from helpers import graph_strategy, random_labeled_er, reference_decode, reference_encode
 
 SINGLE_EDGE = Graph(n=4, edges=frozenset({(0, 1)}))
 K4 = Graph(n=4, edges=frozenset({(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)}))
@@ -258,13 +260,21 @@ class TestDetokenize:
         assert position_paths(TokenSequence(k=2, padded_n=4, original_n=4)) == []
 
     @pytest.mark.parametrize("text", ["1 4 4 0\n\n", "0 4 4 0\n\n", "2 4 9 0\n\n",
-                                      "2 1 1 0\n\n", "1 4 4 0\nd:110\n"])
+                                      "2 1 1 0\n\n", "1 4 4 0\nd:110\n", "2 0 0 0\n\n"])
     def test_invalid_headers_are_rejected_with_or_without_tokens(self, text):
         s = read_token_stream(text)
         with pytest.raises(SequenceError):
             decode_graph(s)
         with pytest.raises(SequenceError):
             position_paths(s)
+
+    @pytest.mark.parametrize("vocab", ["-1 5", "0 2", "2 0"])
+    @pytest.mark.parametrize("tokens", ["", "d:1,1,1 d:1,4,2 o:4,3,0,0 d:1,0,0"])
+    def test_featured_label_vocab_sizes_are_checked_at_the_header(self, vocab, tokens):
+        s = read_token_stream(f"2 4 3 1\n{vocab}\n{tokens}\n")
+        for decode in (decode_graph, reference_decode, detokenize_build, position_paths):
+            with pytest.raises(SequenceError, match="label vocab"):
+                decode(s)
 
     def test_truncated_sequence_rejected(self):
         s = flatten_tokenize(prune(build_k2tree(K4, 2)))
@@ -505,3 +515,130 @@ class TestLevelEncoder:
     def test_tree_levels(self):
         assert [tree_levels(n, 2) for n in (2, 4, 8, 1024)] == [1, 2, 3, 10]
         assert [tree_levels(n, 3) for n in (3, 9, 27)] == [1, 2, 3]
+
+
+def _outcome(decode, s):
+    try:
+        return decode(s)
+    except (SequenceError, GraphError) as exc:
+        return exc
+
+
+@st.composite
+def mutated_streams(draw, labeled):
+    """A valid stream of a random graph with one random mutation: a value
+    changed, a token deleted, duplicated, inserted or given the other kind,
+    the tokens truncated, or the ``perm`` corrupted or replaced."""
+    g = draw(graph_strategy(max_n=12, labeled=labeled))
+    k = draw(st.sampled_from([2, 3]))
+    s = encode_graph(g, k, ordering=draw(st.sampled_from(["identity", "cm"])))
+    tokens = list(s.tokens)
+    top = s.node_vocab + s.edge_vocab + 1 if s.featured else 1
+    value = st.integers(-1, top + 1) if s.featured else st.integers(0, 1)
+    op = draw(st.sampled_from(["value", "delete", "duplicate", "insert", "kind",
+                               "truncate", "perm"]))
+    at = draw(st.integers(0, len(tokens) - 1)) if tokens else None
+    if op == "value" and tokens:
+        old = tokens[at].values
+        slot = draw(st.integers(0, len(old) - 1))
+        new = draw(value) if s.featured else 1 - old[slot]
+        tokens[at] = Token(tokens[at].kind, old[:slot] + (new,) + old[slot + 1:])
+    elif op == "delete" and tokens:
+        del tokens[at]
+    elif op == "duplicate" and tokens:
+        tokens.insert(at, tokens[at])
+    elif op == "insert":
+        kind = draw(st.sampled_from([D, O]))
+        arity = draw(st.sampled_from([diagonal_arity(k), k * k, k * k + 1]))
+        values = tuple(draw(st.lists(value, min_size=arity, max_size=arity)))
+        tokens.insert(draw(st.integers(0, len(tokens))), Token(kind, values))
+    elif op == "kind" and tokens:
+        tokens[at] = Token(O if tokens[at].kind == D else D, tokens[at].values)
+    elif op == "truncate" and tokens:
+        tokens = tokens[:at]
+    elif op == "perm":
+        n = s.original_n
+        perm = list(draw(st.permutations(range(n))))
+        change = draw(st.sampled_from(["keep", "duplicate", "drop", "extend", "negative"]))
+        if change == "duplicate" and n > 1:
+            perm[0] = perm[-1]
+        elif change == "drop":
+            perm.pop()
+        elif change == "extend":
+            perm.append(n)
+        elif change == "negative":
+            perm[-1] = -1
+        return replace(s, perm=tuple(perm))
+    return replace(s, tokens=tuple(tokens))
+
+
+class TestArrayDecoder:
+    """``decode_graph`` walks level arrays; ``reference_decode`` replays every
+    token through the builder and rebuilds from the tree.  On any stream they
+    return the same graph or raise the same error with the same message."""
+
+    @staticmethod
+    def assert_agrees_with_reference(s):
+        got, ref = _outcome(decode_graph, s), _outcome(reference_decode, s)
+        if isinstance(ref, Exception):
+            assert (type(got), str(got)) == (type(ref), str(ref))
+            return
+        assert got == ref
+        # Accepted streams are canonical: the graph re-encodes to them.
+        h = got if s.perm is None else apply_ordering(got, s.perm)
+        again = replace(encode_graph(h, s.k), perm=s.perm)
+        assert write_token_stream(again) == write_token_stream(s)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(mutated_streams(labeled=False))
+    def test_plain_mutants_agree_with_the_reference(self, s):
+        self.assert_agrees_with_reference(s)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(mutated_streams(labeled=True))
+    def test_labeled_mutants_agree_with_the_reference(self, s):
+        self.assert_agrees_with_reference(s)
+
+    @pytest.mark.parametrize("text", [
+        "2 4 4 0\nd:110 d:010 o:0101\n",
+        "2 4 4 0\nd:110 o:0101 d:010\n",
+        "2 4 4 0\nd:110 d:010 o:01010\n",
+        "2 4 4 0\nd:110 d:010 o:0000\n",
+        "2 4 4 0\nd:110 d:110 o:0101\n",
+        "2 4 4 0\nd:110 d:010\n",
+        "2 8 8 0\nd:110 d:110\n",
+        "2 4 4 0\nd:110 d:010 o:0101 d:010\n",
+        "2 4 3 0\nd:111 d:010 o:0101\n",
+        "2 4 3 1\n2 2\n\n",
+        "2 4 3 1\n2 2\nd:1,1,1 d:1,4,2 o:4,3,0,0 d:1,0,0\n",
+        "2 4 3 1\n2 2\nd:1,1,1 d:1,4,2 o:4,3,0,0 d:1,0,1\n",
+        "2 4 3 1\n2 2\nd:1,1,1 d:1,4,2 o:4,5,0,0 d:1,0,0\n",
+        "2 4 3 1\n2 2\nd:1,1,1 d:0,4,2 o:4,3,0,0 d:1,0,0\n",
+        f"2 2 2 1\n1 1\nd:1,{2 ** 70},1\n",
+    ])
+    def test_hand_made_streams_agree_with_the_reference(self, text):
+        self.assert_agrees_with_reference(read_token_stream(text))
+
+    @pytest.mark.parametrize("edge_labels", [{}, {(0, 1): 0}])
+    def test_label_values_beyond_int64_decode(self, edge_labels):
+        # The builder's rules would list all 2**70 node labels, so this case
+        # has no reference run.
+        nv = 2 ** 70
+        g = Graph(n=2, edges=frozenset(edge_labels), node_labels={0: 0, 1: 1},
+                  edge_labels=edge_labels, node_vocab=nv, edge_vocab=1)
+        edge = nv + 1 if edge_labels else 0
+        assert decode_graph(read_token_stream(f"2 2 2 1\n{nv} 1\nd:1,{edge},2\n")) == g
+
+    @pytest.mark.parametrize("levels", [40, 70])
+    def test_huge_sizes_decode_without_per_node_work(self, levels):
+        # Header-only: an edgeless graph of 2**levels nodes, in the encoder's
+        # image.  With tokens: one edge at the far end of a 2**levels-deep path.
+        n = 2 ** levels
+        assert decode_graph(read_token_stream(f"2 {n} {n} 0\n\n")) == Graph(n=n)
+        s = read_token_stream(f"2 {n} {n} 0\n" + "d:100 " * (levels - 1) + "d:010\n")
+        assert decode_graph(s) == reference_decode(s) == Graph(n=n, edges=frozenset({(0, 1)}))
+
+    def test_errors_name_the_token_and_its_level(self):
+        s = read_token_stream("2 8 8 0\nd:100 d:100 d:110\n")
+        with pytest.raises(InvalidTokenError, match=r"token 3 \(level 3\): value 1 not allowed"):
+            decode_graph(s)
