@@ -595,7 +595,11 @@ def read_token_stream(text: str) -> TokenSequence:
         idx += 1
     token_text = lines[idx] if idx < len(lines) else ""
     idx += 1
-    tokens = tuple(_parse_token(word, featured) for word in token_text.split())
+    # Words repeat: each distinct one is parsed once, in stream order, and its
+    # Token is shared by every occurrence.
+    words = token_text.split()
+    parsed = {word: _parse_token(word, featured) for word in dict.fromkeys(words)}
+    tokens = tuple([parsed[word] for word in words])
     perm = None
     if idx < len(lines):
         fields = lines[idx].split()
@@ -687,6 +691,9 @@ def _level_tokens(rows: np.ndarray, cols: np.ndarray, values: np.ndarray,
     keys, rows, cols, values = keys[order], rows[order], cols[order], values[order]
     diag_slots = [(i - 1) * k + (j - 1) for i, j in child_orders(k, True)]
     tokens = []
+    # Rows repeat: each distinct one becomes one Token, shared by every
+    # occurrence, so a stream holds few objects however long it is.
+    made: dict[tuple[bool, tuple[int, ...]], Token] = {}
     for d in range(levels):
         prefix = keys // kk ** (levels - d)
         first = np.ones(len(keys), dtype=bool)
@@ -698,10 +705,11 @@ def _level_tokens(rows: np.ndarray, cols: np.ndarray, values: np.ndarray,
         block = k ** (levels - d)
         diag = rows[first] // block == cols[first] // block
         for bits, on_diag in zip(grid.tolist(), diag.tolist()):
-            if on_diag:
-                tokens.append(Token(DIAGONAL, tuple([bits[s] for s in diag_slots])))
-            else:
-                tokens.append(Token(OFFDIAGONAL, tuple(bits)))
+            held = tuple([bits[s] for s in diag_slots]) if on_diag else tuple(bits)
+            token = made.get((on_diag, held))
+            if token is None:
+                token = made[on_diag, held] = Token(DIAGONAL if on_diag else OFFDIAGONAL, held)
+            tokens.append(token)
     return tokens
 
 

@@ -17,7 +17,8 @@ from k2seq.sequence import (DIAGONAL, OFFDIAGONAL, EmptyGraphError,
                             write_token_stream)
 from k2seq.tree import build_k2tree, tree_stats
 
-from helpers import graph_strategy, random_labeled_er, reference_decode, reference_encode
+from helpers import (graph_strategy, random_er, random_labeled_er, reference_decode,
+                     reference_encode)
 
 SINGLE_EDGE = Graph(n=4, edges=frozenset({(0, 1)}))
 K4 = Graph(n=4, edges=frozenset({(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)}))
@@ -419,6 +420,15 @@ class TestWireFormat:
         ):
             with pytest.raises(SequenceError):
                 read_token_stream(text)
+
+    @pytest.mark.parametrize("g", [random_er(3, 200, 0.05),
+                                   random_labeled_er(3, 60, 0.2, node_vocab=2, edge_vocab=2)],
+                             ids=["plain", "labeled"])
+    def test_streams_share_one_token_per_distinct_word(self, g):
+        s = encode_graph(g, 2)
+        assert len(s.tokens) > 4 * len(set(s.tokens))
+        for seq in (s, read_token_stream(write_token_stream(s))):
+            assert len({id(t) for t in seq.tokens}) == len(set(seq.tokens))
 
     @settings(max_examples=60, deadline=None)
     @given(graph_strategy(max_n=10, labeled=True), st.sampled_from([2, 3]))
