@@ -254,7 +254,9 @@ def serialize_edge_list(g: Graph) -> str:
 
 
 def _components(g: Graph, adj: list[list[int]]) -> list[list[int]]:
-    """Connected components, ordered by smallest contained node id."""
+    """Connected components, ordered by smallest contained node id.  Each
+    lists its nodes breadth-first from that id, visiting the ascending
+    adjacency lists in order: the ``bfs`` ordering of the component."""
     seen = [False] * g.n
     comps = []
     for start in range(g.n):
@@ -293,26 +295,12 @@ def order_nodes(g: Graph, scheme: str, reverse: bool = False) -> Permutation:
         if scheme == "cm":
             perm.extend(_cuthill_mckee(comp, adj, deg))
         elif scheme == "bfs":
-            perm.extend(_bfs_order(comp[0], adj))
+            perm.extend(comp)
         else:
             perm.extend(_dfs_order(comp[0], adj))
     if reverse:
         perm.reverse()
     return tuple(perm)
-
-
-def _bfs_order(start: int, adj: list[list[int]]) -> list[int]:
-    order = [start]
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        for w in adj[u]:
-            if w not in seen:
-                seen.add(w)
-                order.append(w)
-                queue.append(w)
-    return order
 
 
 def _dfs_order(start: int, adj: list[list[int]]) -> list[int]:

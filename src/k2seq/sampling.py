@@ -15,7 +15,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .sequence import (BOS, EOS, IncrementalBuilder, Token, TokenSequence,
+from .sequence import (BOS, EOS, IncrementalBuilder, Rule, Token, TokenSequence,
                        Vocabulary, encode_ids)
 
 
@@ -65,17 +65,17 @@ class GenerationConfig:
             raise ValueError("either padded_n or a non-empty sizes multiset is required")
 
 
-def _mask_for_rules(vocab: Vocabulary, kind: str,
-                    rules: tuple[frozenset[int], ...]) -> np.ndarray:
+def _mask_for_rules(vocab: Vocabulary, kind: str, rules: tuple[Rule, ...]) -> np.ndarray:
     """Boolean mask over all vocabulary ids for one pending sibling group:
     the tokens of ``kind`` in the vocabulary's value table that are not all
     zero and whose every slot holds a value its rule allows."""
     ids, values = vocab._tables[kind]
     top = int(values.max()) + 1
     admitted = values.any(axis=1)
-    for slot, allowed in enumerate(rules):
+    for slot, (zero_ok, nonzero) in enumerate(rules):
         lookup = np.zeros(top, dtype=bool)
-        lookup[[v for v in allowed if v < top]] = True
+        lookup[:1] = zero_ok
+        lookup[nonzero.start:nonzero.stop] = True
         admitted &= lookup[values[:, slot]]
     mask = np.zeros(vocab.size, dtype=bool)
     mask[ids[admitted]] = True

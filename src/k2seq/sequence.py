@@ -17,21 +17,24 @@ of Brisaboa, Ladra & Navarro, SPIRE 2009).  :func:`prune` and
 :func:`flatten_tokenize` over :func:`~k2seq.tree.build_k2tree` remain as the
 reference it is tested against.  :func:`decode_graph` is its inverse over
 arrays: level ``d``'s tokens are one contiguous run, one per pending block,
-and their nonzero slots are the next level's blocks.  It accepts and rejects
-exactly what the :class:`IncrementalBuilder` replay of :func:`detokenize_build`
-does, which stays for the samplers and as the reference.
+and their nonzero slots are the next level's blocks.  It accepts exactly what
+the :class:`IncrementalBuilder` replay of :func:`detokenize_build` accepts,
+and hands any other stream to that replay.  The builder is thus the one place
+that decides which error a stream gets; it also drives the samplers and is
+the reference decoder.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from itertools import chain
 
 import numpy as np
 
 from .graphs import Graph, GraphError, apply_ordering, order_nodes, padded_size
-from .tree import K2Tree, TreeNode, edge_label_token, node_label_token
+from .tree import K2Tree, TreeNode, edge_label_token, node_label_token, tree_levels
 
 DIAGONAL = "d"
 OFFDIAGONAL = "o"
@@ -108,6 +111,7 @@ def offdiagonal_arity(k: int) -> int:
     return k * k
 
 
+@lru_cache(maxsize=16)
 def child_orders(k: int, diagonal: bool) -> tuple[tuple[int, int], ...]:
     """Sibling orders kept under a node, ascending in rank ``k*(i-1)+j``."""
     if diagonal:
@@ -199,10 +203,19 @@ def flatten_tokenize(t: K2Tree) -> TokenSequence:
                          edge_vocab=t.edge_vocab, tokens=tuple(tokens))
 
 
+Rule = tuple[bool, range]
+
+_ZERO: Rule = (True, range(0))
+_BIT: Rule = (True, range(1, 2))
+_ONE: Rule = (False, range(1, 2))
+
+
 def element_rules(k: int, original_n: int, featured: bool, node_vocab: int,
                   edge_vocab: int, parent_diag: bool, r0: int, c0: int,
-                  block: int) -> tuple[frozenset[int], ...]:
-    """Admissible attribute values for each pending child slot.
+                  block: int) -> tuple[Rule, ...]:
+    """Admissible attribute values for each pending child slot, as
+    ``(zero_ok, nonzero)``: a value is admitted when it lies in the range
+    ``nonzero``, or when it is 0 and ``zero_ok`` holds.
 
     ``(r0, c0, block)`` is the parent's region.  A slot whose sub-block cannot
     hold any nonzero cell of a valid matrix (padding, or a diagonal block with
@@ -219,19 +232,16 @@ def element_rules(k: int, original_n: int, featured: bool, node_vocab: int,
         c = c0 + (j - 1) * step
         on_diag = parent_diag and i == j
         if r >= original_n or c >= original_n:
-            rules.append(frozenset({0}))
+            rules.append(_ZERO)
         elif not featured:
-            if on_diag and min(r + step, original_n) - r < 2:
-                rules.append(frozenset({0}))
-            else:
-                rules.append(frozenset({0, 1}))
+            rules.append(_ZERO if on_diag and min(r + step, original_n) - r < 2 else _BIT)
         elif at_cells:
             if on_diag:
-                rules.append(frozenset(range(1, node_vocab + 1)))
+                rules.append((False, range(1, node_vocab + 1)))
             else:
-                rules.append(frozenset({0}) | frozenset(range(node_vocab + 1, node_vocab + edge_vocab + 1)))
+                rules.append((True, range(node_vocab + 1, node_vocab + edge_vocab + 1)))
         else:
-            rules.append(frozenset({1}) if on_diag else frozenset({0, 1}))
+            rules.append(_ONE if on_diag else _BIT)
     return tuple(rules)
 
 
@@ -252,34 +262,6 @@ def _check_header(k: int, padded_n: int, original_n: int, featured: bool,
             f"featured label vocab sizes {node_vocab} {edge_vocab} must both be >= 1")
 
 
-# Error texts shared by the builder and decode_graph, which must agree.
-_COMPLETE = "the tree is already complete"
-_ALL_ZERO = "all-zero sibling group under a nonzero node"
-
-
-def _token_at(index: int, level: int) -> str:
-    """Names the 0-based token ``index`` 1-based, with the tree level of the
-    sibling group it attaches."""
-    return f"token {index + 1} (level {level})"
-
-
-def _truncated(pending: int, tokens: int) -> str:
-    return f"{pending} nodes still pending after {tokens} tokens"
-
-
-def _shape_error(token: Token, where: str, diag_pending: bool,
-                 k: int) -> TokenMismatchError | None:
-    """The error for a token whose kind or arity does not fit the pending
-    block, if any; checked before its values."""
-    expected = DIAGONAL if diag_pending else OFFDIAGONAL
-    if token.kind != expected:
-        return TokenMismatchError(f"{where}: kind {token.kind!r} where {expected!r} is pending")
-    arity = diagonal_arity(k) if diag_pending else offdiagonal_arity(k)
-    if len(token.values) != arity:
-        return TokenMismatchError(f"{where}: arity {len(token.values)} where {arity} is pending")
-    return None
-
-
 @dataclass(frozen=True)
 class StepResult:
     status: str  # "need_more" or "complete"
@@ -289,22 +271,24 @@ class StepResult:
 
 @dataclass
 class _Pending:
-    uid: int
     path: tuple[tuple[int, int], ...]
     diag: bool
     r0: int
     c0: int
     block: int
-    depth: int
 
 
 class IncrementalBuilder:
     """FIFO reconstruction of a pruned tree from tokens.
 
     Starts from a root with attribute 1 and a queue holding the root;
-    each step pops the front node, attaches one sibling group, and pushes
-    children that still need expansion.  The tree is complete exactly when the
-    queue empties.  The builder must not be reused after a step raises.
+    each step pops the front node, checks one sibling group against it, and
+    pushes the children that still need expansion.  The tree is complete
+    exactly when the queue empties.  Steps only record their tokens;
+    :meth:`tree` builds the nodes once, at the end.  This is the one place
+    that decides how a stream is rejected: its errors name the token and the
+    tree level of the group it attaches.  The builder must not be reused
+    after a step raises.
     """
 
     def __init__(self, k: int, padded_n: int, original_n: int | None = None,
@@ -317,15 +301,19 @@ class IncrementalBuilder:
         self.featured = featured
         self.node_vocab = node_vocab
         self.edge_vocab = edge_vocab
-        self.nodes = [TreeNode(attr=1, depth=0, order=None, parent=None)]
         self.queue: deque[_Pending] = deque(
-            [_Pending(uid=0, path=(), diag=True, r0=0, c0=0, block=padded_n, depth=0)])
-        self.steps = 0
-        self._rules: tuple[frozenset[int], ...] | None = None  # the front's, once asked
+            [_Pending(path=(), diag=True, r0=0, c0=0, block=padded_n)])
+        self._tokens: list[Token] = []
+        self._rules: tuple[Rule, ...] | None = None  # the front's, once asked
 
     @property
     def complete(self) -> bool:
         return not self.queue
+
+    @property
+    def steps(self) -> int:
+        """Tokens accepted so far."""
+        return len(self._tokens)
 
     @property
     def next_kind(self) -> str | None:
@@ -344,9 +332,9 @@ class IncrementalBuilder:
         """Depth of the sibling group the next token will attach."""
         if not self.queue:
             return None
-        return self.queue[0].depth + 1
+        return len(self.queue[0].path) + 1
 
-    def next_rules(self) -> tuple[frozenset[int], ...]:
+    def next_rules(self) -> tuple[Rule, ...]:
         """Admissible values per slot of the pending sibling group, computed
         once per group: the sampler's mask and :meth:`step` both read them."""
         if not self.queue:
@@ -359,45 +347,58 @@ class IncrementalBuilder:
         return self._rules
 
     def step(self, token: Token) -> StepResult:
-        """Attach one token; raises a :class:`SequenceError` subclass on misuse."""
+        """Check one token against the pending group and advance the queue;
+        raises a :class:`SequenceError` subclass on misuse.  Kind and arity
+        are checked before values, and values before the all-zero group."""
         if not self.queue:
-            raise TrailingTokensError(f"token {self.steps + 1}: {_COMPLETE}")
+            raise TrailingTokensError(f"token {self.steps + 1}: the tree is already complete")
         front = self.queue[0]
-        where = _token_at(self.steps, front.depth + 1)
-        error = _shape_error(token, where, front.diag, self.k)
-        if error is not None:
-            raise error
-        rules = self.next_rules()
-        for slot, (value, allowed) in enumerate(zip(token.values, rules)):
-            if value not in allowed:
+        where = f"token {self.steps + 1} (level {len(front.path) + 1})"
+        expected = DIAGONAL if front.diag else OFFDIAGONAL
+        if token.kind != expected:
+            raise TokenMismatchError(f"{where}: kind {token.kind!r} where {expected!r} is pending")
+        arity = diagonal_arity(self.k) if front.diag else offdiagonal_arity(self.k)
+        if len(token.values) != arity:
+            raise TokenMismatchError(f"{where}: arity {len(token.values)} where {arity} is pending")
+        for slot, (value, (zero_ok, nonzero)) in enumerate(zip(token.values, self.next_rules())):
+            if value not in nonzero and not (zero_ok and value == 0):
                 raise InvalidTokenError(f"{where}: value {value} not allowed at slot {slot}")
-        if all(v == 0 for v in token.values):
-            raise InvalidTokenError(f"{where}: {_ALL_ZERO}")
+        if not any(token.values):
+            raise InvalidTokenError(f"{where}: all-zero sibling group under a nonzero node")
 
         self.queue.popleft()
         self._rules = None
         step = front.block // self.k
-        depth = front.depth + 1
-        child_ids = []
-        for (i, j), value in zip(child_orders(self.k, front.diag), token.values):
-            vid = len(self.nodes)
-            self.nodes.append(TreeNode(attr=value, depth=depth, order=(i, j), parent=front.uid))
-            child_ids.append(vid)
-            if step > 1 and value == 1:
-                self.queue.append(_Pending(
-                    uid=vid, path=front.path + ((i, j),), diag=front.diag and i == j,
-                    r0=front.r0 + (i - 1) * step, c0=front.c0 + (j - 1) * step,
-                    block=step, depth=depth))
-        self.nodes[front.uid].children = tuple(child_ids)
-        self.steps += 1
+        if step > 1:
+            for (i, j), value in zip(child_orders(self.k, front.diag), token.values):
+                if value == 1:
+                    self.queue.append(_Pending(
+                        path=front.path + ((i, j),), diag=front.diag and i == j,
+                        r0=front.r0 + (i - 1) * step, c0=front.c0 + (j - 1) * step,
+                        block=step))
+        self._tokens.append(token)
         return StepResult(status="complete" if not self.queue else "need_more",
                           next_kind=self.next_kind, next_path=self.next_path)
 
     def tree(self) -> K2Tree:
+        """The pruned tree of the accepted tokens, built breadth-first: each
+        token gives the children of the next internal node in the FIFO."""
         if not self.complete:
-            raise TruncatedSequenceError(_truncated(len(self.queue), self.steps))
+            raise TruncatedSequenceError(
+                f"{len(self.queue)} nodes still pending after {self.steps} tokens")
+        levels = tree_levels(self.padded_n, self.k)
+        nodes = [TreeNode(attr=1, depth=0, order=None, parent=None)]
+        internal = deque([(0, True)])
+        for token in self._tokens:
+            uid, diag = internal.popleft()
+            depth = nodes[uid].depth + 1
+            nodes[uid].children = tuple(range(len(nodes), len(nodes) + len(token.values)))
+            for (i, j), value in zip(child_orders(self.k, diag), token.values):
+                if value == 1 and depth < levels:
+                    internal.append((len(nodes), diag and i == j))
+                nodes.append(TreeNode(attr=value, depth=depth, order=(i, j), parent=uid))
         return K2Tree(k=self.k, padded_n=self.padded_n, original_n=self.original_n,
-                      nodes=self.nodes, featured=self.featured,
+                      nodes=nodes, featured=self.featured,
                       node_vocab=self.node_vocab, edge_vocab=self.edge_vocab, pruned=True)
 
 
@@ -635,15 +636,6 @@ def _parse_token(word: str, featured: bool) -> Token:
     return Token(kind=word[0], values=values)
 
 
-def tree_levels(padded_n: int, k: int) -> int:
-    """Depth of the 1x1 cells under a ``padded_n`` root: the L with k**L == padded_n."""
-    levels, size = 1, k
-    while size < padded_n:
-        size *= k
-        levels += 1
-    return levels
-
-
 def full_tree_attrs(s: TokenSequence) -> int:
     """Attribute count of the unpruned tree of the matrix ``s`` encodes.
 
@@ -713,6 +705,9 @@ def _level_tokens(rows: np.ndarray, cols: np.ndarray, values: np.ndarray,
     return tokens
 
 
+_INT64_MAX = np.iinfo(np.int64).max
+
+
 def encode_graph(g: Graph, k: int, ordering: str = "identity",
                  reverse: bool = False) -> TokenSequence:
     """Full encode pipeline: order, then encode level by level from the
@@ -721,29 +716,37 @@ def encode_graph(g: Graph, k: int, ordering: str = "identity",
     Produces the same tokens as ``flatten_tokenize(prune(build_k2tree(g, k)))``
     in O(m * levels) memory, without the padded ``n x n`` matrix or the full
     tree.  The all-zero case (a plain graph with no edges) becomes a
-    header-only sequence.  With a non-identity ordering the permutation is
-    stored on the sequence so :func:`decode_graph` can restore original node
-    ids.
+    header-only sequence.  Cell paths and values are int64: a graph whose
+    cell paths or label vocab sizes do not fit raises :class:`SequenceError`.
+    With a non-identity ordering the permutation is stored on the sequence so
+    :func:`decode_graph` can restore original node ids.
     """
     perm = None
     if ordering != "identity":
         perm = order_nodes(g, ordering, reverse=reverse)
         g = apply_ordering(g, perm)
     padded_n = padded_size(g.n, k)
+    if g.labeled and g.node_vocab + g.edge_vocab > _INT64_MAX:
+        raise SequenceError(f"label vocab sizes {g.node_vocab} {g.edge_vocab} "
+                            "give cell values beyond int64")
     rows, cols, values = _lower_cells(g)
     tokens = ()
     if len(rows):
-        tokens = tuple(_level_tokens(rows, cols, values, k, tree_levels(padded_n, k)))
+        levels = tree_levels(padded_n, k)
+        if (k * k) ** levels > _INT64_MAX:
+            raise SequenceError(f"padded size {padded_n} gives cell paths of {levels} "
+                                f"base-{k * k} digits, beyond int64")
+        tokens = tuple(_level_tokens(rows, cols, values, k, levels))
     return TokenSequence(k=k, padded_n=padded_n, original_n=g.n, featured=g.labeled,
                          node_vocab=g.node_vocab, edge_vocab=g.edge_vocab,
                          tokens=tokens, perm=perm)
 
 
-def _token_grid(tokens: tuple[Token, ...], k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-token diagonal flags, and the child slots of the tokens before the
-    first one whose arity does not match its kind.
+def _token_grid(tokens: tuple[Token, ...], k: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """Per-token diagonal flags and child slots, or None when some token's
+    arity does not match its kind.
 
-    The grid has one row per such token and ``k*k`` columns, the slots
+    The grid has one row per token and ``k*k`` columns, the slots
     ``i*k + j`` (0-based) in row-major order; a diagonal token's values sit
     in its :func:`child_orders` slots and its other slots hold 0.  Values
     beyond int64 keep their Python ints in an object grid.
@@ -753,72 +756,54 @@ def _token_grid(tokens: tuple[Token, ...], k: int) -> tuple[np.ndarray, np.ndarr
     lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(tokens))
     kk, arity = k * k, diagonal_arity(k)
     # No token holds 2**62 values, so an arity that large matches none.
-    wrong = (lengths != np.where(diag, arity, kk)) if kk < 2 ** 62 else np.ones_like(diag)
-    good = int(np.argmax(wrong)) if wrong.any() else len(tokens)
-    if not good:
-        return diag, np.zeros((0, 0), dtype=np.int64)
-    rows = rows[:good]
+    if kk >= 2 ** 62 or (lengths != np.where(diag, arity, kk)).any():
+        return None
     try:
-        flat = np.fromiter(chain.from_iterable(rows), dtype=np.int64,
-                           count=int(lengths[:good].sum()))
+        flat = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=int(lengths.sum()))
     except OverflowError:
         flat = np.array(list(chain.from_iterable(rows)), dtype=object)
-    starts = np.cumsum(lengths[:good]) - lengths[:good]
-    grid = np.zeros((good, kk), dtype=flat.dtype)
-    off = np.flatnonzero(~diag[:good])
+    starts = np.cumsum(lengths) - lengths
+    grid = np.zeros((len(tokens), kk), dtype=flat.dtype)
+    off = np.flatnonzero(~diag)
     grid[off] = flat[starts[off, None] + np.arange(kk)]
-    on = np.flatnonzero(diag[:good])
+    on = np.flatnonzero(diag)
     slots = [i * k + j for i, j in np.argwhere(np.tri(k, dtype=bool)).tolist()]
     grid[on[:, None], slots] = flat[starts[on, None] + np.arange(arity)]
     return diag, grid
 
 
-def _rejection(s: TokenSequence, index: int, level: int, diag_pending: bool,
-               bad: np.ndarray | None) -> SequenceError:
-    """The error :meth:`IncrementalBuilder.step` raises at token ``index``
-    (0-based), pending a block with the given diagonal flag; ``bad`` flags
-    the token's grid slots whose value its block does not admit."""
-    token = s.tokens[index]
-    where = _token_at(index, level)
-    error = _shape_error(token, where, diag_pending, s.k)
-    if error is not None:
-        return error
-    if bad is not None and bad.any():
-        held = np.tri(s.k, dtype=bool).ravel() if diag_pending else np.ones(s.k * s.k, bool)
-        slot = int(np.argmax(bad[held]))
-        return InvalidTokenError(f"{where}: value {token.values[slot]} not allowed at slot {slot}")
-    return InvalidTokenError(f"{where}: {_ALL_ZERO}")
-
-
-def _level_cells(s: TokenSequence) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _level_cells(s: TokenSequence) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """Rows, columns and values of the nonzero full-depth cells that the
-    tokens of ``s`` encode, all lower-triangle, checked token by token with
-    the rules of :func:`element_rules`.
+    tokens of ``s`` encode, all lower-triangle; None when the tokens break a
+    rule of :func:`element_rules`, run out, or run past the last level.
 
     Level ``d`` (1-based) takes the next run of tokens, one per pending block
     of depth ``d - 1``, held as arrays of block origins and diagonal flags.
-    Each run is checked as a whole; the first token breaking a rule raises
-    the error the builder would raise there.  The run's nonzero slots are the
-    blocks of the next level, or, at the last level, the cells.
+    Each run is checked as a whole.  Its nonzero slots are the blocks of the
+    next level, or, at the last level, the cells.
     """
+    shaped = _token_grid(s.tokens, s.k)
+    if shaped is None:
+        return None
+    diag, grid = shaped
     k, n = s.k, s.original_n
-    diag, grid = _token_grid(s.tokens, k)
     i, j = np.divmod(np.arange(grid.shape[1]), k)
     coord = np.int64 if (k + 1) * n < 2 ** 62 else object
     r0 = c0 = np.zeros(1, dtype=coord)
     pending_diag = np.ones(1, dtype=bool)
     start, block = 0, s.padded_n
-    levels = tree_levels(s.padded_n, k)
-    for level in range(1, levels + 1):
+    for _ in range(tree_levels(s.padded_n, k)):
         block //= k
+        end = start + len(r0)
+        if end > len(grid) or (diag[start:end] != pending_diag).any():
+            return None
         # Offsets clamped at n keep coordinates below (k + 1) * n: a slot at
         # or past row or column n is padding either way.
         span = min(block, n)
-        run = grid[start:start + len(r0)]
-        count = len(run)
-        r = r0[:count, None] + i.astype(coord) * span
-        c = c0[:count, None] + j.astype(coord) * span
-        on_diag = pending_diag[:count, None] & (i == j)
+        run = grid[start:end]
+        r = r0[:, None] + i.astype(coord) * span
+        c = c0[:, None] + j.astype(coord) * span
+        on_diag = pending_diag[:, None] & (i == j)
         zero_only = (r >= n) | (c >= n)
         # The slots a diagonal token does not hold are 0 in the grid, and no
         # rule below flags a 0 off the diagonal.
@@ -834,22 +819,14 @@ def _level_cells(s: TokenSequence) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                 out_of_range = np.where(on_diag, (run < 1) | (run > nv),
                                         (run <= nv) | (run > nv + ev))
             bad = np.where(zero_only, nonzero, out_of_range & (on_diag | nonzero))
-        failed = (diag[start:start + count] != pending_diag[:count]) | bad.any(axis=1)
-        failed |= ~nonzero.any(axis=1)
-        if failed.any():
-            t = int(np.argmax(failed))
-            raise _rejection(s, start + t, level, bool(pending_diag[t]), bad[t])
-        if count < len(r0):
-            if start + count < len(s.tokens):
-                raise _rejection(s, start + count, level, bool(pending_diag[count]), None)
-            queued = int(nonzero.sum()) if level < levels else 0
-            raise TruncatedSequenceError(_truncated(len(r0) - count + queued, len(s.tokens)))
-        start += count
+        if bad.any() or not nonzero.any(axis=1).all():
+            return None
+        start = end
         rows, slots = np.nonzero(nonzero)
         r0, c0 = r[rows, slots], c[rows, slots]
         pending_diag = on_diag[rows, slots]
-    if start < len(s.tokens):
-        raise TrailingTokensError(f"token {start + 1}: {_COMPLETE}")
+    if start < len(grid):
+        return None
     return r0, c0, run[rows, slots]
 
 
@@ -857,7 +834,9 @@ def decode_graph(s: TokenSequence) -> Graph:
     """Inverse of :func:`encode_graph`, undoing any stored node ordering.
 
     Decodes level by level over arrays (:func:`_level_cells`), with no tree
-    and no builder; the stored ``perm`` relabels the cells by indexing.
+    and no builder; the stored ``perm`` relabels the cells by indexing.  A
+    stream the level walk rejects is replayed through :func:`detokenize_build`,
+    so its error is the builder's, naming the first token the builder refuses.
     Memory is bounded by the token count and ``perm``, never by ``padded_n``
     or ``original_n``: a header-only stream decodes to an edgeless graph
     without any per-node work.
@@ -870,7 +849,11 @@ def decode_graph(s: TokenSequence) -> Graph:
         if s.featured:
             raise GraphError("featured tree does not label every node")
         return Graph(n=n)
-    rows, cols, values = _level_cells(s)
+    cells = _level_cells(s)
+    if cells is None:
+        detokenize_build(s)  # raises the builder's error for the stream
+        raise AssertionError("the builder accepted a stream the level walk rejects")
+    rows, cols, values = cells
     if s.perm is not None:
         perm = np.asarray(s.perm, dtype=np.int64)
         rows, cols = perm[rows], perm[cols]

@@ -19,6 +19,15 @@ import numpy as np
 from .graphs import Graph, GraphError, padded_size
 
 
+def tree_levels(padded_n: int, k: int) -> int:
+    """Depth of the 1x1 cells under a ``padded_n`` root: the L with k**L == padded_n."""
+    levels, size = 1, k
+    while size < padded_n:
+        size *= k
+        levels += 1
+    return levels
+
+
 @dataclass
 class TreeNode:
     attr: int
@@ -48,11 +57,8 @@ class K2Tree:
     @property
     def levels(self) -> int:
         """Depth of the 1x1 cells: the d with k**d == padded_n."""
-        d, size = 0, 1
-        while size < self.padded_n:
-            size *= self.k
-            d += 1
-        if size != self.padded_n:
+        d = tree_levels(self.padded_n, self.k)
+        if self.k ** d != self.padded_n:
             raise GraphError(f"padded size {self.padded_n} is not a power of {self.k}")
         return d
 

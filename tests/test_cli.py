@@ -141,6 +141,13 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o.k2s")]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_graph_too_large_for_int64_cell_paths_is_a_data_error(self, tmp_path, capsys):
+        # Padded to 2**32 at K=2: 32 base-4 digits per cell path, past int64.
+        src = write(tmp_path / "g.txt", "2147483649 1\n0 2147483648\n")
+        assert main(["encode", "--k", "2", "--in", src,
+                     "--out", str(tmp_path / "o.k2s")]) == 2
+        assert "beyond int64" in capsys.readouterr().err
+
     def test_missing_file_is_a_data_error(self, tmp_path):
         assert main(["encode", "--k", "2", "--in", str(tmp_path / "nope.txt"),
                      "--out", str(tmp_path / "o.k2s")]) == 2

@@ -10,7 +10,7 @@ from k2seq.sampling import (GenerationConfig, GenerationError,
                             ngram_model, sample_sequence, uniform_model)
 from k2seq.sequence import (DIAGONAL, OFFDIAGONAL, IncrementalBuilder,
                             SequenceError, Token, Vocabulary, decode_graph,
-                            encode_graph, write_token_stream)
+                            encode_graph, read_token_stream, write_token_stream)
 
 from helpers import mixed_family_graphs, random_er, random_labeled_er
 
@@ -128,6 +128,15 @@ class TestMaskMatchesBuilder:
         mask = mask_after(s.tokens[:1], v, s.k, s.padded_n, s.original_n, True,
                           s.node_vocab, s.edge_vocab)
         assert set(np.flatnonzero(mask)) == {v.encode(tok(D, 1, 0, 1))}
+
+    def test_huge_label_vocab_masks_without_listing_labels(self):
+        # Both diagonal cells take any of the 2**70 node labels and the other
+        # cell only 0 or an edge label past them.
+        s = read_token_stream(f"2 2 2 1\n{2 ** 70} 1\nd:1,0,2\n")
+        v = Vocabulary.from_corpus(2, [s])
+        assert_masks_agree_along(s, v)
+        mask = mask_after((), v, s.k, s.padded_n, s.original_n, True, s.node_vocab, s.edge_vocab)
+        assert set(np.flatnonzero(mask)) == {v.encode(tok(D, 1, 0, 1)), v.encode(tok(D, 1, 0, 2))}
 
     def test_featured_cells_mix_structural_and_extension_ids(self):
         s = encode_graph(TRIANGLE_LABELED, 2)

@@ -127,28 +127,30 @@ class TestPrune:
         assert len(s.tokens) == sum(1 for n in prune(t).nodes if n.children)
 
 
+# Slot rules as (zero_ok, nonzero range): only 0, 0 or 1, and exactly 1.
+ZERO_ONLY = (True, range(0))
+BIT = (True, range(1, 2))
+ONE = (False, range(1, 2))
+
+
 class TestElementRules:
     def test_plain_interior_blocks_are_unconstrained(self):
-        assert element_rules(2, 4, False, 0, 0, True, 0, 0, 4) == (
-            frozenset({0, 1}),) * 3
-        assert element_rules(2, 4, False, 0, 0, False, 2, 0, 2) == (
-            frozenset({0, 1}),) * 4
+        assert element_rules(2, 4, False, 0, 0, True, 0, 0, 4) == (BIT,) * 3
+        assert element_rules(2, 4, False, 0, 0, False, 2, 0, 2) == (BIT,) * 4
 
     def test_single_diagonal_cell_blocks_are_forced_zero(self):
-        assert element_rules(2, 2, False, 0, 0, True, 0, 0, 2) == (
-            frozenset({0}), frozenset({0, 1}), frozenset({0}))
+        assert element_rules(2, 2, False, 0, 0, True, 0, 0, 2) == (ZERO_ONLY, BIT, ZERO_ONLY)
 
     def test_padding_blocks_are_forced_zero(self):
-        assert element_rules(2, 3, False, 0, 0, True, 0, 0, 4) == (
-            frozenset({0, 1}), frozenset({0, 1}), frozenset({0}))
+        assert element_rules(2, 3, False, 0, 0, True, 0, 0, 4) == (BIT, BIT, ZERO_ONLY)
 
     def test_featured_diagonal_blocks_are_forced_nonzero(self):
-        assert element_rules(2, 3, True, 2, 2, True, 0, 0, 4) == (
-            frozenset({1}), frozenset({0, 1}), frozenset({1}))
+        assert element_rules(2, 3, True, 2, 2, True, 0, 0, 4) == (ONE, BIT, ONE)
 
     def test_featured_cells_take_label_ranges(self):
-        assert element_rules(2, 4, True, 2, 3, True, 0, 0, 2) == (
-            frozenset({1, 2}), frozenset({0, 3, 4, 5}), frozenset({1, 2}))
+        for nv, ev in ((2, 3), (2 ** 70, 1)):
+            node, edge = (False, range(1, nv + 1)), (True, range(nv + 1, nv + ev + 1))
+            assert element_rules(2, 4, True, nv, ev, True, 0, 0, 2) == (node, edge, node)
 
 
 class TestIncrementalBuilder:
@@ -206,7 +208,7 @@ class TestIncrementalBuilder:
 
     def test_self_loop_cell_rejected_at_max_depth(self):
         b = IncrementalBuilder(2, 2)
-        assert b.next_rules() == (frozenset({0}), frozenset({0, 1}), frozenset({0}))
+        assert b.next_rules() == (ZERO_ONLY, BIT, ZERO_ONLY)
         with pytest.raises(InvalidTokenError):
             b.step(tok(D, 1, 1, 0))
         b.step(tok(D, 0, 1, 0))
@@ -214,7 +216,7 @@ class TestIncrementalBuilder:
 
     def test_padding_blocks_rejected(self):
         b = IncrementalBuilder(2, 4, original_n=3)
-        assert b.next_rules() == (frozenset({0, 1}), frozenset({0, 1}), frozenset({0}))
+        assert b.next_rules() == (BIT, BIT, ZERO_ONLY)
         with pytest.raises(InvalidTokenError):
             b.step(tok(D, 1, 1, 1))
 
@@ -459,6 +461,15 @@ class TestGraphPipeline:
         with pytest.raises(SequenceError, match="perm"):
             decode_graph(s)
 
+    @pytest.mark.parametrize("g", [
+        Graph(n=2 ** 32 + 1, edges=frozenset({(0, 2 ** 32)})),
+        Graph(n=2, edges=frozenset({(0, 1)}), node_labels={0: 0, 1: 0},
+              edge_labels={(0, 1): 0}, node_vocab=2 ** 70, edge_vocab=1),
+    ], ids=["cell-paths", "label-values"])
+    def test_graphs_beyond_int64_raise_a_sequence_error(self, g):
+        with pytest.raises(SequenceError, match="beyond int64"):
+            encode_graph(g, 2)
+
     def test_sequence_header_reflects_the_graph(self):
         s = encode_graph(TRIANGLE_LABELED, 2)
         assert (s.k, s.padded_n, s.original_n) == (2, 4, 3)
@@ -583,9 +594,13 @@ def mutated_streams(draw, labeled):
 
 
 class TestArrayDecoder:
-    """``decode_graph`` walks level arrays; ``reference_decode`` replays every
-    token through the builder and rebuilds from the tree.  On any stream they
-    return the same graph or raise the same error with the same message."""
+    """``decode_graph`` walks level arrays and hands a stream the walk rejects
+    to the builder for its error; ``reference_decode`` replays every token
+    through the builder and rebuilds from the tree.  On any stream they return
+    the same graph or raise the same error with the same message, so the walk
+    accepts exactly what the builder accepts: where the walk is stricter,
+    ``decode_graph`` raises AssertionError, and where it is looser, it returns
+    a graph while the reference raises."""
 
     @staticmethod
     def assert_agrees_with_reference(s):
@@ -631,13 +646,21 @@ class TestArrayDecoder:
 
     @pytest.mark.parametrize("edge_labels", [{}, {(0, 1): 0}])
     def test_label_values_beyond_int64_decode(self, edge_labels):
-        # The builder's rules would list all 2**70 node labels, so this case
-        # has no reference run.
         nv = 2 ** 70
         g = Graph(n=2, edges=frozenset(edge_labels), node_labels={0: 0, 1: 1},
                   edge_labels=edge_labels, node_vocab=nv, edge_vocab=1)
         edge = nv + 1 if edge_labels else 0
-        assert decode_graph(read_token_stream(f"2 2 2 1\n{nv} 1\nd:1,{edge},2\n")) == g
+        s = read_token_stream(f"2 2 2 1\n{nv} 1\nd:1,{edge},2\n")
+        assert decode_graph(s) == reference_decode(s) == g
+        assert position_paths(s) == [()]
+
+    def test_huge_label_vocab_rejections_come_from_the_builder(self):
+        s = read_token_stream(f"2 2 2 1\n{2 ** 70} 1\nd:0,0,2\n")
+        with pytest.raises(InvalidTokenError) as ref:
+            detokenize_build(s)
+        with pytest.raises(InvalidTokenError) as got:
+            decode_graph(s)
+        assert str(got.value) == str(ref.value) == "token 1 (level 1): value 0 not allowed at slot 0"
 
     @pytest.mark.parametrize("levels", [40, 70])
     def test_huge_sizes_decode_without_per_node_work(self, levels):
