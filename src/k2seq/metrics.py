@@ -11,31 +11,15 @@ feature vectors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Sequence
 
 import numpy as np
+from scipy import sparse
 
 from .graphs import Graph
 from .sequence import TokenSequence, encode_graph
 
 CLUSTERING_BINS = 100
-ORBIT_COUNT = 11
-ORBIT_GUARD_N = 128
-
-# Orbit columns 0..10 stand for the conventional graphlet orbits 4..14:
-# path ends / path interiors, star leaves / star center, 4-cycle,
-# tailed-triangle tail / triangle pair / attachment, diamond degree-2 /
-# degree-3, and the 4-clique.
-_ORBIT_BY_SHAPE = {
-    (3, (1, 1, 2, 2)): {1: 0, 2: 1},
-    (3, (1, 1, 1, 3)): {1: 2, 3: 3},
-    (4, (2, 2, 2, 2)): {2: 4},
-    (4, (1, 2, 2, 3)): {1: 5, 2: 6, 3: 7},
-    (5, (2, 2, 3, 3)): {2: 8, 3: 9},
-    (6, (3, 3, 3, 3)): {3: 10},
-}
-
 
 class MetricsError(ValueError):
     """Raised for undefined metric inputs."""
@@ -67,17 +51,31 @@ def degree_histogram(g: Graph) -> Histogram:
                      edges=np.arange(len(counts) + 1, dtype=float))
 
 
+def _triangles(g: Graph):
+    """Edge keys ``u * n + v`` and rows ``u < v``, both sorted; row pointers of
+    each node's later neighbours; degrees; triangles ``u < v < w`` as rows."""
+    keys = np.sort(np.fromiter((u * g.n + v for u, v in g.edges), np.int64, count=g.m))
+    edges = np.stack(np.divmod(keys, g.n), axis=1)
+    later = np.searchsorted(edges[:, 0], np.arange(g.n + 1))
+    tri = _grow_cliques(edges, later, keys, edges)
+    deg = np.bincount(edges.ravel(), minlength=g.n)
+    return edges, keys, later, deg, tri
+
+
+def _grow_cliques(edges, later, keys, cliques):
+    """The cliques one node larger: each clique row ``a < ... < w`` with every
+    later neighbour ``x`` of ``w`` whose keys ``a * n + x`` are all edge ``keys``."""
+    counts = np.diff(later)[cliques[:, -1]]
+    pos = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - later[cliques[:, -1] + 1], counts)
+    grown = np.column_stack([np.repeat(cliques, counts, axis=0), edges[pos, 1]])
+    want = grown[:, :-2] * (len(later) - 1) + grown[:, -1:]
+    return grown[(np.append(keys, -1)[np.searchsorted(keys, want)] == want).all(axis=1)]
+
+
 def clustering_values(g: Graph) -> np.ndarray:
     """Local clustering coefficient per node; 0 for degree below 2."""
-    adj = [set(neigh) for neigh in g.neighbors()]
-    vals = np.zeros(g.n)
-    for u in range(g.n):
-        d = len(adj[u])
-        if d < 2:
-            continue
-        links = sum(1 for a, b in combinations(sorted(adj[u]), 2) if b in adj[a])
-        vals[u] = 2.0 * links / (d * (d - 1))
-    return vals
+    *_, d, tri = _triangles(g)
+    return 2.0 * np.bincount(tri.ravel(), minlength=g.n) / np.maximum(d * (d - 1), 1)
 
 
 def clustering_histogram(g: Graph) -> Histogram:
@@ -87,43 +85,42 @@ def clustering_histogram(g: Graph) -> Histogram:
     return Histogram(counts=counts.astype(np.int64), edges=edges)
 
 
-def _connected_quads(adj: list[set[int]], n: int) -> list[tuple[int, ...]]:
-    """Every connected induced 4-node subgraph exactly once (ESU enumeration)."""
-    quads: list[tuple[int, ...]] = []
-
-    def extend(sub: tuple[int, ...], ext: set[int], root: int):
-        if len(sub) == 4:
-            quads.append(sub)
-            return
-        ext = set(ext)
-        while ext:
-            w = ext.pop()
-            exclusive = {u for u in adj[w]
-                         if u > root and u not in sub
-                         and all(u not in adj[x] for x in sub)}
-            extend(sub + (w,), ext | exclusive, root)
-
-    for v in range(n):
-        extend((v,), {u for u in adj[v] if u > v}, v)
-    return quads
-
-
 def orbit4_counts(g: Graph) -> np.ndarray:
     """Per-node counts over the 11 orbits of connected 4-node graphlets.
 
-    Brute-force enumeration; guarded to ``n <= 128``.
+    Columns 0..10 are the graphlet orbits 4..14: path end / interior, star
+    leaf / center, 4-cycle, tailed-triangle tail / pair / attachment, diamond
+    degree-2 / degree-3, and the 4-clique.  Solved as in ORCA (Hočevar &
+    Demšar, Bioinformatics 2014) from the 4-cliques and ten non-induced
+    subgraph counts over the sparse adjacency, with no size limit.
     """
-    if g.n > ORBIT_GUARD_N:
-        raise MetricsError(f"orbit counting is limited to n <= {ORBIT_GUARD_N}")
-    adj = [set(neigh) for neigh in g.neighbors()]
-    counts = np.zeros((g.n, ORBIT_COUNT), dtype=np.int64)
-    for quad in _connected_quads(adj, g.n):
-        degs = [sum(1 for other in quad if other in adj[node]) for node in quad]
-        edges = sum(degs) // 2
-        orbit_of = _ORBIT_BY_SHAPE[(edges, tuple(sorted(degs)))]
-        for node, d in zip(quad, degs):
-            counts[node, orbit_of[d]] += 1
-    return counts
+    edges, keys, later, d, tri = _triangles(g)
+    t = np.bincount(tri.ravel(), minlength=g.n)
+    both = np.r_[edges, edges[:, ::-1]]
+    adj = sparse.csr_matrix((np.ones(len(both), dtype=np.int64), tuple(both.T)), shape=(g.n, g.n))
+    o14 = np.bincount(_grow_cliques(edges, later, keys, tri).ravel(), minlength=g.n)
+    # Each triangle's edges (ab, ac, bc) by index, and common neighbours per edge.
+    tri_edges = np.searchsorted(keys, tri[:, [0, 0, 1]] * g.n + tri[:, [1, 2, 2]])
+    c = np.bincount(tri_edges.ravel(), minlength=len(keys))
+
+    def per_node(nodes, values):
+        return np.bincount(nodes.ravel(), values.ravel(), minlength=g.n).astype(np.int64)
+
+    # Each orbit is a count of non-induced subgraphs minus the larger orbits
+    # that also contain that subgraph, from the 4-clique down.
+    o13 = per_node(edges, np.c_[c, c] * (c[:, None] - 1) // 2) - 3 * o14
+    o12 = per_node(tri, c[tri_edges[:, ::-1]] - 1) - 3 * o14
+    o11 = t * (d - 2) - 2 * o13 - 3 * o14
+    o10 = per_node(edges, c[:, None] * (d[edges[:, ::-1]] - 2)) - 2 * o12 - 2 * o13 - 6 * o14
+    o9 = adj @ t - 2 * t - 2 * o12 - 3 * o14
+    o8 = ((adj @ adj).power(2).sum(axis=1).A1 - adj @ d - d * d + d) // 2 - o12 - o13 - 3 * o14
+    o7 = d * (d - 1) * (d - 2) // 6 - o11 - o13 - o14
+    o6 = adj @ ((d - 1) * (d - 2) // 2) - o9 - o10 - 2 * o12 - o13 - 3 * o14
+    o5 = ((d - 1) * (adj @ (d - 1)) - 2 * t
+          - 2 * o8 - o10 - 2 * o11 - 2 * o12 - 4 * o13 - 6 * o14)
+    o4 = (adj @ (adj @ (d - 1)) - d * (d - 1) - 2 * t
+          - 2 * o8 - 2 * o9 - o10 - 4 * o12 - 2 * o13 - 6 * o14)
+    return np.stack([o4, o5, o6, o7, o8, o9, o10, o11, o12, o13, o14], axis=1)
 
 
 def mean_orbit_vector(g: Graph) -> np.ndarray:

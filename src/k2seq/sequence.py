@@ -487,6 +487,8 @@ class Vocabulary:
         bits = np.arange(1 << arity)[:, None] >> np.arange(arity - 1, -1, -1) & 1
         featured = [t for t in self.featured_tokens
                     if t.kind == kind and len(t.values) == arity and min(t.values) >= 0]
+        if big := [t for t in featured if max(t.values) > _INT64_MAX]:
+            raise SequenceError(f"token {big[0]} has a value beyond int64")
         ids = np.array([self._ext_ids[t] for t in featured], dtype=np.int64)
         values = np.array([t.values for t in featured], dtype=np.int64).reshape(-1, arity)
         return np.concatenate([base + np.arange(1 << arity), ids]), np.concatenate([bits, values])

@@ -2,7 +2,8 @@
 
 The oracles here deliberately avoid the library's own algorithms: orbit counts
 come from explicit subgraph isomorphism against the six connected 4-node
-patterns, and planarity from a contraction-based complete-minor search.
+patterns or from enumerating connected quads, and planarity from a
+contraction-based complete-minor search.
 """
 
 from __future__ import annotations
@@ -156,6 +157,54 @@ def orbit4_oracle(g: Graph) -> np.ndarray:
                 for idx in range(4):
                     counts[quad[idx], orbit_of[hit[idx]]] += 1
                 break
+    return counts
+
+
+# Orbit columns by induced edge count and sorted degree sequence of a quad:
+# each node's column follows from its degree inside the quad.
+_ORBIT_BY_SHAPE = {
+    (3, (1, 1, 2, 2)): {1: 0, 2: 1},
+    (3, (1, 1, 1, 3)): {1: 2, 3: 3},
+    (4, (2, 2, 2, 2)): {2: 4},
+    (4, (1, 2, 2, 3)): {1: 5, 2: 6, 3: 7},
+    (5, (2, 2, 3, 3)): {2: 8, 3: 9},
+    (6, (3, 3, 3, 3)): {3: 10},
+}
+
+
+def _connected_quads(adj: list[set[int]], n: int) -> list[tuple[int, ...]]:
+    """Every connected induced 4-node subgraph exactly once (ESU enumeration)."""
+    quads: list[tuple[int, ...]] = []
+
+    def extend(sub: tuple[int, ...], ext: set[int], root: int):
+        if len(sub) == 4:
+            quads.append(sub)
+            return
+        ext = set(ext)
+        while ext:
+            w = ext.pop()
+            exclusive = {u for u in adj[w]
+                         if u > root and u not in sub
+                         and all(u not in adj[x] for x in sub)}
+            extend(sub + (w,), ext | exclusive, root)
+
+    for v in range(n):
+        extend((v,), {u for u in adj[v] if u > v}, v)
+    return quads
+
+
+def reference_orbit4(g: Graph) -> np.ndarray:
+    """Orbit counts by enumerating every connected induced quad (ESU) and
+    reading each node's orbit off the quad's degree sequence.  The reference
+    the equation-based :func:`orbit4_counts` must match; unlike
+    :func:`orbit4_oracle` it scales to a few hundred sparse nodes."""
+    adj = [set(neigh) for neigh in g.neighbors()]
+    counts = np.zeros((g.n, 11), dtype=np.int64)
+    for quad in _connected_quads(adj, g.n):
+        degs = [sum(1 for other in quad if other in adj[node]) for node in quad]
+        orbit_of = _ORBIT_BY_SHAPE[(sum(degs) // 2, tuple(sorted(degs)))]
+        for node, d in zip(quad, degs):
+            counts[node, orbit_of[d]] += 1
     return counts
 
 

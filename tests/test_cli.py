@@ -1,11 +1,18 @@
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from k2seq.cli import main
 from k2seq.generators import Dataset, read_dataset, write_dataset
 from k2seq.graphs import Graph, parse_edge_list, serialize_edge_list
+from k2seq.sequence import encode_graph, write_token_stream
+
+from helpers import graph_strategy, random_er
 
 STAR4 = Graph(n=4, edges=frozenset({(0, 1), (0, 2), (0, 3)}))
 SINGLE_EDGE = Graph(n=4, edges=frozenset({(0, 1)}))
@@ -88,6 +95,12 @@ class TestGenerateAndSample:
         assert capsys.readouterr().out == "deg\t0\nclus\t0\norbit\t0\n"
         assert table.read_text() == (
             "metric\tvalue\tsigma\ndeg\t0\t1\nclus\t0\t1\norbit\t0\t1\n")
+
+    def test_orbit_eval_counts_graphs_past_128_nodes(self, tmp_path, capsys):
+        path = write(tmp_path / "big.ds", write_dataset(
+            Dataset("big", 0, (random_er(4, 300, 0.02), STAR4))))
+        assert main(["eval", "--ref", path, "--gen", path, "--metrics", "orbit"]) == 0
+        assert capsys.readouterr().out == "orbit\t0\n"
 
     def test_uniform_sampling_is_deterministic(self, tmp_path):
         a, b = tmp_path / "a.ds", tmp_path / "b.ds"
@@ -187,6 +200,38 @@ class TestExitCodes:
             capture_output=True, text=True, timeout=60)
         assert proc.returncode == 2
         assert "k must be >= 2" in proc.stderr
+
+
+@st.composite
+def mutated_stream_bytes(draw):
+    """A valid encode output of a small graph with one byte flipped,
+    replaced, inserted or deleted."""
+    g = draw(graph_strategy(max_n=12, labeled=draw(st.booleans())))
+    k = draw(st.sampled_from([2, 3]))
+    order = draw(st.sampled_from(["identity", "cm"]))
+    data = bytearray(write_token_stream(encode_graph(g, k, ordering=order)).encode())
+    op = draw(st.sampled_from(["flip", "replace", "insert", "delete"]))
+    at = draw(st.integers(0, len(data) - (op != "insert")))
+    byte = draw(st.one_of(st.sampled_from(b"0123456789 ,:dop\n-"), st.integers(0, 255)))
+    if op == "flip":
+        data[at] ^= 1 << draw(st.integers(0, 7))
+    elif op == "replace":
+        data[at] = byte
+    elif op == "insert":
+        data.insert(at, byte)
+    else:
+        del data[at]
+    return bytes(data)
+
+
+class TestByteMutations:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(mutated_stream_bytes())
+    def test_decode_exits_0_or_2_and_never_raises(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            src = Path(tmp) / "s.k2s"
+            src.write_bytes(data)
+            assert main(["decode", "--in", str(src), "--out", str(Path(tmp) / "g.txt")]) in (0, 2)
 
 
 class TestConsoleScript:

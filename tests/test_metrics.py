@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from k2seq.graphs import Graph
 from k2seq.metrics import (CLUSTERING_BINS, Histogram, KernelConfig, MetricsError,
@@ -9,7 +11,7 @@ from k2seq.metrics import (CLUSTERING_BINS, Histogram, KernelConfig, MetricsErro
                            compression_ratio, degree_histogram, evaluate_sets,
                            mean_orbit_vector, mmd, orbit4_counts)
 
-from helpers import orbit4_oracle, random_er
+from helpers import graph_strategy, orbit4_oracle, random_er, reference_orbit4
 
 K4 = Graph(n=4, edges=frozenset({(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)}))
 PATH4 = Graph(n=4, edges=frozenset({(0, 1), (1, 2), (2, 3)}))
@@ -49,6 +51,17 @@ class TestDegreeAndClustering:
         vals = clustering_values(PAW)
         assert vals == pytest.approx([1.0, 1.0, 1 / 3, 0.0])
 
+    def test_clustering_values_match_a_neighbour_pair_count(self):
+        for seed in range(30):
+            g = random_er(seed, 1 + seed, 0.4)
+            adj = [set(nb) for nb in g.neighbors()]
+            want = np.zeros(g.n)
+            for u, nb in enumerate(adj):
+                if len(nb) >= 2:
+                    links = sum(1 for a in nb for b in nb if a < b and b in adj[a])
+                    want[u] = 2.0 * links / (len(nb) * (len(nb) - 1))
+            assert np.array_equal(clustering_values(g), want)
+
     def test_low_degree_nodes_cluster_at_zero(self):
         assert clustering_values(PATH4) == pytest.approx([0.0, 0.0, 0.0, 0.0])
 
@@ -73,6 +86,7 @@ class TestOrbits:
     ])
     def test_each_pattern_counts_its_own_orbits(self, g, assignment):
         assert (orbit4_counts(g) == orbit_rows(assignment)).all()
+        assert (reference_orbit4(g) == orbit_rows(assignment)).all()
 
     def test_five_cycle_splits_between_path_end_and_path_interior(self):
         g = Graph(n=5, edges=frozenset({(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)}))
@@ -83,8 +97,10 @@ class TestOrbits:
         assert (counts == expected).all()
         assert mean_orbit_vector(g).tolist() == [2, 2] + [0] * 9
 
-    def test_too_few_nodes_count_nothing(self):
-        assert (orbit4_counts(Graph(n=3, edges=frozenset({(0, 1)}))) == 0).all()
+    @pytest.mark.parametrize("g", [Graph(n=1), Graph(n=3, edges=frozenset({(0, 1)})),
+                                   Graph(n=30)])
+    def test_too_few_nodes_or_no_edges_count_nothing(self, g):
+        assert np.array_equal(orbit4_counts(g), np.zeros((g.n, 11), dtype=np.int64))
 
     def test_matches_the_isomorphism_oracle_on_random_graphs(self):
         for seed in range(20):
@@ -104,11 +120,33 @@ class TestOrbits:
                                         (4, 5), (4, 6), (5, 6)}))
         assert (orbit4_counts(g) == orbit4_oracle(g)).all()
 
-    def test_size_guard(self):
-        with pytest.raises(MetricsError, match="128"):
-            orbit4_counts(Graph(n=129))
-        with pytest.raises(MetricsError):
-            mean_orbit_vector(Graph(n=129))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(graph_strategy(max_n=24))
+    def test_matches_the_quad_enumeration_on_random_graphs(self, g):
+        got = orbit4_counts(g)
+        assert got.dtype == np.int64 and got.shape == (g.n, 11)
+        assert np.array_equal(got, reference_orbit4(g))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(1, 24), st.integers(0, 2 ** 31), st.sampled_from([0.0, 0.05, 0.5, 0.9]))
+    def test_matches_on_edgeless_sparse_and_dense_graphs(self, n, seed, p):
+        g = random_er(seed, n, p)
+        assert np.array_equal(orbit4_counts(g), reference_orbit4(g))
+
+    def test_matches_the_quad_enumeration_past_128_nodes(self):
+        g = random_er(8, 300, 0.02)
+        assert np.array_equal(orbit4_counts(g), reference_orbit4(g))
+
+    def test_large_graphs_are_counted(self):
+        for n in (129, 1000):
+            g = random_er(n, n, 4 / n)
+            counts = orbit4_counts(g)
+            assert counts.shape == (n, 11) and counts.sum() > 0
+            assert mean_orbit_vector(g).shape == (11,)
+            # Each induced quad puts its nodes in fixed orbit proportions.
+            s = counts.sum(axis=0)
+            assert s[0] == s[1] and s[2] == 3 * s[3] and s[5] == s[7]
+            assert s[6] == 2 * s[7] and s[8] == s[9] and s[4] % 4 == s[10] % 4 == 0
 
 
 def naive_mmd_histograms(set_a, set_b, sigma=1.0):

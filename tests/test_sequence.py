@@ -366,6 +366,12 @@ class TestVocabulary:
         with pytest.raises(ValueError, match="k <= 4"):
             Vocabulary(5)
 
+    def test_featured_values_beyond_int64_are_a_sequence_error(self):
+        big = 2 ** 70
+        s = read_token_stream(f"2 2 2 1\n{big} 1\nd:1,{big + 1},2\n")
+        with pytest.raises(SequenceError, match=f"{big + 1}.*beyond int64"):
+            Vocabulary.from_corpus(2, [s])
+
     def test_unknown_featured_token_rejected(self):
         v = Vocabulary(2)
         with pytest.raises(SequenceError, match="not in the vocabulary"):
