@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.spatial import Delaunay, QhullError
 
 from .graphs import Graph, GraphError, ParseError, parse_edge_list, serialize_edge_list
 
@@ -82,6 +81,8 @@ def gen_planar(n: int, seed: int) -> Graph:
     triangulation) are perturbed and retried, so every node appears and the
     result is connected and planar.
     """
+    from scipy.spatial import Delaunay, QhullError
+
     if n < 3:
         raise ValueError("planar graphs need at least 3 points")
     rng = np.random.default_rng(seed)

@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 import tempfile
@@ -8,11 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from k2seq.cli import main
-from k2seq.generators import Dataset, read_dataset, write_dataset
+from k2seq.generators import Dataset, gen_planar, read_dataset, write_dataset
 from k2seq.graphs import Graph, parse_edge_list, serialize_edge_list
 from k2seq.sequence import encode_graph, write_token_stream
 
-from helpers import graph_strategy, random_er
+from helpers import _is_connected, graph_strategy, is_planar_by_minors, random_er
 
 STAR4 = Graph(n=4, edges=frozenset({(0, 1), (0, 2), (0, 3)}))
 SINGLE_EDGE = Graph(n=4, edges=frozenset({(0, 1)}))
@@ -187,6 +188,12 @@ class TestExitCodes:
         assert main(["decode", "--in", bad, "--out", str(tmp_path / "o.txt")]) == 2
         assert "label vocab" in capsys.readouterr().err
 
+    def test_zero_sigma_is_a_data_error(self, tmp_path, capsys):
+        path = write(tmp_path / "d.ds", write_dataset(Dataset("d", 0, (STAR4,))))
+        assert main(["eval", "--ref", path, "--gen", path, "--sigma", "0"]) == 2
+        captured = capsys.readouterr()
+        assert "sigma" in captured.err and captured.out == ""
+
     def test_undefined_ratio_is_a_data_error(self, tmp_path, capsys):
         src = write(tmp_path / "g.txt", "3 0\n")
         assert main(["stats", "--k", "2", "--in", src]) == 2
@@ -244,3 +251,22 @@ class TestConsoleScript:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert out.read_text().startswith("2 4 4 0\n")
+
+
+class TestImports:
+    def test_package_and_cli_import_without_scipy(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import k2seq, k2seq.cli, sys; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+            capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
+    def test_planar_generator_imports_its_triangulation_on_demand(self):
+        for n, seed in ((8, 3), (64, 5)):
+            g = gen_planar(n, seed)
+            assert g.n == n and g.m <= 3 * n - 6 and _is_connected(g)
+            assert g.edges == gen_planar(n, seed).edges
+        assert is_planar_by_minors(gen_planar(8, 3))

@@ -137,6 +137,29 @@ class TestOrbits:
         g = random_er(8, 300, 0.02)
         assert np.array_equal(orbit4_counts(g), reference_orbit4(g))
 
+    def test_matches_the_quad_enumeration_on_a_star_with_an_er_overlay(self):
+        # Sum of squared degrees is dominated by the centre of 120 leaves.
+        rng = np.random.default_rng(0)
+        leaves = {(0, v) for v in range(1, 121)}
+        overlay = {(u, v) for u in range(1, 121) for v in range(u + 1, 121)
+                   if rng.random() < 0.02}
+        g = Graph(n=121, edges=frozenset(leaves | overlay))
+        got = orbit4_counts(g)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, reference_orbit4(g))
+
+    def test_matches_the_quad_enumeration_on_a_hub_over_a_ring_of_4_cliques(self):
+        cliques = 8
+        ring = {(4 * c + a, 4 * c + b) for c in range(cliques)
+                for a in range(4) for b in range(a + 1, 4)}
+        ring |= {(4 * c + 3, (4 * c + 4) % (4 * cliques)) for c in range(cliques)}
+        hub = 4 * cliques
+        edges = {(min(u, v), max(u, v)) for u, v in ring} | {(v, hub) for v in range(hub)}
+        g = Graph(n=hub + 1, edges=frozenset(edges))
+        got = orbit4_counts(g)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, reference_orbit4(g))
+
     def test_large_graphs_are_counted(self):
         for n in (129, 1000):
             g = random_er(n, n, 4 / n)
@@ -194,6 +217,11 @@ class TestMMD:
         wide = mmd(a, b, KernelConfig(sigma=2.0))
         assert wide == pytest.approx(2 - 2 * math.exp(-1 / 8), abs=1e-12)
         assert wide < mmd(a, b)
+
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, math.inf])
+    def test_sigma_must_be_finite_and_positive(self, sigma):
+        with pytest.raises(MetricsError, match="sigma"):
+            KernelConfig(sigma=sigma)
 
     def test_vector_features_use_euclidean_distance(self):
         value = mmd([np.array([1.0, 0.0])], [np.array([0.0, 1.0])])
