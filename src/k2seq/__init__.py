@@ -8,7 +8,7 @@ from .graphs import (Graph, GraphError, ParseError, apply_ordering, bandwidth,
 from .tree import (K2Tree, TreeNode, TreeStats, build_k2tree, rebuild_graph,
                    tree_stats)
 from .sequence import (EmptyGraphError, IncrementalBuilder, InvalidTokenError,
-                       SequenceError, StepResult, Token, TokenMismatchError,
+                       SequenceError, Token, TokenMismatchError,
                        TokenSequence, TrailingTokensError,
                        TruncatedSequenceError, Vocabulary, decode_graph,
                        detokenize_build, encode_graph, flatten_tokenize,

@@ -165,7 +165,10 @@ def sample_sequence(model: SamplerModel, config: GenerationConfig) -> TokenSeque
     Structural completion is authoritative: decoding stops when the builder's
     queue empties.  Running past ``max_tokens`` raises
     :class:`MaxLengthExceededError`; a model that puts zero mass on every
-    admissible token raises :class:`ZeroMassError`.
+    admissible token raises :class:`ZeroMassError`.  Sizes that are not a
+    header :func:`~k2seq.sequence.encode_graph` writes, such as ``padded_n``
+    past the smallest power of ``k`` holding ``original_n``, raise
+    :class:`~k2seq.sequence.SequenceError` before any token.
     """
     vocab = model.vocab
     if vocab.k != config.k:

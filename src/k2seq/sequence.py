@@ -22,6 +22,13 @@ the :class:`IncrementalBuilder` replay of :func:`detokenize_build` accepts,
 and hands any other stream to that replay.  The builder is thus the one place
 that decides which error a stream gets; it also drives the samplers and is
 the reference decoder.
+
+One header rule, :func:`_check_header`, serves the encoder, the builder and
+the decoder: ``padded_n`` is the smallest power of ``k`` holding
+``original_n`` nodes, cell paths (``padded_n**2``) and, when featured, cell
+values (``node_vocab + edge_vocab``) fit int64.  Encode refuses a graph whose
+header breaks it, and decode refuses such a header, so the decoder accepts
+exactly the encoder's image and all array work is over int64.
 """
 
 from __future__ import annotations
@@ -137,17 +144,6 @@ def node_position(path: tuple[tuple[int, int], ...], k: int) -> tuple[int, int]:
     return p, q
 
 
-def region_origin(path: tuple[tuple[int, int], ...], k: int, padded_n: int) -> tuple[int, int, int]:
-    """0-based top-left cell and side length of the block addressed by ``path``."""
-    r = c = 0
-    size = padded_n
-    for i, j in path:
-        size //= k
-        r += (i - 1) * size
-        c += (j - 1) * size
-    return r, c, size
-
-
 def prune(t: K2Tree) -> K2Tree:
     """Drop every subtree strictly above the diagonal.
 
@@ -245,28 +241,33 @@ def element_rules(k: int, original_n: int, featured: bool, node_vocab: int,
     return tuple(rules)
 
 
+_INT64_MAX = np.iinfo(np.int64).max
+
+
 def _check_header(k: int, padded_n: int, original_n: int, featured: bool,
-                 node_vocab: int, edge_vocab: int) -> None:
-    """Raise :class:`SequenceError` unless the header can head a stream:
-    ``k >= 2``, ``padded_n`` a power ``k**d`` with ``d >= 1``,
-    ``1 <= original_n <= padded_n``, and, when featured, at least one node
-    label and one edge label."""
+                  node_vocab: int, edge_vocab: int) -> None:
+    """Raise :class:`SequenceError` unless :func:`encode_graph` writes this
+    header for some graph: ``k >= 2``, ``original_n >= 1``, ``padded_n ==
+    padded_size(original_n, k)`` with ``padded_n**2`` (the cell paths) within
+    int64, and, when featured, both label vocab sizes at least 1 with
+    ``node_vocab + edge_vocab`` (the largest cell value) within int64.
+
+    This caps a graph at 2**31 nodes at K=2 and 3**19 at K=3."""
     if k < 2:
         raise SequenceError("k must be >= 2")
-    if padded_n < k or padded_n != padded_size(padded_n, k):
-        raise SequenceError(f"padded size {padded_n} is not a power of {k}")
-    if not 1 <= original_n <= padded_n:
-        raise SequenceError(f"original size {original_n} outside [1, {padded_n}]")
+    if original_n < 1:
+        raise SequenceError(f"original size {original_n} must be >= 1")
+    if padded_n != padded_size(original_n, k):
+        raise SequenceError(f"padded size {padded_n} is not the smallest power of {k} "
+                            f"holding {original_n} nodes")
+    if padded_n ** 2 > _INT64_MAX:
+        raise SequenceError(f"padded size {padded_n} gives cell paths beyond int64")
     if featured and (node_vocab < 1 or edge_vocab < 1):
         raise SequenceError(
             f"featured label vocab sizes {node_vocab} {edge_vocab} must both be >= 1")
-
-
-@dataclass(frozen=True)
-class StepResult:
-    status: str  # "need_more" or "complete"
-    next_kind: str | None
-    next_path: tuple[tuple[int, int], ...] | None
+    if featured and node_vocab + edge_vocab > _INT64_MAX:
+        raise SequenceError(f"label vocab sizes {node_vocab} {edge_vocab} "
+                            "give cell values beyond int64")
 
 
 @dataclass
@@ -327,13 +328,6 @@ class IncrementalBuilder:
             return None
         return self.queue[0].path
 
-    @property
-    def next_depth(self) -> int | None:
-        """Depth of the sibling group the next token will attach."""
-        if not self.queue:
-            return None
-        return len(self.queue[0].path) + 1
-
     def next_rules(self) -> tuple[Rule, ...]:
         """Admissible values per slot of the pending sibling group, computed
         once per group: the sampler's mask and :meth:`step` both read them."""
@@ -346,7 +340,7 @@ class IncrementalBuilder:
                                         front.r0, front.c0, front.block)
         return self._rules
 
-    def step(self, token: Token) -> StepResult:
+    def step(self, token: Token) -> None:
         """Check one token against the pending group and advance the queue;
         raises a :class:`SequenceError` subclass on misuse.  Kind and arity
         are checked before values, and values before the all-zero group."""
@@ -377,8 +371,6 @@ class IncrementalBuilder:
                         r0=front.r0 + (i - 1) * step, c0=front.c0 + (j - 1) * step,
                         block=step))
         self._tokens.append(token)
-        return StepResult(status="complete" if not self.queue else "need_more",
-                          next_kind=self.next_kind, next_path=self.next_path)
 
     def tree(self) -> K2Tree:
         """The pruned tree of the accepted tokens, built breadth-first: each
@@ -527,11 +519,6 @@ class Vocabulary:
         if self._ext_base <= token_id < self.size:
             return self.featured_tokens[token_id - self._ext_base]
         raise SequenceError(f"id {token_id} is reserved or out of range")
-
-    def ids_of_kind(self, kind: str) -> range | list[int]:
-        if kind == DIAGONAL:
-            return range(self._diag_base, self._off_base)
-        return range(self._off_base, self._ext_base)
 
     @classmethod
     def from_corpus(cls, k: int, sequences: list[TokenSequence]) -> "Vocabulary":
@@ -707,9 +694,6 @@ def _level_tokens(rows: np.ndarray, cols: np.ndarray, values: np.ndarray,
     return tokens
 
 
-_INT64_MAX = np.iinfo(np.int64).max
-
-
 def encode_graph(g: Graph, k: int, ordering: str = "identity",
                  reverse: bool = False) -> TokenSequence:
     """Full encode pipeline: order, then encode level by level from the
@@ -718,27 +702,22 @@ def encode_graph(g: Graph, k: int, ordering: str = "identity",
     Produces the same tokens as ``flatten_tokenize(prune(build_k2tree(g, k)))``
     in O(m * levels) memory, without the padded ``n x n`` matrix or the full
     tree.  The all-zero case (a plain graph with no edges) becomes a
-    header-only sequence.  Cell paths and values are int64: a graph whose
-    cell paths or label vocab sizes do not fit raises :class:`SequenceError`.
-    With a non-identity ordering the permutation is stored on the sequence so
+    header-only sequence.  The header must pass :func:`_check_header`, edges
+    or not: a graph whose cell paths or label vocab sizes do not fit int64
+    raises :class:`SequenceError` before any per-node work.  With a
+    non-identity ordering the permutation is stored on the sequence so
     :func:`decode_graph` can restore original node ids.
     """
+    padded_n = padded_size(g.n, k)
+    _check_header(k, padded_n, g.n, g.labeled, g.node_vocab, g.edge_vocab)
     perm = None
     if ordering != "identity":
         perm = order_nodes(g, ordering, reverse=reverse)
         g = apply_ordering(g, perm)
-    padded_n = padded_size(g.n, k)
-    if g.labeled and g.node_vocab + g.edge_vocab > _INT64_MAX:
-        raise SequenceError(f"label vocab sizes {g.node_vocab} {g.edge_vocab} "
-                            "give cell values beyond int64")
     rows, cols, values = _lower_cells(g)
     tokens = ()
     if len(rows):
-        levels = tree_levels(padded_n, k)
-        if (k * k) ** levels > _INT64_MAX:
-            raise SequenceError(f"padded size {padded_n} gives cell paths of {levels} "
-                                f"base-{k * k} digits, beyond int64")
-        tokens = tuple(_level_tokens(rows, cols, values, k, levels))
+        tokens = tuple(_level_tokens(rows, cols, values, k, tree_levels(padded_n, k)))
     return TokenSequence(k=k, padded_n=padded_n, original_n=g.n, featured=g.labeled,
                          node_vocab=g.node_vocab, edge_vocab=g.edge_vocab,
                          tokens=tokens, perm=perm)
@@ -750,22 +729,21 @@ def _token_grid(tokens: tuple[Token, ...], k: int) -> tuple[np.ndarray, np.ndarr
 
     The grid has one row per token and ``k*k`` columns, the slots
     ``i*k + j`` (0-based) in row-major order; a diagonal token's values sit
-    in its :func:`child_orders` slots and its other slots hold 0.  Values
-    beyond int64 keep their Python ints in an object grid.
+    in its :func:`child_orders` slots and its other slots hold 0.  A value
+    beyond int64 also gives None: no rule admits it.
     """
     diag = np.fromiter((t.kind == DIAGONAL for t in tokens), dtype=bool, count=len(tokens))
     rows = [t.values for t in tokens]
     lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(tokens))
     kk, arity = k * k, diagonal_arity(k)
-    # No token holds 2**62 values, so an arity that large matches none.
-    if kk >= 2 ** 62 or (lengths != np.where(diag, arity, kk)).any():
+    if (lengths != np.where(diag, arity, kk)).any():
         return None
     try:
         flat = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=int(lengths.sum()))
     except OverflowError:
-        flat = np.array(list(chain.from_iterable(rows)), dtype=object)
+        return None
     starts = np.cumsum(lengths) - lengths
-    grid = np.zeros((len(tokens), kk), dtype=flat.dtype)
+    grid = np.zeros((len(tokens), kk), dtype=np.int64)
     off = np.flatnonzero(~diag)
     grid[off] = flat[starts[off, None] + np.arange(kk)]
     on = np.flatnonzero(diag)
@@ -790,8 +768,7 @@ def _level_cells(s: TokenSequence) -> tuple[np.ndarray, np.ndarray, np.ndarray] 
     diag, grid = shaped
     k, n = s.k, s.original_n
     i, j = np.divmod(np.arange(grid.shape[1]), k)
-    coord = np.int64 if (k + 1) * n < 2 ** 62 else object
-    r0 = c0 = np.zeros(1, dtype=coord)
+    r0 = c0 = np.zeros(1, dtype=np.int64)
     pending_diag = np.ones(1, dtype=bool)
     start, block = 0, s.padded_n
     for _ in range(tree_levels(s.padded_n, k)):
@@ -799,19 +776,16 @@ def _level_cells(s: TokenSequence) -> tuple[np.ndarray, np.ndarray, np.ndarray] 
         end = start + len(r0)
         if end > len(grid) or (diag[start:end] != pending_diag).any():
             return None
-        # Offsets clamped at n keep coordinates below (k + 1) * n: a slot at
-        # or past row or column n is padding either way.
-        span = min(block, n)
         run = grid[start:end]
-        r = r0[:, None] + i.astype(coord) * span
-        c = c0[:, None] + j.astype(coord) * span
+        r = r0[:, None] + i * block
+        c = c0[:, None] + j * block
         on_diag = pending_diag[:, None] & (i == j)
         zero_only = (r >= n) | (c >= n)
         # The slots a diagonal token does not hold are 0 in the grid, and no
         # rule below flags a 0 off the diagonal.
         nonzero = run != 0
         if not s.featured:
-            zero_only |= on_diag & (np.minimum(r + span, n) - r < 2)
+            zero_only |= on_diag & (np.minimum(r + block, n) - r < 2)
             bad = nonzero & (zero_only | (run != 1))
         else:
             if block > 1:
@@ -839,9 +813,11 @@ def decode_graph(s: TokenSequence) -> Graph:
     and no builder; the stored ``perm`` relabels the cells by indexing.  A
     stream the level walk rejects is replayed through :func:`detokenize_build`,
     so its error is the builder's, naming the first token the builder refuses.
-    Memory is bounded by the token count and ``perm``, never by ``padded_n``
-    or ``original_n``: a header-only stream decodes to an edgeless graph
-    without any per-node work.
+    A header that :func:`_check_header` refuses is refused before any token,
+    so every accepted stream is one :func:`encode_graph` writes.  Memory is
+    bounded by the token count and ``perm``, never by ``padded_n`` or
+    ``original_n``: a header-only stream decodes to an edgeless graph without
+    any per-node work.
     """
     _check_header(s.k, s.padded_n, s.original_n, s.featured, s.node_vocab, s.edge_vocab)
     n = s.original_n

@@ -114,7 +114,7 @@ def label_matrix(g: Graph, size: int | None = None) -> np.ndarray:
     if g.node_labels is None or g.edge_labels is None:
         raise GraphError("label matrix requires node and edge labels")
     size = g.n if size is None else size
-    mat = np.zeros((size, size), dtype=np.int32)
+    mat = np.zeros((size, size), dtype=np.int64)
     for u, lab in g.node_labels.items():
         mat[u, u] = node_label_token(lab)
     for (u, v), lab in g.edge_labels.items():
@@ -219,7 +219,7 @@ def rebuild_matrix(t: K2Tree) -> np.ndarray:
     Works for both full and pruned trees; for pruned trees the upper triangle
     is filled by mirroring.
     """
-    mat = np.zeros((t.padded_n, t.padded_n), dtype=np.int32)
+    mat = np.zeros((t.padded_n, t.padded_n), dtype=np.int64)
     for r, c, attr in _maxdepth_cells(t):
         if mat[r, c] and mat[r, c] != attr:
             raise GraphError(f"conflicting leaf values at cell ({r}, {c})")

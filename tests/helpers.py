@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 from k2seq import Graph
 from k2seq.generators import gen_community, gen_er, gen_grid, gen_planar
 from k2seq.graphs import apply_ordering, invert_permutation, order_nodes
-from k2seq.sequence import (SequenceError, TokenSequence, detokenize_build,
-                            flatten_tokenize, prune)
+from k2seq.sequence import (IncrementalBuilder, SequenceError, TokenSequence,
+                            detokenize_build, flatten_tokenize, prune)
 from k2seq.tree import build_k2tree, rebuild_graph
 
 
@@ -60,7 +60,9 @@ def reference_decode(s: TokenSequence) -> Graph:
     """Decode through the pruned tree: replay every token through the
     incremental builder, rebuild the graph from the tree's full-depth leaves,
     then undo the stored ordering.  The reference the array-native
-    :func:`decode_graph` must match."""
+    :func:`decode_graph` must match.  The header is checked first, as
+    :func:`decode_graph` checks it."""
+    IncrementalBuilder(s.k, s.padded_n, s.original_n, s.featured, s.node_vocab, s.edge_vocab)
     if s.perm is not None and sorted(s.perm) != list(range(s.original_n)):
         raise SequenceError(f"perm is not a permutation of 0..{s.original_n - 1}")
     g = rebuild_graph(detokenize_build(s))

@@ -155,12 +155,21 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o.k2s")]) == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_graph_too_large_for_int64_cell_paths_is_a_data_error(self, tmp_path, capsys):
-        # Padded to 2**32 at K=2: 32 base-4 digits per cell path, past int64.
-        src = write(tmp_path / "g.txt", "2147483649 1\n0 2147483648\n")
+    @pytest.mark.parametrize("text", ["2147483649 1\n0 2147483648\n", "4294967296 0\n"],
+                             ids=["one-edge", "edgeless"])
+    def test_graph_too_large_for_int64_cell_paths_is_a_data_error(self, tmp_path, capsys, text):
+        # Padded to 2**32 at K=2: 32 base-4 digits per cell path, past int64,
+        # whether or not the graph has edges.
+        src = write(tmp_path / "g.txt", text)
         assert main(["encode", "--k", "2", "--in", src,
                      "--out", str(tmp_path / "o.k2s")]) == 2
         assert "beyond int64" in capsys.readouterr().err
+
+    def test_non_canonical_header_is_a_data_error(self, tmp_path, capsys):
+        # A 5-node graph pads to 8 at K=2; encode never writes 16.
+        bad = write(tmp_path / "bad.k2s", "2 16 5 0\nd:100 d:100 d:110 d:010 o:0101\n")
+        assert main(["decode", "--in", bad, "--out", str(tmp_path / "o.txt")]) == 2
+        assert "power" in capsys.readouterr().err
 
     def test_missing_file_is_a_data_error(self, tmp_path):
         assert main(["encode", "--k", "2", "--in", str(tmp_path / "nope.txt"),

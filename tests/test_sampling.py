@@ -130,9 +130,9 @@ class TestMaskMatchesBuilder:
         assert set(np.flatnonzero(mask)) == {v.encode(tok(D, 1, 0, 1))}
 
     def test_huge_label_vocab_masks_without_listing_labels(self):
-        # Both diagonal cells take any of the 2**70 node labels and the other
+        # Both diagonal cells take any of the 2**62 node labels and the other
         # cell only 0 or an edge label past them.
-        s = read_token_stream(f"2 2 2 1\n{2 ** 70} 1\nd:1,0,2\n")
+        s = read_token_stream(f"2 2 2 1\n{2 ** 62} 1\nd:1,0,2\n")
         v = Vocabulary.from_corpus(2, [s])
         assert_masks_agree_along(s, v)
         mask = mask_after((), v, s.k, s.padded_n, s.original_n, True, s.node_vocab, s.edge_vocab)
@@ -336,6 +336,12 @@ class TestSamplingErrors:
         model = uniform_model(Vocabulary(2))
         with pytest.raises(ValueError, match="k="):
             sample_sequence(model, GenerationConfig(k=3, padded_n=9))
+
+    def test_non_canonical_sizes_are_refused_before_any_token(self):
+        # A 5-node graph pads to 8 at K=2, so encode never writes padded_n=16.
+        model = uniform_model(Vocabulary(2))
+        with pytest.raises(SequenceError, match="power"):
+            sample_sequence(model, GenerationConfig(k=2, padded_n=16, original_n=5))
 
     def test_max_length_exceeded(self):
         model = uniform_model(Vocabulary(2))

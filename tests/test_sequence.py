@@ -13,8 +13,7 @@ from k2seq.sequence import (DIAGONAL, OFFDIAGONAL, EmptyGraphError,
                             decode_graph, element_rules, encode_graph, encode_ids,
                             flatten_tokenize, full_tree_attrs, node_position,
                             offdiagonal_arity, position_paths, prune,
-                            read_token_stream, region_origin, tree_levels,
-                            write_token_stream)
+                            read_token_stream, tree_levels, write_token_stream)
 from k2seq.tree import build_k2tree, tree_stats
 
 from helpers import (graph_strategy, random_er, random_labeled_er, reference_decode,
@@ -58,22 +57,6 @@ class TestArityAndPositions:
             node_position((), 2)
         with pytest.raises(ValueError):
             node_position(((3, 1),), 2)
-
-    def test_region_origin_matches_position(self):
-        assert region_origin((), 2, 8) == (0, 0, 8)
-        assert region_origin(((2, 1),), 2, 4) == (2, 0, 2)
-        assert region_origin(((2, 1), (1, 2)), 2, 8) == (4, 2, 2)
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.sampled_from([2, 3]), st.integers(1, 3), st.data())
-    def test_region_origin_is_position_scaled_by_block(self, k, depth, data):
-        path = tuple((data.draw(st.integers(1, k)), data.draw(st.integers(1, k)))
-                     for _ in range(depth))
-        padded = k ** 3
-        r, c, size = region_origin(path, k, padded)
-        p, q = node_position(path, k)
-        assert size == padded // k ** depth
-        assert (r, c) == ((p - 1) * size, (q - 1) * size)
 
 
 class TestPrune:
@@ -148,7 +131,7 @@ class TestElementRules:
         assert element_rules(2, 3, True, 2, 2, True, 0, 0, 4) == (ONE, BIT, ONE)
 
     def test_featured_cells_take_label_ranges(self):
-        for nv, ev in ((2, 3), (2 ** 70, 1)):
+        for nv, ev in ((2, 3), (2 ** 62, 1)):
             node, edge = (False, range(1, nv + 1)), (True, range(nv + 1, nv + ev + 1))
             assert element_rules(2, 4, True, nv, ev, True, 0, 0, 2) == (node, edge, node)
 
@@ -157,25 +140,24 @@ class TestIncrementalBuilder:
     def test_header_validation(self):
         with pytest.raises(SequenceError, match="power"):
             IncrementalBuilder(2, 6)
-        with pytest.raises(SequenceError, match="outside"):
+        with pytest.raises(SequenceError, match="power"):
             IncrementalBuilder(2, 4, original_n=5)
-        with pytest.raises(SequenceError, match="outside"):
+        with pytest.raises(SequenceError, match="power"):
+            IncrementalBuilder(2, 8, original_n=4)
+        with pytest.raises(SequenceError, match=">= 1"):
             IncrementalBuilder(2, 4, original_n=0)
         with pytest.raises(SequenceError, match="k must be"):
             IncrementalBuilder(1, 4)
 
     def test_replay_reports_queue_front_positions(self):
         b = IncrementalBuilder(2, 4)
-        assert (b.next_kind, b.next_path, b.next_depth) == (D, (), 1)
-        r1 = b.step(tok(D, 1, 1, 1))
-        assert (r1.status, r1.next_kind, r1.next_path) == ("need_more", D, ((1, 1),))
-        r2 = b.step(tok(D, 0, 1, 0))
-        assert (r2.next_kind, r2.next_path) == (O, ((2, 1),))
-        r3 = b.step(tok(O, 1, 1, 1, 1))
-        assert (r3.next_kind, r3.next_path) == (D, ((2, 2),))
-        r4 = b.step(tok(D, 0, 1, 0))
-        assert (r4.status, r4.next_kind, r4.next_path) == ("complete", None, None)
-        assert b.complete
+        assert (b.complete, b.next_kind, b.next_path) == (False, D, ())
+        for token, front in ((tok(D, 1, 1, 1), (False, D, ((1, 1),))),
+                             (tok(D, 0, 1, 0), (False, O, ((2, 1),))),
+                             (tok(O, 1, 1, 1, 1), (False, D, ((2, 2),))),
+                             (tok(D, 0, 1, 0), (True, None, None))):
+            b.step(token)
+            assert (b.complete, b.next_kind, b.next_path) == front
 
     def test_children_of_one_token_queue_before_deeper_nodes(self):
         # After d:110 at the root of an 8-block, both depth-1 survivors precede
@@ -343,11 +325,6 @@ class TestVocabulary:
             with pytest.raises(SequenceError):
                 v.decode(token_id)
 
-    def test_ids_of_kind_partition_the_structural_range(self):
-        v = Vocabulary(2)
-        assert list(v.ids_of_kind(D)) == list(range(3, 11))
-        assert list(v.ids_of_kind(O)) == list(range(11, 27))
-
     def test_featured_tokens_extend_the_vocabulary(self):
         corpus = [encode_graph(TRIANGLE_LABELED, 2)]
         v = Vocabulary.from_corpus(2, corpus)
@@ -469,9 +446,10 @@ class TestGraphPipeline:
 
     @pytest.mark.parametrize("g", [
         Graph(n=2 ** 32 + 1, edges=frozenset({(0, 2 ** 32)})),
+        Graph(n=2 ** 32),
         Graph(n=2, edges=frozenset({(0, 1)}), node_labels={0: 0, 1: 0},
               edge_labels={(0, 1): 0}, node_vocab=2 ** 70, edge_vocab=1),
-    ], ids=["cell-paths", "label-values"])
+    ], ids=["cell-paths", "edgeless", "label-values"])
     def test_graphs_beyond_int64_raise_a_sequence_error(self, g):
         with pytest.raises(SequenceError, match="beyond int64"):
             encode_graph(g, 2)
@@ -555,7 +533,9 @@ def _outcome(decode, s):
 def mutated_streams(draw, labeled):
     """A valid stream of a random graph with one random mutation: a value
     changed, a token deleted, duplicated, inserted or given the other kind,
-    the tokens truncated, or the ``perm`` corrupted or replaced."""
+    the tokens truncated, the ``perm`` corrupted or replaced, or one header
+    size moved: ``padded_n`` times or over ``k``, ``original_n`` or a label
+    vocab size by one."""
     g = draw(graph_strategy(max_n=12, labeled=labeled))
     k = draw(st.sampled_from([2, 3]))
     s = encode_graph(g, k, ordering=draw(st.sampled_from(["identity", "cm"])))
@@ -563,7 +543,7 @@ def mutated_streams(draw, labeled):
     top = s.node_vocab + s.edge_vocab + 1 if s.featured else 1
     value = st.integers(-1, top + 1) if s.featured else st.integers(0, 1)
     op = draw(st.sampled_from(["value", "delete", "duplicate", "insert", "kind",
-                               "truncate", "perm"]))
+                               "truncate", "perm", "header"]))
     at = draw(st.integers(0, len(tokens) - 1)) if tokens else None
     if op == "value" and tokens:
         old = tokens[at].values
@@ -596,6 +576,12 @@ def mutated_streams(draw, labeled):
         elif change == "negative":
             perm[-1] = -1
         return replace(s, perm=tuple(perm))
+    elif op == "header":
+        sizes = ["padded_n", "original_n"] + (["node_vocab", "edge_vocab"] if s.featured else [])
+        field = draw(st.sampled_from(sizes))
+        old = getattr(s, field)
+        moves = [old * k, old // k] if field == "padded_n" else [old - 1, old + 1]
+        return replace(s, **{field: draw(st.sampled_from(moves))})
     return replace(s, tokens=tuple(tokens))
 
 
@@ -646,38 +632,71 @@ class TestArrayDecoder:
         "2 4 3 1\n2 2\nd:1,1,1 d:1,4,2 o:4,5,0,0 d:1,0,0\n",
         "2 4 3 1\n2 2\nd:1,1,1 d:0,4,2 o:4,3,0,0 d:1,0,0\n",
         f"2 2 2 1\n1 1\nd:1,{2 ** 70},1\n",
+        # Out of the encoder's image: a padded size past the smallest power,
+        # a label vocab sum and cell paths past int64.
+        "2 16 5 0\nd:100 d:100 d:110 d:010 o:0101\n",
+        f"2 2 2 1\n{2 ** 70} 1\nd:1,0,2\n",
+        f"2 {2 ** 40} {2 ** 40} 0\n" + "d:100 " * 39 + "d:010\n",
     ])
     def test_hand_made_streams_agree_with_the_reference(self, text):
         self.assert_agrees_with_reference(read_token_stream(text))
 
-    @pytest.mark.parametrize("edge_labels", [{}, {(0, 1): 0}])
-    def test_label_values_beyond_int64_decode(self, edge_labels):
-        nv = 2 ** 70
-        g = Graph(n=2, edges=frozenset(edge_labels), node_labels={0: 0, 1: 1},
-                  edge_labels=edge_labels, node_vocab=nv, edge_vocab=1)
-        edge = nv + 1 if edge_labels else 0
-        s = read_token_stream(f"2 2 2 1\n{nv} 1\nd:1,{edge},2\n")
-        assert decode_graph(s) == reference_decode(s) == g
-        assert position_paths(s) == [()]
-
     def test_huge_label_vocab_rejections_come_from_the_builder(self):
-        s = read_token_stream(f"2 2 2 1\n{2 ** 70} 1\nd:0,0,2\n")
+        s = read_token_stream(f"2 2 2 1\n{2 ** 62} 1\nd:0,0,2\n")
         with pytest.raises(InvalidTokenError) as ref:
             detokenize_build(s)
         with pytest.raises(InvalidTokenError) as got:
             decode_graph(s)
         assert str(got.value) == str(ref.value) == "token 1 (level 1): value 0 not allowed at slot 0"
 
-    @pytest.mark.parametrize("levels", [40, 70])
-    def test_huge_sizes_decode_without_per_node_work(self, levels):
-        # Header-only: an edgeless graph of 2**levels nodes, in the encoder's
-        # image.  With tokens: one edge at the far end of a 2**levels-deep path.
-        n = 2 ** levels
-        assert decode_graph(read_token_stream(f"2 {n} {n} 0\n\n")) == Graph(n=n)
-        s = read_token_stream(f"2 {n} {n} 0\n" + "d:100 " * (levels - 1) + "d:010\n")
-        assert decode_graph(s) == reference_decode(s) == Graph(n=n, edges=frozenset({(0, 1)}))
-
     def test_errors_name_the_token_and_its_level(self):
         s = read_token_stream("2 8 8 0\nd:100 d:100 d:110\n")
         with pytest.raises(InvalidTokenError, match=r"token 3 \(level 3\): value 1 not allowed"):
             decode_graph(s)
+
+
+class TestHeaderRule:
+    """Encode, the builder and decode share one header rule, so decode
+    accepts exactly the headers encode writes."""
+
+    @staticmethod
+    def refusals(*calls):
+        """The messages of the SequenceErrors that ``calls`` raise."""
+        messages = set()
+        for call in calls:
+            with pytest.raises(SequenceError) as exc:
+                call()
+            messages.add(str(exc.value))
+        return messages
+
+    @pytest.mark.parametrize("k, n", [(2, 2 ** 31), (3, 3 ** 19)])
+    def test_largest_padded_size_is_accepted_and_the_next_refused(self, k, n):
+        # Header-only: an edgeless graph of n nodes, decoded without per-node
+        # work.  With tokens: one edge at the far end of the deepest path.
+        text = f"{k} {n} {n} 0\n\n"
+        assert decode_graph(read_token_stream(text)) == Graph(n=n)
+        assert write_token_stream(encode_graph(Graph(n=n), k)) == text
+        arity = diagonal_arity(k)
+        first, last = "d:1" + "0" * (arity - 1), "d:01" + "0" * (arity - 2)
+        s = read_token_stream(f"{k} {n} {n} 0\n" + f"{first} " * (tree_levels(n, k) - 1)
+                              + f"{last}\n")
+        edge = Graph(n=n, edges=frozenset({(0, 1)}))
+        assert decode_graph(s) == reference_decode(s) == edge
+        assert encode_graph(edge, k) == s
+        # One node more takes the next power, whose cell paths pass int64.
+        messages = self.refusals(lambda: encode_graph(Graph(n=n + 1), k),
+                                 lambda: decode_graph(TokenSequence(k, n * k, n + 1)),
+                                 lambda: IncrementalBuilder(k, n * k, n + 1))
+        assert len(messages) == 1 and "beyond int64" in messages.pop()
+
+    def test_label_vocab_sum_is_bounded_by_int64(self):
+        nv = 2 ** 63 - 2
+        g = Graph(n=2, edges=frozenset({(0, 1)}), node_labels={0: 0, 1: nv - 1},
+                  edge_labels={(0, 1): 0}, node_vocab=nv, edge_vocab=1)
+        text = f"2 2 2 1\n{nv} 1\nd:1,{nv + 1},{nv}\n"
+        assert write_token_stream(encode_graph(g, 2)) == text
+        s = read_token_stream(text)
+        assert decode_graph(s) == reference_decode(s) == g
+        messages = self.refusals(lambda: encode_graph(replace(g, node_vocab=nv + 1), 2),
+                                 lambda: decode_graph(replace(s, node_vocab=nv + 1)))
+        assert len(messages) == 1 and "beyond int64" in messages.pop()

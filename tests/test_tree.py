@@ -4,12 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from k2seq.graphs import Graph, GraphError
-from k2seq.sequence import region_origin
+from k2seq.sequence import encode_graph, node_position
 from k2seq.tree import (K2Tree, TreeNode, adjacency_matrix, build_from_matrix,
                         build_k2tree, edge_label_token, label_matrix,
                         node_label_token, rebuild_graph, rebuild_matrix, tree_stats)
 
-from helpers import graph_strategy
+from helpers import graph_strategy, reference_encode
 
 SINGLE_EDGE = Graph(n=4, edges=frozenset({(0, 1)}))
 K4 = Graph(n=4, edges=frozenset({(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)}))
@@ -139,6 +139,14 @@ class TestRebuild:
         t = build_k2tree(TRIANGLE_LABELED, 2)
         assert rebuild_graph(t) == TRIANGLE_LABELED
 
+    def test_label_tokens_past_int32_build_and_rebuild(self):
+        nv = 2 ** 40 + 1
+        g = Graph(n=3, edges=frozenset({(0, 1)}), node_labels={0: 0, 1: nv - 1, 2: 3},
+                  edge_labels={(0, 1): 0}, node_vocab=nv, edge_vocab=1)
+        assert reference_encode(g, 2) == encode_graph(g, 2)
+        mat = rebuild_matrix(build_k2tree(g, 2))
+        assert (mat[:3, :3] == [[1, nv + 1, 0], [nv + 1, nv, 0], [0, 0, 4]]).all()
+
     def test_rebuild_matrix_detects_conflicting_leaves(self):
         mat = np.zeros((4, 4), dtype=np.int32)
         mat[0, 1], mat[1, 0] = 2, 3
@@ -187,7 +195,9 @@ class TestInvariants:
         mat = adjacency_matrix(g, t.padded_n)
         levels = t.levels
         for uid, node in enumerate(t.nodes):
-            r, c, s = region_origin(t.path(uid), k, t.padded_n)
+            s = t.padded_n // k ** node.depth
+            p, q = node_position(t.path(uid), k) if uid else (1, 1)
+            r, c = (p - 1) * s, (q - 1) * s
             block = mat[r:r + s, c:c + s]
             assert (node.attr != 0) == bool(block.any())
             if node.depth == levels:
