@@ -205,6 +205,9 @@ def sample_sequence(model: SamplerModel, config: GenerationConfig) -> TokenSeque
         builder.step(token)
         tokens.append(token)
         ids.append(token_id)
+    if not config.featured:
+        # Plain rules admit only 0 and 1, so every drawn id is a structural one.
+        return TokenSequence.from_ids(config.k, padded_n, original_n, ids[1:])
     return TokenSequence(k=config.k, padded_n=padded_n, original_n=original_n,
                          featured=config.featured, node_vocab=config.node_vocab,
                          edge_vocab=config.edge_vocab, tokens=tuple(tokens))

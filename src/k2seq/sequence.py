@@ -23,6 +23,23 @@ and hands any other stream to that replay.  The builder is thus the one place
 that decides which error a stream gets; it also drives the samplers and is
 the reference decoder.
 
+A plain sequence with ``2 <= k <= 4`` also carries its tokens as one int64
+array of :class:`Vocabulary` ids.  An id is its kind's base plus the token's
+bits read as a binary number, so :func:`encode_graph` computes the ids from
+its level grids by arithmetic, :func:`write_token_stream` looks each id's
+word up, :func:`read_token_stream` looks each word's id up, and
+:func:`decode_graph` gathers the level grids back by id.  One table per ``k``
+(:func:`_structural`) holds each id's word, its one shared :class:`Token` and
+its grid row; :class:`Vocabulary` reads its value tables off the same table.
+Featured streams, ``k >= 5`` and plain tokens that are not all structural
+take the generic path, token by token.  A sequence built with ``tokens=``
+derives its ids from them on first use.
+
+The wire format holds each integer as ``str`` writes it and each plain bit
+as ``0`` or ``1``.  The reader refuses any other spelling of a number (a
+plus sign, underscores, leading zeros, non-ASCII digits), which ``int``
+alone would take.
+
 One header rule, :func:`_check_header`, serves the encoder, the builder and
 the decoder: ``padded_n`` is the smallest power of ``k`` holding
 ``original_n`` nodes, cell paths (``padded_n**2``) and, when featured, cell
@@ -34,7 +51,7 @@ exactly the encoder's image and all array work is over int64.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from itertools import chain
 
@@ -93,6 +110,11 @@ class TokenSequence:
 
     ``perm`` optionally records the node ordering (new index -> original id)
     applied before encoding, so decoding can restore original node ids.
+
+    ``_ids`` holds the :class:`Vocabulary` ids of ``tokens`` for a plain
+    sequence with ``2 <= k <= 4`` (see :func:`_plain_ids`).  It is not an
+    ``__init__`` argument, so :func:`~dataclasses.replace` never carries it
+    over to other tokens.
     """
 
     k: int
@@ -103,11 +125,32 @@ class TokenSequence:
     edge_vocab: int = 0
     tokens: tuple[Token, ...] = ()
     perm: tuple[int, ...] | None = None
+    _ids: np.ndarray | None = field(default=None, init=False, compare=False, repr=False)
+
+    @classmethod
+    def from_ids(cls, k: int, padded_n: int, original_n: int, ids: np.ndarray | list[int],
+                 perm: tuple[int, ...] | None = None) -> "TokenSequence":
+        """The plain sequence whose tokens have these structural
+        :class:`Vocabulary` ids; ``k`` must be 2, 3 or 4."""
+        if not 2 <= k <= _MAX_TABLE_K:
+            raise SequenceError(f"k={k} has no structural table; tables support 2 <= k <= 4")
+        table = _structural(k)
+        ids = np.array(ids, dtype=np.int64)
+        if len(ids) and (ids.min() < _SPECIALS or ids.max() >= len(table.tokens)):
+            raise SequenceError(f"ids must be structural, in [{_SPECIALS}, {len(table.tokens)})")
+        ids.flags.writeable = False
+        s = cls(k=k, padded_n=padded_n, original_n=original_n,
+                tokens=tuple(table.tokens[ids].tolist()), perm=perm)
+        object.__setattr__(s, "_ids", ids)
+        return s
 
     @property
     def total_values(self) -> int:
         """Total attribute count over all tokens."""
-        return sum(len(t.values) for t in self.tokens)
+        if _plain_ids(self) is None:
+            return sum(len(t.values) for t in self.tokens)
+        diagonal = _diagonal_count(self)
+        return diagonal * diagonal_arity(self.k) + (len(self.tokens) - diagonal) * self.k * self.k
 
 
 def diagonal_arity(k: int) -> int:
@@ -124,6 +167,91 @@ def child_orders(k: int, diagonal: bool) -> tuple[tuple[int, int], ...]:
     if diagonal:
         return tuple((i, j) for i in range(1, k + 1) for j in range(1, i + 1))
     return tuple((i, j) for i in range(1, k + 1) for j in range(1, k + 1))
+
+
+def _held_slots(k: int, diagonal: bool) -> list[int]:
+    """The slots ``i*k + j`` (0-based) of :func:`child_orders`, in order."""
+    return [(i - 1) * k + (j - 1) for i, j in child_orders(k, diagonal)]
+
+
+_MAX_TABLE_K = 4
+
+
+@dataclass(frozen=True)
+class _Structural:
+    """Every structural token of one ``k``, indexed by its :class:`Vocabulary`
+    id: the diagonal bit patterns from id 3, then the off-diagonal ones from
+    ``off_base``.  Rows 0..2 (BOS, EOS, PAD) hold zeros and None.
+
+    ``grid`` is ids x ``k*k``: each token's values in their slots ``i*k + j``
+    (0-based), a diagonal token's other slots 0, as :func:`_level_tokens` and
+    :func:`_token_grid` lay them out.  ``words`` and ``tokens`` are object
+    arrays of each id's stream word and its one shared :class:`Token`;
+    ``word_ids`` maps a word back to its id.  ``weights[diagonal]`` turns a
+    grid row into the id's offset from its kind's base: the bits of the held
+    slots, the first most significant.
+    """
+
+    off_base: int
+    grid: np.ndarray
+    words: np.ndarray
+    tokens: np.ndarray
+    word_ids: dict[str, int]
+    weights: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def _structural(k: int) -> _Structural:
+    kk = k * k
+    off_base = _SPECIALS + (1 << diagonal_arity(k))
+    grid = np.zeros((off_base + (1 << kk), kk), dtype=np.int8)
+    weights = np.zeros((2, kk), dtype=np.int64)
+    words, tokens = [None] * _SPECIALS, [None] * _SPECIALS
+    for kind, base in ((DIAGONAL, _SPECIALS), (OFFDIAGONAL, off_base)):
+        slots = _held_slots(k, kind == DIAGONAL)
+        count, shifts = 1 << len(slots), np.arange(len(slots) - 1, -1, -1)
+        weights[int(kind == DIAGONAL), slots] = 1 << shifts
+        bits = np.arange(count)[:, None] >> shifts & 1
+        grid[base:base + count, slots] = bits
+        words += [f"{kind}:{offset:0{len(slots)}b}" for offset in range(count)]
+        tokens += [Token(kind, values) for values in map(tuple, bits.tolist())]
+    word_ids = {word: i for i, word in enumerate(words) if word is not None}
+    words, tokens = np.array(words, dtype=object), np.array(tokens, dtype=object)
+    for array in (grid, words, tokens, weights):
+        array.flags.writeable = False  # every caller shares them
+    return _Structural(off_base, grid, words, tokens, word_ids, weights)
+
+
+def _grid_ids(diag: np.ndarray, grid: np.ndarray, k: int) -> np.ndarray:
+    """Vocabulary ids of plain tokens given as diagonal flags and a 0/1 grid
+    laid out as :class:`_Structural`'s."""
+    table = _structural(k)
+    offsets = (grid * table.weights[diag.astype(np.intp)]).sum(axis=1)
+    ids = np.where(diag, _SPECIALS, table.off_base) + offsets
+    ids.flags.writeable = False
+    return ids
+
+
+def _plain_ids(s: TokenSequence) -> np.ndarray | None:
+    """The :class:`Vocabulary` ids of the tokens of a plain sequence with
+    ``2 <= k <= 4`` whose every token is a structural one; None for any other
+    sequence.  :func:`encode_graph`, :func:`read_token_stream` and
+    :meth:`TokenSequence.from_ids` set them; a sequence built with
+    ``tokens=`` derives them here on first use and keeps them.  One with a
+    token that is not structural, which no graph encodes to, has none and
+    tries again on each call."""
+    if s._ids is None and not s.featured and 2 <= s.k <= _MAX_TABLE_K:
+        shaped = _token_grid(s.tokens, s.k)
+        if shaped is not None and ((shaped[1] == 0) | (shaped[1] == 1)).all():
+            object.__setattr__(s, "_ids", _grid_ids(*shaped, s.k))
+    return s._ids
+
+
+def _diagonal_count(s: TokenSequence) -> int:
+    ids = _plain_ids(s)
+    if ids is None:
+        return sum(1 for t in s.tokens if t.kind == DIAGONAL)
+    return int(np.count_nonzero(ids < _structural(s.k).off_base))
 
 
 def node_position(path: tuple[tuple[int, int], ...], k: int) -> tuple[int, int]:
@@ -446,9 +574,9 @@ class Vocabulary:
 
     ``_tables`` maps each kind to its value table, built once: an ``ids``
     array and an ``ids x arity`` array of values, first every bit pattern in
-    id order, then the featured tokens of that kind and arity (those with a
-    negative value are left out, as no position admits them).  Masks and
-    :meth:`decode` read it.
+    id order, read off the structural table of ``k`` that the codec shares,
+    then the featured tokens of that kind and arity (those with a negative
+    value are left out, as no position admits them).  Masks read it.
     """
 
     BOS = BOS
@@ -458,7 +586,7 @@ class Vocabulary:
     def __init__(self, k: int, featured_tokens: tuple[Token, ...] = ()):
         if k < 2:
             raise ValueError("k must be >= 2")
-        if k > 4:
+        if k > _MAX_TABLE_K:
             # The off-diagonal value table alone would hold 2**(k*k) rows.
             raise ValueError(f"k={k} has 2**{k * k} off-diagonal tokens; "
                              "vocabularies support k <= 4")
@@ -472,18 +600,19 @@ class Vocabulary:
                      key=lambda t: (t.kind, t.values))
         self.featured_tokens = tuple(ext)
         self._ext_ids = {t: self._ext_base + i for i, t in enumerate(ext)}
-        self._tables = {DIAGONAL: self._value_table(DIAGONAL, self.diag_arity, self._diag_base),
-                        OFFDIAGONAL: self._value_table(OFFDIAGONAL, self.off_arity, self._off_base)}
+        self._tables = {DIAGONAL: self._value_table(DIAGONAL, self._diag_base, self._off_base),
+                        OFFDIAGONAL: self._value_table(OFFDIAGONAL, self._off_base, self._ext_base)}
 
-    def _value_table(self, kind: str, arity: int, base: int) -> tuple[np.ndarray, np.ndarray]:
-        bits = np.arange(1 << arity)[:, None] >> np.arange(arity - 1, -1, -1) & 1
+    def _value_table(self, kind: str, base: int, end: int) -> tuple[np.ndarray, np.ndarray]:
+        arity = self.diag_arity if kind == DIAGONAL else self.off_arity
+        bits = _structural(self.k).grid[base:end, _held_slots(self.k, kind == DIAGONAL)]
         featured = [t for t in self.featured_tokens
                     if t.kind == kind and len(t.values) == arity and min(t.values) >= 0]
         if big := [t for t in featured if max(t.values) > _INT64_MAX]:
             raise SequenceError(f"token {big[0]} has a value beyond int64")
         ids = np.array([self._ext_ids[t] for t in featured], dtype=np.int64)
         values = np.array([t.values for t in featured], dtype=np.int64).reshape(-1, arity)
-        return np.concatenate([base + np.arange(1 << arity), ids]), np.concatenate([bits, values])
+        return np.concatenate([np.arange(base, end), ids]), np.concatenate([bits, values])
 
     def _is_structural(self, token: Token) -> bool:
         arity = self.diag_arity if token.kind == DIAGONAL else self.off_arity
@@ -512,10 +641,8 @@ class Vocabulary:
             raise SequenceError(f"token {token} is not in the vocabulary") from None
 
     def decode(self, token_id: int) -> Token:
-        for kind, base, end in ((DIAGONAL, self._diag_base, self._off_base),
-                                (OFFDIAGONAL, self._off_base, self._ext_base)):
-            if base <= token_id < end:
-                return Token(kind, tuple(self._tables[kind][1][token_id - base].tolist()))
+        if self._diag_base <= token_id < self._ext_base:
+            return _structural(self.k).tokens[token_id]
         if self._ext_base <= token_id < self.size:
             return self.featured_tokens[token_id - self._ext_base]
         raise SequenceError(f"id {token_id} is reserved or out of range")
@@ -527,11 +654,15 @@ class Vocabulary:
         for s in sequences:
             if s.k != k:
                 raise SequenceError(f"sequence with k={s.k} in a k={k} corpus")
-            seen.update(s.tokens)
+            if _plain_ids(s) is None:  # else every token is a structural one
+                seen.update(s.tokens)
         return cls(k, tuple(seen))
 
 
 def encode_ids(s: TokenSequence, vocab: Vocabulary) -> list[int]:
+    ids = _plain_ids(s) if vocab.k == s.k else None
+    if ids is not None:
+        return ids.tolist()
     return [vocab.encode(t) for t in s.tokens]
 
 
@@ -543,18 +674,39 @@ def write_token_stream(s: TokenSequence) -> str:
     ``d:``/``o:`` prefixed, values comma-separated for featured streams and
     concatenated bits otherwise; empty for a header-only sequence.  An optional
     trailing ``perm`` line records the node ordering applied before encoding.
+    A plain sequence with vocabulary ids looks its words up by id.
     """
     lines = [f"{s.k} {s.padded_n} {s.original_n} {int(s.featured)}"]
     if s.featured:
         lines.append(f"{s.node_vocab} {s.edge_vocab}")
-    sep = "," if s.featured else ""
-    lines.append(" ".join([f"{t.kind}:{sep.join(map(str, t.values))}" for t in s.tokens]))
+    ids = _plain_ids(s)
+    if ids is not None:
+        lines.append(" ".join(_structural(s.k).words[ids].tolist()))
+    else:
+        sep = "," if s.featured else ""
+        lines.append(" ".join([f"{t.kind}:{sep.join(map(str, t.values))}" for t in s.tokens]))
     if s.perm is not None:
         lines.append("perm " + " ".join(str(p) for p in s.perm))
     return "\n".join(lines) + "\n"
 
 
+def _ints(fields: list[str]) -> tuple[int, ...]:
+    """The integers ``fields`` hold, each written as ``str`` writes it;
+    ValueError for any other field.  ``int`` alone also takes a plus sign,
+    underscores, leading zeros and non-ASCII digits, which no stream the
+    encoder writes holds."""
+    values = tuple(map(int, fields))
+    if list(map(str, values)) != fields:
+        raise ValueError("non-canonical integer")
+    return values
+
+
 def read_token_stream(text: str) -> TokenSequence:
+    """Inverse of :func:`write_token_stream`.  Every integer field must be
+    written as ``str`` writes it, and a plain token's bits are ``0`` or
+    ``1``.  A plain stream with ``2 <= k <= 4`` whose every word is a
+    structural token's is read as vocabulary ids, by one dictionary lookup
+    per word; any other stream is parsed token by token."""
     lines = text.split("\n")
     while lines and lines[-1] == "":
         lines.pop()
@@ -564,9 +716,9 @@ def read_token_stream(text: str) -> TokenSequence:
     if len(head) != 4:
         raise SequenceError("header must be 'K PADDED_N ORIGINAL_N FEATURED'")
     try:
-        k, padded_n, original_n, featured_flag = (int(f) for f in head)
+        k, padded_n, original_n, featured_flag = _ints(head)
     except ValueError:
-        raise SequenceError("non-integer field in header") from None
+        raise SequenceError("header field is not a canonical integer") from None
     if featured_flag not in (0, 1):
         raise SequenceError(f"featured flag must be 0 or 1, got {featured_flag}")
     featured = bool(featured_flag)
@@ -579,29 +731,39 @@ def read_token_stream(text: str) -> TokenSequence:
         if len(vocab_fields) != 2:
             raise SequenceError("label vocab line must be 'NODE_VOCAB EDGE_VOCAB'")
         try:
-            node_vocab, edge_vocab = int(vocab_fields[0]), int(vocab_fields[1])
+            node_vocab, edge_vocab = _ints(vocab_fields)
         except ValueError:
-            raise SequenceError("non-integer label vocab size") from None
+            raise SequenceError("label vocab size is not a canonical integer") from None
         idx += 1
     token_text = lines[idx] if idx < len(lines) else ""
     idx += 1
-    # Words repeat: each distinct one is parsed once, in stream order, and its
-    # Token is shared by every occurrence.
     words = token_text.split()
-    parsed = {word: _parse_token(word, featured) for word in dict.fromkeys(words)}
-    tokens = tuple([parsed[word] for word in words])
+    ids = None
+    if not featured and 2 <= k <= _MAX_TABLE_K and words:
+        word_ids = _structural(k).word_ids
+        try:
+            ids = np.fromiter(map(word_ids.__getitem__, words), dtype=np.int64, count=len(words))
+        except KeyError:
+            pass
+    if ids is None:
+        # Words repeat: each distinct one is parsed once, in stream order, and
+        # its Token is shared by every occurrence.
+        parsed = {word: _parse_token(word, featured) for word in dict.fromkeys(words)}
+        tokens = tuple([parsed[word] for word in words])
     perm = None
     if idx < len(lines):
         fields = lines[idx].split()
         if not fields or fields[0] != "perm":
             raise SequenceError(f"unexpected trailing line {idx + 1}")
         try:
-            perm = tuple(int(f) for f in fields[1:])
+            perm = _ints(fields[1:])
         except ValueError:
-            raise SequenceError("non-integer entry in perm line") from None
+            raise SequenceError("perm entry is not a canonical integer") from None
         idx += 1
     if idx < len(lines):
         raise SequenceError(f"unexpected trailing line {idx + 1}")
+    if ids is not None:
+        return TokenSequence.from_ids(k, padded_n, original_n, ids, perm)
     return TokenSequence(k=k, padded_n=padded_n, original_n=original_n,
                          featured=featured, node_vocab=node_vocab,
                          edge_vocab=edge_vocab, tokens=tokens, perm=perm)
@@ -612,10 +774,7 @@ def _parse_token(word: str, featured: bool) -> Token:
         raise SequenceError(f"malformed token {word!r}")
     body = word[2:]
     try:
-        if featured:
-            values = tuple(int(v) for v in body.split(","))
-        else:
-            values = tuple(int(ch) for ch in body)
+        values = _ints(body.split(",") if featured else list(body))
     except ValueError:
         raise SequenceError(f"malformed token {word!r}") from None
     if not values:
@@ -631,8 +790,7 @@ def full_tree_attrs(s: TokenSequence) -> int:
     Every internal node of the full tree is a kept one or the mirror image of
     a kept off-diagonal one, and each has ``k*k`` children.
     """
-    diagonal = sum(1 for t in s.tokens if t.kind == DIAGONAL)
-    return s.k * s.k * (2 * len(s.tokens) - diagonal)
+    return s.k * s.k * (2 * len(s.tokens) - _diagonal_count(s))
 
 
 def _lower_cells(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -653,15 +811,18 @@ def _lower_cells(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _level_tokens(rows: np.ndarray, cols: np.ndarray, values: np.ndarray,
-                  k: int, levels: int) -> list[Token]:
-    """Breadth-first tokens of the pruned tree, one level at a time.
+                  k: int, levels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Breadth-first tokens of the pruned tree, one level at a time, as
+    per-token diagonal flags and the tokens x ``k*k`` grid of child slots
+    that :func:`_token_grid` lays out.
 
     Each cell's key is its path from the root in base ``k*k`` digits, digit
     ``d`` being the slot ``i*k + j`` (0-based) of its depth-``d + 1`` block
     among its siblings.  Sorted keys list the blocks of every depth in
     breadth-first order, so at depth ``d`` the distinct key prefixes of
     length ``d`` are that level's tokens and digit ``d`` scatters into their
-    child slots.
+    child slots.  A diagonal block holds no cell above the diagonal, so a
+    diagonal token's slots outside :func:`child_orders` stay 0.
     """
     kk = k * k
     keys = np.zeros(len(rows), dtype=np.int64)
@@ -670,11 +831,7 @@ def _level_tokens(rows: np.ndarray, cols: np.ndarray, values: np.ndarray,
         keys = keys * kk + (rows // scale % k) * k + cols // scale % k
     order = np.argsort(keys)
     keys, rows, cols, values = keys[order], rows[order], cols[order], values[order]
-    diag_slots = [(i - 1) * k + (j - 1) for i, j in child_orders(k, True)]
-    tokens = []
-    # Rows repeat: each distinct one becomes one Token, shared by every
-    # occurrence, so a stream holds few objects however long it is.
-    made: dict[tuple[bool, tuple[int, ...]], Token] = {}
+    diags, grids = [], []
     for d in range(levels):
         prefix = keys // kk ** (levels - d)
         first = np.ones(len(keys), dtype=bool)
@@ -684,14 +841,26 @@ def _level_tokens(rows: np.ndarray, cols: np.ndarray, values: np.ndarray,
         grid = np.zeros((int(parent[-1]) + 1, kk), dtype=np.int64)
         grid[parent, slot] = values if d == levels - 1 else 1
         block = k ** (levels - d)
-        diag = rows[first] // block == cols[first] // block
-        for bits, on_diag in zip(grid.tolist(), diag.tolist()):
-            held = tuple([bits[s] for s in diag_slots]) if on_diag else tuple(bits)
-            token = made.get((on_diag, held))
-            if token is None:
-                token = made[on_diag, held] = Token(DIAGONAL if on_diag else OFFDIAGONAL, held)
-            tokens.append(token)
-    return tokens
+        diags.append(rows[first] // block == cols[first] // block)
+        grids.append(grid)
+    return np.concatenate(diags), np.concatenate(grids)
+
+
+def _row_tokens(diag: np.ndarray, grid: np.ndarray, k: int) -> tuple[Token, ...]:
+    """The tokens of :func:`_level_tokens`' arrays, for streams without
+    vocabulary ids (featured, or ``k >= 5``)."""
+    diag_slots = _held_slots(k, True)
+    tokens = []
+    # Rows repeat: each distinct one becomes one Token, shared by every
+    # occurrence, so a stream holds few objects however long it is.
+    made: dict[tuple[bool, tuple[int, ...]], Token] = {}
+    for bits, on_diag in zip(grid.tolist(), diag.tolist()):
+        held = tuple([bits[s] for s in diag_slots]) if on_diag else tuple(bits)
+        token = made.get((on_diag, held))
+        if token is None:
+            token = made[on_diag, held] = Token(DIAGONAL if on_diag else OFFDIAGONAL, held)
+        tokens.append(token)
+    return tuple(tokens)
 
 
 def encode_graph(g: Graph, k: int, ordering: str = "identity",
@@ -706,7 +875,10 @@ def encode_graph(g: Graph, k: int, ordering: str = "identity",
     or not: a graph whose cell paths or label vocab sizes do not fit int64
     raises :class:`SequenceError` before any per-node work.  With a
     non-identity ordering the permutation is stored on the sequence so
-    :func:`decode_graph` can restore original node ids.
+    :func:`decode_graph` can restore original node ids.  A plain sequence
+    with ``k <= 4`` carries the vocabulary ids of its tokens, read off the
+    level grids by arithmetic, and its tokens are the shared ones of those
+    ids.
     """
     padded_n = padded_size(g.n, k)
     _check_header(k, padded_n, g.n, g.labeled, g.node_vocab, g.edge_vocab)
@@ -717,7 +889,10 @@ def encode_graph(g: Graph, k: int, ordering: str = "identity",
     rows, cols, values = _lower_cells(g)
     tokens = ()
     if len(rows):
-        tokens = tuple(_level_tokens(rows, cols, values, k, tree_levels(padded_n, k)))
+        diag, grid = _level_tokens(rows, cols, values, k, tree_levels(padded_n, k))
+        if not g.labeled and k <= _MAX_TABLE_K:
+            return TokenSequence.from_ids(k, padded_n, g.n, _grid_ids(diag, grid, k), perm)
+        tokens = _row_tokens(diag, grid, k)
     return TokenSequence(k=k, padded_n=padded_n, original_n=g.n, featured=g.labeled,
                          node_vocab=g.node_vocab, edge_vocab=g.edge_vocab,
                          tokens=tokens, perm=perm)
@@ -747,9 +922,19 @@ def _token_grid(tokens: tuple[Token, ...], k: int) -> tuple[np.ndarray, np.ndarr
     off = np.flatnonzero(~diag)
     grid[off] = flat[starts[off, None] + np.arange(kk)]
     on = np.flatnonzero(diag)
-    slots = [i * k + j for i, j in np.argwhere(np.tri(k, dtype=bool)).tolist()]
-    grid[on[:, None], slots] = flat[starts[on, None] + np.arange(arity)]
+    grid[on[:, None], _held_slots(k, True)] = flat[starts[on, None] + np.arange(arity)]
     return diag, grid
+
+
+def _token_arrays(s: TokenSequence) -> tuple[np.ndarray, np.ndarray] | None:
+    """Per-token diagonal flags and child-slot grid of ``s``: gathered from
+    the structural table by vocabulary id when ``s`` has ids, else built by
+    :func:`_token_grid`."""
+    ids = _plain_ids(s)
+    if ids is None:
+        return _token_grid(s.tokens, s.k)
+    table = _structural(s.k)
+    return ids < table.off_base, table.grid[ids]
 
 
 def _level_cells(s: TokenSequence) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
@@ -762,7 +947,7 @@ def _level_cells(s: TokenSequence) -> tuple[np.ndarray, np.ndarray, np.ndarray] 
     Each run is checked as a whole.  Its nonzero slots are the blocks of the
     next level, or, at the last level, the cells.
     """
-    shaped = _token_grid(s.tokens, s.k)
+    shaped = _token_arrays(s)
     if shaped is None:
         return None
     diag, grid = shaped

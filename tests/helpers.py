@@ -9,7 +9,7 @@ contraction-based complete-minor search.
 from __future__ import annotations
 
 from dataclasses import replace
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
 
 import numpy as np
 from hypothesis import strategies as st
@@ -17,8 +17,9 @@ from hypothesis import strategies as st
 from k2seq import Graph
 from k2seq.generators import gen_community, gen_er, gen_grid, gen_planar
 from k2seq.graphs import apply_ordering, invert_permutation, order_nodes
-from k2seq.sequence import (IncrementalBuilder, SequenceError, TokenSequence,
-                            detokenize_build, flatten_tokenize, prune)
+from k2seq.sequence import (DIAGONAL, IncrementalBuilder, SequenceError, Token,
+                            TokenSequence, detokenize_build, diagonal_arity,
+                            flatten_tokenize, prune)
 from k2seq.tree import build_k2tree, rebuild_graph
 
 
@@ -69,6 +70,46 @@ def reference_decode(s: TokenSequence) -> Graph:
     if s.perm is not None:
         g = apply_ordering(g, invert_permutation(s.perm))
     return g
+
+
+def reference_write(s: TokenSequence) -> str:
+    """The wire text of ``s``, formatted token by token from ``s.tokens``.
+    The reference the id-table :func:`write_token_stream` must match."""
+    lines = [f"{s.k} {s.padded_n} {s.original_n} {int(s.featured)}"]
+    if s.featured:
+        lines.append(f"{s.node_vocab} {s.edge_vocab}")
+    sep = "," if s.featured else ""
+    lines.append(" ".join([f"{t.kind}:{sep.join(map(str, t.values))}" for t in s.tokens]))
+    if s.perm is not None:
+        lines.append("perm " + " ".join(str(p) for p in s.perm))
+    return "\n".join(lines) + "\n"
+
+
+def reference_token_grid(tokens: tuple[Token, ...],
+                         k: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """Per-token diagonal flags and child slots, built token by token, or None
+    when some token's arity does not match its kind or a value passes int64.
+    A diagonal token's values sit in its ``child_orders`` slots ``i*k + j``
+    (0-based) and its other slots hold 0.  The reference the id-table gather
+    of the array decoder must match."""
+    diag = np.fromiter((t.kind == DIAGONAL for t in tokens), dtype=bool, count=len(tokens))
+    rows = [t.values for t in tokens]
+    lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(tokens))
+    kk, arity = k * k, diagonal_arity(k)
+    if (lengths != np.where(diag, arity, kk)).any():
+        return None
+    try:
+        flat = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=int(lengths.sum()))
+    except OverflowError:
+        return None
+    starts = np.cumsum(lengths) - lengths
+    grid = np.zeros((len(tokens), kk), dtype=np.int64)
+    off = np.flatnonzero(~diag)
+    grid[off] = flat[starts[off, None] + np.arange(kk)]
+    on = np.flatnonzero(diag)
+    slots = [i * k + j for i, j in np.argwhere(np.tri(k, dtype=bool)).tolist()]
+    grid[on[:, None], slots] = flat[starts[on, None] + np.arange(arity)]
+    return diag, grid
 
 
 def random_er(seed: int, n: int, p: float) -> Graph:

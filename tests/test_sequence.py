@@ -1,10 +1,12 @@
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from k2seq.graphs import Graph, GraphError, apply_ordering
+from k2seq.sampling import GenerationConfig, sample_sequence, uniform_model
 from k2seq.sequence import (DIAGONAL, OFFDIAGONAL, EmptyGraphError,
                             IncrementalBuilder, InvalidTokenError, SequenceError,
                             Token, TokenMismatchError, TokenSequence,
@@ -13,11 +15,12 @@ from k2seq.sequence import (DIAGONAL, OFFDIAGONAL, EmptyGraphError,
                             decode_graph, element_rules, encode_graph, encode_ids,
                             flatten_tokenize, full_tree_attrs, node_position,
                             offdiagonal_arity, position_paths, prune,
-                            read_token_stream, tree_levels, write_token_stream)
+                            read_token_stream, tree_levels, write_token_stream,
+                            _token_arrays)
 from k2seq.tree import build_k2tree, tree_stats
 
 from helpers import (graph_strategy, random_er, random_labeled_er, reference_decode,
-                     reference_encode)
+                     reference_encode, reference_token_grid, reference_write)
 
 SINGLE_EDGE = Graph(n=4, edges=frozenset({(0, 1)}))
 K4 = Graph(n=4, edges=frozenset({(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)}))
@@ -402,9 +405,29 @@ class TestWireFormat:
             "2 4 4 0\nd:110\nperm 1 0 2 3\nextra\n",
             "2 4 3 1\nd:1,1,1\n",
             "2 4 3 1\n2\nd:1,1,1\n",
+            # Integers the encoder never writes: a sign, underscores, leading
+            # zeros, non-ASCII digits.
+            "2 4 4 0\nd:110 d:010 o:0101\nperm 1 0 2 +3\n",
+            "2 4 4 0\nd:110 d:010 o:0101\nperm 1 0 2 03\n",
+            "+2 0_4 4 0\nd:110 d:010 o:0101\n",
+            "2 04 4 0\nd:110 d:010 o:0101\n",
+            "2 \uff14 4 0\nd:110 d:010 o:0101\n",
+            "2 4 3 1\n+2 2\nd:1,1,1 d:1,4,2 o:4,3,0,0 d:1,0,0\n",
+            "2 4 3 1\n2 2\nd:1,+3,0_2\n",
+            "2 4 3 1\n2 2\nd:1,1,01\n",
+            "2 4 4 0\nd:\uff1110\n",
         ):
             with pytest.raises(SequenceError):
                 read_token_stream(text)
+
+    def test_negative_integers_read_and_fail_at_decode(self):
+        s = read_token_stream("2 4 3 1\n-1 5\n\n")
+        assert s.node_vocab == -1
+        with pytest.raises(SequenceError, match="label vocab"):
+            decode_graph(s)
+        s = read_token_stream("2 4 4 0\nd:110 d:010 o:0101\nperm -1 0 2 3\n")
+        with pytest.raises(SequenceError, match="perm"):
+            decode_graph(s)
 
     @pytest.mark.parametrize("g", [random_er(3, 200, 0.05),
                                    random_labeled_er(3, 60, 0.2, node_vocab=2, edge_vocab=2)],
@@ -420,6 +443,90 @@ class TestWireFormat:
     def test_wire_round_trip_property(self, g, k):
         s = encode_graph(g, k, ordering="bfs")
         assert read_token_stream(write_token_stream(s)) == s
+
+
+class TestPackedForm:
+    """A plain sequence with ``k <= 4`` carries its tokens' vocabulary ids;
+    writing, reading, decoding and the counts read them.  Each must agree
+    with the token-by-token references, which a sequence without ids still
+    follows."""
+
+    @staticmethod
+    def assert_matches_references(s):
+        assert write_token_stream(s) == reference_write(s)
+        got, ref = _token_arrays(s), reference_token_grid(s.tokens, s.k)
+        if ref is None:
+            assert got is None
+        else:
+            assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
+        assert s.total_values == sum(len(t.values) for t in s.tokens)
+        diagonal = sum(1 for t in s.tokens if t.kind == D)
+        assert full_tree_attrs(s) == s.k * s.k * (2 * len(s.tokens) - diagonal)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.booleans().flatmap(lambda labeled: graph_strategy(max_n=12, labeled=labeled)),
+           st.sampled_from([2, 3]), st.sampled_from(["identity", "cm"]))
+    def test_encoded_and_read_streams_match_the_references(self, g, k, ordering):
+        s = encode_graph(g, k, ordering=ordering)
+        packed = not g.labeled and g.m > 0
+        assert (s._ids is not None) == packed
+        r = read_token_stream(reference_write(s))
+        assert r == s and (r._ids is not None) == packed
+        for seq in (s, r):
+            self.assert_matches_references(seq)
+        vocab = Vocabulary(k) if not g.labeled else Vocabulary.from_corpus(k, [s])
+        assert encode_ids(r, vocab) == [vocab.encode(t) for t in r.tokens]
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.booleans().flatmap(lambda labeled: mutated_streams(labeled=labeled)))
+    def test_mutants_match_the_references(self, s):
+        self.assert_matches_references(s)
+
+    @pytest.mark.parametrize("text", [
+        "2 4 4 0\nd:110 d:010 o:0000\n",
+        "2 4 4 0\nd:000 o:1111 d:111 o:0001\n",
+        "3 9 9 0\nd:000000 o:000000000 o:111111111 d:111111 d:000001\n",
+        "4 16 16 0\nd:0000000000 o:0000000000000000 o:1111111111111111 d:1111111111\n",
+    ])
+    def test_edges_of_the_id_range_match_the_references(self, text):
+        # The first and last id of each kind, valid or not.
+        s = read_token_stream(text)
+        assert s._ids is not None
+        self.assert_matches_references(s)
+
+    def test_replaced_tokens_decode_from_their_own_tokens(self):
+        s, other = encode_graph(STAR4, 2), encode_graph(K4, 2)
+        assert s._ids is not None
+        swapped = replace(s, tokens=other.tokens)
+        assert swapped._ids is None
+        assert decode_graph(swapped) == K4
+        assert write_token_stream(swapped) == write_token_stream(other)
+        assert swapped.total_values == other.total_values
+        with pytest.raises(TruncatedSequenceError):
+            decode_graph(replace(s, tokens=s.tokens[:-1]))
+
+    @pytest.mark.parametrize("k, packed", [(4, True), (5, False)])
+    def test_round_trip_past_k3(self, k, packed):
+        g = random_er(11, 30, 0.2)
+        s = encode_graph(g, k, ordering="cm")
+        assert s == reference_encode(g, k, "cm")
+        assert (s._ids is not None) == packed
+        text = write_token_stream(s)
+        assert text == reference_write(s)
+        r = read_token_stream(text)
+        assert r == s and (r._ids is not None) == packed
+        assert decode_graph(r) == g
+
+    def test_samples_carry_the_ids_they_drew(self):
+        vocab = Vocabulary(2)
+        s = sample_sequence(uniform_model(vocab), GenerationConfig(k=2, padded_n=8, seed=3))
+        assert s._ids.tolist() == [vocab.encode(t) for t in s.tokens]
+
+    def test_ids_must_be_structural(self):
+        assert TokenSequence.from_ids(2, 4, 4, [10, 5, 26, 5]) == encode_graph(K4, 2)
+        for k, ids in ((2, [2]), (2, [27]), (5, [3]), (1, [])):
+            with pytest.raises(SequenceError):
+                TokenSequence.from_ids(k, 4, 4, ids)
 
 
 class TestGraphPipeline:
