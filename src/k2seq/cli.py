@@ -53,7 +53,8 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_decode(args) -> int:
-    s = read_token_stream(_read(args.infile))
+    # Bytes as they are, with no newline translation: encode writes only '\n'.
+    s = read_token_stream(Path(args.infile).read_bytes().decode("ascii"))
     g = decode_graph(s)
     _write(args.outfile, serialize_edge_list(g))
     return 0

@@ -1,5 +1,5 @@
 """Sequential form of partition trees: pruning, flattening into tokens,
-FIFO reconstruction, token vocabulary, and a line-oriented wire format.
+level-wise reconstruction, token vocabulary, and a line-oriented wire format.
 
 For a symmetric matrix the strictly-above-diagonal part of the tree is
 redundant.  Pruning removes every node whose submatrix lies strictly above the
@@ -7,8 +7,8 @@ diagonal; a diagonal-touching internal node keeps ``k*(k+1)/2`` children (in
 ascending sibling rank) and an off-diagonal one keeps all ``k*k``.  The pruned
 tree is flattened breadth-first into one token per internal node: the tuple of
 its children's attributes, typed by whether that node touches the diagonal.
-Reconstruction replays tokens against a FIFO queue of pending nodes and is
-complete exactly when the queue empties.
+Reconstruction fills the pending nodes level by level, in that order, and is
+complete when the last level is filled.
 
 :func:`encode_graph` produces the same tokens without building a tree: it
 sorts the lower-triangle cells once by their root-to-cell path and reads each
@@ -17,11 +17,11 @@ of Brisaboa, Ladra & Navarro, SPIRE 2009).  :func:`prune` and
 :func:`flatten_tokenize` over :func:`~k2seq.tree.build_k2tree` remain as the
 reference it is tested against.  :func:`decode_graph` is its inverse over
 arrays: level ``d``'s tokens are one contiguous run, one per pending block,
-and their nonzero slots are the next level's blocks.  It accepts exactly what
-the :class:`IncrementalBuilder` replay of :func:`detokenize_build` accepts,
-and hands any other stream to that replay.  The builder is thus the one place
-that decides which error a stream gets; it also drives the samplers and is
-the reference decoder.
+and their nonzero slots are the next level's blocks.  One rule table per
+level (:func:`_level_rules`) says which values each slot admits, and one row
+check (:func:`_row_error`) names the first token that breaks it.  The decoder
+checks whole runs against the table and the :class:`IncrementalBuilder`,
+which drives the samplers, one token at a time, so both reject alike.
 
 A plain sequence with ``2 <= k <= 4`` also carries its tokens as one int64
 array of :class:`Vocabulary` ids.  An id is its kind's base plus the token's
@@ -169,9 +169,10 @@ def child_orders(k: int, diagonal: bool) -> tuple[tuple[int, int], ...]:
     return tuple((i, j) for i in range(1, k + 1) for j in range(1, k + 1))
 
 
-def _held_slots(k: int, diagonal: bool) -> list[int]:
+@lru_cache(maxsize=16)
+def _held_slots(k: int, diagonal: bool) -> tuple[int, ...]:
     """The slots ``i*k + j`` (0-based) of :func:`child_orders`, in order."""
-    return [(i - 1) * k + (j - 1) for i, j in child_orders(k, diagonal)]
+    return tuple((i - 1) * k + (j - 1) for i, j in child_orders(k, diagonal))
 
 
 _MAX_TABLE_K = 4
@@ -241,9 +242,9 @@ def _plain_ids(s: TokenSequence) -> np.ndarray | None:
     token that is not structural, which no graph encodes to, has none and
     tries again on each call."""
     if s._ids is None and not s.featured and 2 <= s.k <= _MAX_TABLE_K:
-        shaped = _token_grid(s.tokens, s.k)
-        if shaped is not None and ((shaped[1] == 0) | (shaped[1] == 1)).all():
-            object.__setattr__(s, "_ids", _grid_ids(*shaped, s.k))
+        diag, grid, malformed = _token_grid(s.tokens, s.k)
+        if not malformed.any() and ((grid == 0) | (grid == 1)).all():
+            object.__setattr__(s, "_ids", _grid_ids(diag, grid, s.k))
     return s._ids
 
 
@@ -327,49 +328,7 @@ def flatten_tokenize(t: K2Tree) -> TokenSequence:
                          edge_vocab=t.edge_vocab, tokens=tuple(tokens))
 
 
-Rule = tuple[bool, range]
-
-_ZERO: Rule = (True, range(0))
-_BIT: Rule = (True, range(1, 2))
-_ONE: Rule = (False, range(1, 2))
-
-
-def element_rules(k: int, original_n: int, featured: bool, node_vocab: int,
-                  edge_vocab: int, parent_diag: bool, r0: int, c0: int,
-                  block: int) -> tuple[Rule, ...]:
-    """Admissible attribute values for each pending child slot, as
-    ``(zero_ok, nonzero)``: a value is admitted when it lies in the range
-    ``nonzero``, or when it is 0 and ``zero_ok`` holds.
-
-    ``(r0, c0, block)`` is the parent's region.  A slot whose sub-block cannot
-    hold any nonzero cell of a valid matrix (padding, or a diagonal block with
-    fewer than two real ids in a plain tree) admits only 0.  In a featured tree
-    a diagonal block inside the real region is forced nonzero because every
-    node carries a label; at single cells the slot is restricted to the label
-    range of its cell kind.
-    """
-    step = block // k
-    at_cells = step == 1
-    rules = []
-    for i, j in child_orders(k, parent_diag):
-        r = r0 + (i - 1) * step
-        c = c0 + (j - 1) * step
-        on_diag = parent_diag and i == j
-        if r >= original_n or c >= original_n:
-            rules.append(_ZERO)
-        elif not featured:
-            rules.append(_ZERO if on_diag and min(r + step, original_n) - r < 2 else _BIT)
-        elif at_cells:
-            if on_diag:
-                rules.append((False, range(1, node_vocab + 1)))
-            else:
-                rules.append((True, range(node_vocab + 1, node_vocab + edge_vocab + 1)))
-        else:
-            rules.append(_ONE if on_diag else _BIT)
-    return tuple(rules)
-
-
-_INT64_MAX = np.iinfo(np.int64).max
+_INT64_MIN, _INT64_MAX = np.iinfo(np.int64).min, np.iinfo(np.int64).max
 
 
 def _check_header(k: int, padded_n: int, original_n: int, featured: bool,
@@ -398,26 +357,103 @@ def _check_header(k: int, padded_n: int, original_n: int, featured: bool,
                             "give cell values beyond int64")
 
 
-@dataclass
-class _Pending:
-    path: tuple[tuple[int, int], ...]
-    diag: bool
-    r0: int
-    c0: int
-    block: int
+Rule = tuple[bool, range]
+
+
+@lru_cache(maxsize=16)
+def _slot_digits(k: int) -> np.ndarray:
+    """Rows ``i`` and ``j``: the 0-based digits of each child slot ``i*k + j``."""
+    digits = np.array(np.divmod(np.arange(k * k), k))
+    digits.flags.writeable = False  # every caller shares them
+    return digits
+
+
+def _level_rules(origins: np.ndarray, block: int, k: int, original_n: int, featured: bool,
+                 node_vocab: int, edge_vocab: int) -> tuple[np.ndarray, ...]:
+    """The rule table of one level's pending ``block``-sized blocks, whose
+    row and column origins are the two rows of ``origins``, shared by the
+    builder and the decoder: ``(diag, rc, zero_ok, lo, hi)``.  ``diag``
+    flags the blocks on the diagonal; ``rc`` stacks each child's row and
+    column origin ``(r, c)`` as two blocks x ``k*k`` arrays over the child
+    slots ``i*k + j`` (0-based), and the rest are such arrays of the values
+    each child admits: 0 if ``zero_ok`` and ``lo..hi`` (inclusive, so a
+    range may end at int64's maximum).  Pending blocks are aligned and on
+    or below the diagonal, so a child is on it when ``r == c`` and above it
+    when ``c > r``.
+
+    A child admits only 0 above the diagonal, in the padding (``r >=
+    original_n``) and, in a plain tree, on a diagonal block with fewer than
+    two real ids.  In a featured tree a diagonal child in the real region is
+    nonzero, as every node carries a label, and a cell admits its kind's
+    label range.  Any other child admits 0 and 1.
+    """
+    step = block // k
+    r, c = rc = origins[:, :, None] + _slot_digits(k)[:, None, :] * step
+    on_diag = r == c
+    lo = hi = np.ones(r.shape, dtype=np.int64)
+    if not featured:
+        # Padding, or a diagonal block whose first id is the last real one;
+        # a single diagonal cell holds no edge either.
+        zero_only = (c > r) | (r + on_diag >= original_n)
+        if step == 1:
+            zero_only |= on_diag
+        zero_ok = np.ones(r.shape, dtype=bool)
+    else:
+        zero_only = (c > r) | (r >= original_n)
+        zero_ok = ~on_diag | zero_only
+        if step == 1:
+            lo = np.where(on_diag, 1, node_vocab + 1)
+            hi = np.where(on_diag, node_vocab, node_vocab + edge_vocab)
+    return origins[0] == origins[1], rc, zero_ok, lo, np.where(zero_only, 0, hi)
+
+
+def _row_rules(zero_ok: list[bool], lo: list[int], hi: list[int], diag: bool,
+               k: int) -> tuple[Rule, ...]:
+    """A block's rules, ``(zero_ok, nonzero range)`` per slot its token holds."""
+    return tuple([(zero_ok[s], range(lo[s], hi[s] + 1)) for s in _held_slots(k, diag)])
+
+
+def _row_error(token: Token, number: int, depth: int, diag: bool,
+               rules: tuple[Rule, ...]) -> SequenceError | None:
+    """Why token ``number`` (1-based) cannot fill a pending block of level
+    ``depth`` with diagonal flag ``diag`` and these rules, or None when it
+    can.  Kind and arity come first, then values, then the all-zero group:
+    the order in which the builder meets them."""
+    expected, values = DIAGONAL if diag else OFFDIAGONAL, token.values
+    if token.kind != expected:
+        cls, why = TokenMismatchError, f"kind {token.kind!r} where {expected!r} is pending"
+    elif len(values) != len(rules):
+        cls, why = TokenMismatchError, f"arity {len(values)} where {len(rules)} is pending"
+    else:
+        cls, why = InvalidTokenError, "all-zero sibling group under a nonzero node"
+        for slot, (value, (zero_ok, nonzero)) in enumerate(zip(values, rules)):
+            if value not in nonzero and not (zero_ok and value == 0):
+                why = f"value {value} not allowed at slot {slot}"
+                break
+        else:
+            if any(values):
+                return None
+    return cls(f"token {number} (level {depth}): {why}")
+
+
+def _trailing_error(number: int) -> TrailingTokensError:
+    return TrailingTokensError(f"token {number}: the tree is already complete")
+
+
+def _truncated_error(pending: int, steps: int) -> TruncatedSequenceError:
+    return TruncatedSequenceError(f"{pending} nodes still pending after {steps} tokens")
 
 
 class IncrementalBuilder:
-    """FIFO reconstruction of a pruned tree from tokens.
+    """Breadth-first reconstruction of a pruned tree, one token at a time.
 
-    Starts from a root with attribute 1 and a queue holding the root;
-    each step pops the front node, checks one sibling group against it, and
-    pushes the children that still need expansion.  The tree is complete
-    exactly when the queue empties.  Steps only record their tokens;
-    :meth:`tree` builds the nodes once, at the end.  This is the one place
-    that decides how a stream is rejected: its errors name the token and the
-    tree level of the group it attaches.  The builder must not be reused
-    after a step raises.
+    The builder holds the current level's rule table (:func:`_level_rules`)
+    and a cursor on its next pending block.  Each step checks one token
+    against that block's row (:func:`_row_error`) and moves the cursor; when
+    a level is full, the nonzero slots of its tokens give the next level's
+    blocks, as in :func:`decode_graph`.  The tree is complete when the last
+    level is full.  Steps only record their tokens; :meth:`tree` builds the
+    nodes once, at the end.  A step that raises leaves the builder as it was.
     """
 
     def __init__(self, k: int, padded_n: int, original_n: int | None = None,
@@ -430,14 +466,27 @@ class IncrementalBuilder:
         self.featured = featured
         self.node_vocab = node_vocab
         self.edge_vocab = edge_vocab
-        self.queue: deque[_Pending] = deque(
-            [_Pending(path=(), diag=True, r0=0, c0=0, block=padded_n)])
+        self._levels = tree_levels(padded_n, k)
         self._tokens: list[Token] = []
-        self._rules: tuple[Rule, ...] | None = None  # the front's, once asked
+        self._start = 0  # tokens of the levels before the current one
+        self._enter(1, np.zeros((2, 1), dtype=np.int64))  # the root
+
+    def _enter(self, depth: int, origins: np.ndarray) -> None:
+        self._depth = depth
+        diag, self._rc, *table = _level_rules(
+            origins, self.padded_n // self.k ** (depth - 1), self.k, self.original_n,
+            self.featured, self.node_vocab, self.edge_vocab)
+        self._diag = diag.tolist()
+        self._table = [rows.tolist() for rows in table]
+        self._r0, self._c0 = origins.tolist()
+        self._sizes = [self.padded_n // self.k ** d for d in range(1, depth)]  # along a path
+        self._cursor = 0
+        self._rules: tuple[Rule, ...] | None = None  # the cursor's, once asked
 
     @property
     def complete(self) -> bool:
-        return not self.queue
+        # Past the last level's last block; tested inline below, per sampled token.
+        return self._cursor == len(self._diag)
 
     @property
     def steps(self) -> int:
@@ -446,67 +495,61 @@ class IncrementalBuilder:
 
     @property
     def next_kind(self) -> str | None:
-        if not self.queue:
+        if self._cursor == len(self._diag):
             return None
-        return DIAGONAL if self.queue[0].diag else OFFDIAGONAL
+        return DIAGONAL if self._diag[self._cursor] else OFFDIAGONAL
 
     @property
     def next_path(self) -> tuple[tuple[int, int], ...] | None:
-        if not self.queue:
+        """The pending block's root-to-block path: the base-``k`` digits of
+        its origin, most significant first."""
+        if self._cursor == len(self._diag):
             return None
-        return self.queue[0].path
+        k, r0, c0 = self.k, self._r0[self._cursor], self._c0[self._cursor]
+        return tuple([(r0 // size % k + 1, c0 // size % k + 1) for size in self._sizes])
 
     def next_rules(self) -> tuple[Rule, ...]:
-        """Admissible values per slot of the pending sibling group, computed
-        once per group: the sampler's mask and :meth:`step` both read them."""
-        if not self.queue:
-            raise TrailingTokensError("no pending node")
+        """Admissible values per slot of the pending block, read once per
+        block off the level's table: the sampler's mask and :meth:`step`
+        both read them."""
+        if self._cursor == len(self._diag):
+            raise _trailing_error(self.steps + 1)
         if self._rules is None:
-            front = self.queue[0]
-            self._rules = element_rules(self.k, self.original_n, self.featured,
-                                        self.node_vocab, self.edge_vocab, front.diag,
-                                        front.r0, front.c0, front.block)
+            (zero_ok, lo, hi), b = self._table, self._cursor
+            self._rules = _row_rules(zero_ok[b], lo[b], hi[b], self._diag[b], self.k)
         return self._rules
 
     def step(self, token: Token) -> None:
-        """Check one token against the pending group and advance the queue;
-        raises a :class:`SequenceError` subclass on misuse.  Kind and arity
-        are checked before values, and values before the all-zero group."""
-        if not self.queue:
-            raise TrailingTokensError(f"token {self.steps + 1}: the tree is already complete")
-        front = self.queue[0]
-        where = f"token {self.steps + 1} (level {len(front.path) + 1})"
-        expected = DIAGONAL if front.diag else OFFDIAGONAL
-        if token.kind != expected:
-            raise TokenMismatchError(f"{where}: kind {token.kind!r} where {expected!r} is pending")
-        arity = diagonal_arity(self.k) if front.diag else offdiagonal_arity(self.k)
-        if len(token.values) != arity:
-            raise TokenMismatchError(f"{where}: arity {len(token.values)} where {arity} is pending")
-        for slot, (value, (zero_ok, nonzero)) in enumerate(zip(token.values, self.next_rules())):
-            if value not in nonzero and not (zero_ok and value == 0):
-                raise InvalidTokenError(f"{where}: value {value} not allowed at slot {slot}")
-        if not any(token.values):
-            raise InvalidTokenError(f"{where}: all-zero sibling group under a nonzero node")
-
-        self.queue.popleft()
-        self._rules = None
-        step = front.block // self.k
-        if step > 1:
-            for (i, j), value in zip(child_orders(self.k, front.diag), token.values):
-                if value == 1:
-                    self.queue.append(_Pending(
-                        path=front.path + ((i, j),), diag=front.diag and i == j,
-                        r0=front.r0 + (i - 1) * step, c0=front.c0 + (j - 1) * step,
-                        block=step))
+        """Check one token against the pending block and move on; raises a
+        :class:`SequenceError` subclass on misuse."""
+        if self._cursor == len(self._diag):
+            raise _trailing_error(len(self._tokens) + 1)
+        error = _row_error(token, len(self._tokens) + 1, self._depth, self._diag[self._cursor],
+                           self.next_rules())
+        if error is not None:
+            raise error
         self._tokens.append(token)
+        self._cursor += 1
+        self._rules = None
+        if self._cursor < len(self._diag) or self._depth == self._levels:
+            return
+        # The level's accepted values, laid out as its table: a diagonal
+        # token holds no slot above the diagonal.
+        r, c = self._rc
+        values = np.zeros(r.shape, dtype=np.int64)
+        values[c <= r] = np.fromiter(
+            chain.from_iterable(t.values for t in self._tokens[self._start:]), dtype=np.int64)
+        self._start = len(self._tokens)
+        self._enter(self._depth + 1, self._rc.reshape(2, -1).take(np.flatnonzero(values), axis=1))
 
     def tree(self) -> K2Tree:
         """The pruned tree of the accepted tokens, built breadth-first: each
         token gives the children of the next internal node in the FIFO."""
         if not self.complete:
-            raise TruncatedSequenceError(
-                f"{len(self.queue)} nodes still pending after {self.steps} tokens")
-        levels = tree_levels(self.padded_n, self.k)
+            pending = len(self._diag) - self._cursor
+            if self._depth < self._levels:
+                pending += sum(v != 0 for t in self._tokens[self._start:] for v in t.values)
+            raise _truncated_error(pending, self.steps)
         nodes = [TreeNode(attr=1, depth=0, order=None, parent=None)]
         internal = deque([(0, True)])
         for token in self._tokens:
@@ -514,7 +557,7 @@ class IncrementalBuilder:
             depth = nodes[uid].depth + 1
             nodes[uid].children = tuple(range(len(nodes), len(nodes) + len(token.values)))
             for (i, j), value in zip(child_orders(self.k, diag), token.values):
-                if value == 1 and depth < levels:
+                if value == 1 and depth < self._levels:
                     internal.append((len(nodes), diag and i == j))
                 nodes.append(TreeNode(attr=value, depth=depth, order=(i, j), parent=uid))
         return K2Tree(k=self.k, padded_n=self.padded_n, original_n=self.original_n,
@@ -522,11 +565,21 @@ class IncrementalBuilder:
                       node_vocab=self.node_vocab, edge_vocab=self.edge_vocab, pruned=True)
 
 
-def _empty_tree(s: TokenSequence) -> K2Tree:
-    return K2Tree(k=s.k, padded_n=s.padded_n, original_n=s.original_n,
-                  nodes=[TreeNode(attr=0, depth=0, order=None, parent=None)],
-                  featured=s.featured, node_vocab=s.node_vocab,
-                  edge_vocab=s.edge_vocab, pruned=True)
+def _replay(s: TokenSequence) -> tuple[K2Tree, list[tuple[tuple[int, int], ...]]]:
+    """The pruned tree of ``s`` and each token's root-to-parent path, by
+    stepping an :class:`IncrementalBuilder` through every token."""
+    builder = IncrementalBuilder(s.k, s.padded_n, s.original_n, s.featured,
+                                 s.node_vocab, s.edge_vocab)
+    if not s.tokens:
+        return K2Tree(k=s.k, padded_n=s.padded_n, original_n=s.original_n,
+                      nodes=[TreeNode(attr=0, depth=0, order=None, parent=None)],
+                      featured=s.featured, node_vocab=s.node_vocab,
+                      edge_vocab=s.edge_vocab, pruned=True), []
+    paths = []
+    for token in s.tokens:
+        paths.append(builder.next_path)
+        builder.step(token)
+    return builder.tree(), paths
 
 
 def detokenize_build(s: TokenSequence) -> K2Tree:
@@ -535,13 +588,7 @@ def detokenize_build(s: TokenSequence) -> K2Tree:
     A header-only sequence (zero tokens) denotes the all-zero matrix and yields
     a root-leaf tree; its header is checked like any other.
     """
-    builder = IncrementalBuilder(s.k, s.padded_n, s.original_n, s.featured,
-                                 s.node_vocab, s.edge_vocab)
-    if not s.tokens:
-        return _empty_tree(s)
-    for token in s.tokens:
-        builder.step(token)
-    return builder.tree()
+    return _replay(s)[0]
 
 
 def position_paths(s: TokenSequence) -> list[tuple[tuple[int, int], ...]]:
@@ -550,16 +597,7 @@ def position_paths(s: TokenSequence) -> list[tuple[tuple[int, int], ...]]:
     The first token expands the root, so its path is empty.  The sequence is
     validated as a side effect.
     """
-    builder = IncrementalBuilder(s.k, s.padded_n, s.original_n, s.featured,
-                                 s.node_vocab, s.edge_vocab)
-    if not s.tokens:
-        return []
-    paths = []
-    for token in s.tokens:
-        paths.append(builder.next_path)
-        builder.step(token)
-    builder.tree()
-    return paths
+    return _replay(s)[1]
 
 
 class Vocabulary:
@@ -670,7 +708,7 @@ def write_token_stream(s: TokenSequence) -> str:
     """Line-oriented text form.
 
     Line 1: ``K PADDED_N ORIGINAL_N FEATURED``.  Line 2 (featured only): node
-    and edge label vocab sizes.  Next line: whitespace-separated tokens,
+    and edge label vocab sizes.  Next line: space-separated tokens,
     ``d:``/``o:`` prefixed, values comma-separated for featured streams and
     concatenated bits otherwise; empty for a header-only sequence.  An optional
     trailing ``perm`` line records the node ordering applied before encoding.
@@ -690,93 +728,69 @@ def write_token_stream(s: TokenSequence) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _ints(fields: list[str]) -> tuple[int, ...]:
+def _ints(fields: list[str], error: str) -> tuple[int, ...]:
     """The integers ``fields`` hold, each written as ``str`` writes it;
-    ValueError for any other field.  ``int`` alone also takes a plus sign,
-    underscores, leading zeros and non-ASCII digits, which no stream the
-    encoder writes holds."""
-    values = tuple(map(int, fields))
+    :class:`SequenceError` with message ``error`` for any other field.
+    ``int`` alone also takes a plus sign, underscores, leading zeros and
+    non-ASCII digits, which no stream the encoder writes holds."""
+    try:
+        values = tuple(map(int, fields))
+    except ValueError:
+        raise SequenceError(error) from None
     if list(map(str, values)) != fields:
-        raise ValueError("non-canonical integer")
+        raise SequenceError(error)
     return values
 
 
 def read_token_stream(text: str) -> TokenSequence:
-    """Inverse of :func:`write_token_stream`.  Every integer field must be
-    written as ``str`` writes it, and a plain token's bits are ``0`` or
-    ``1``.  A plain stream with ``2 <= k <= 4`` whose every word is a
-    structural token's is read as vocabulary ids, by one dictionary lookup
-    per word; any other stream is parsed token by token."""
-    lines = text.split("\n")
-    while lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
-        raise SequenceError("empty token stream")
-    head = lines[0].split()
-    if len(head) != 4:
+    """Inverse of :func:`write_token_stream`, accepting only what it writes:
+    lines that each end in ``\n``, nothing after the last, fields separated
+    by single spaces, integers written as ``str`` writes them and plain bits
+    ``0`` or ``1``.  Lines are split at each space, so a doubled, leading or
+    trailing space leaves an empty field, which no field admits.  A plain
+    stream with ``2 <= k <= 4`` whose every word is a structural token's is
+    read as vocabulary ids, by one dictionary lookup per word; any other
+    stream is parsed token by token."""
+    if not text.endswith("\n"):
+        raise SequenceError("stream must end with a newline")
+    lines = [line.split(" ") if line else [] for line in text[:-1].split("\n")]
+    if len(lines[0]) != 4:
         raise SequenceError("header must be 'K PADDED_N ORIGINAL_N FEATURED'")
-    try:
-        k, padded_n, original_n, featured_flag = _ints(head)
-    except ValueError:
-        raise SequenceError("header field is not a canonical integer") from None
-    if featured_flag not in (0, 1):
-        raise SequenceError(f"featured flag must be 0 or 1, got {featured_flag}")
-    featured = bool(featured_flag)
-    idx = 1
+    k, padded_n, original_n, featured = _ints(lines[0], "header field is not a canonical integer")
+    if featured not in (0, 1):
+        raise SequenceError(f"featured flag must be 0 or 1, got {featured}")
     node_vocab = edge_vocab = 0
     if featured:
-        if len(lines) < 2:
-            raise SequenceError("featured stream is missing the label vocab line")
-        vocab_fields = lines[idx].split()
-        if len(vocab_fields) != 2:
+        if len(lines) < 2 or len(lines[1]) != 2:
             raise SequenceError("label vocab line must be 'NODE_VOCAB EDGE_VOCAB'")
-        try:
-            node_vocab, edge_vocab = _ints(vocab_fields)
-        except ValueError:
-            raise SequenceError("label vocab size is not a canonical integer") from None
-        idx += 1
-    token_text = lines[idx] if idx < len(lines) else ""
-    idx += 1
-    words = token_text.split()
-    ids = None
+        node_vocab, edge_vocab = _ints(lines[1], "label vocab size is not a canonical integer")
+    if len(lines) == 1 + featured:
+        raise SequenceError("stream is missing its token line")
+    words, *rest = lines[1 + featured:]
+    for number, line in enumerate(rest, start=featured + 3):
+        if number > featured + 3 or line[:1] != ["perm"]:
+            raise SequenceError(f"unexpected trailing line {number}")
+    perm = _ints(rest[0][1:], "perm entry is not a canonical integer") if rest else None
     if not featured and 2 <= k <= _MAX_TABLE_K and words:
         word_ids = _structural(k).word_ids
         try:
             ids = np.fromiter(map(word_ids.__getitem__, words), dtype=np.int64, count=len(words))
+            return TokenSequence.from_ids(k, padded_n, original_n, ids, perm)
         except KeyError:
             pass
-    if ids is None:
-        # Words repeat: each distinct one is parsed once, in stream order, and
-        # its Token is shared by every occurrence.
-        parsed = {word: _parse_token(word, featured) for word in dict.fromkeys(words)}
-        tokens = tuple([parsed[word] for word in words])
-    perm = None
-    if idx < len(lines):
-        fields = lines[idx].split()
-        if not fields or fields[0] != "perm":
-            raise SequenceError(f"unexpected trailing line {idx + 1}")
-        try:
-            perm = _ints(fields[1:])
-        except ValueError:
-            raise SequenceError("perm entry is not a canonical integer") from None
-        idx += 1
-    if idx < len(lines):
-        raise SequenceError(f"unexpected trailing line {idx + 1}")
-    if ids is not None:
-        return TokenSequence.from_ids(k, padded_n, original_n, ids, perm)
+    # Words repeat: each distinct one is parsed once, in stream order, and
+    # its Token is shared by every occurrence.
+    parsed = {word: _parse_token(word, featured) for word in dict.fromkeys(words)}
     return TokenSequence(k=k, padded_n=padded_n, original_n=original_n,
-                         featured=featured, node_vocab=node_vocab,
-                         edge_vocab=edge_vocab, tokens=tokens, perm=perm)
+                         featured=bool(featured), node_vocab=node_vocab, edge_vocab=edge_vocab,
+                         tokens=tuple([parsed[word] for word in words]), perm=perm)
 
 
 def _parse_token(word: str, featured: bool) -> Token:
     if len(word) < 2 or word[1] != ":" or word[0] not in (DIAGONAL, OFFDIAGONAL):
         raise SequenceError(f"malformed token {word!r}")
     body = word[2:]
-    try:
-        values = _ints(body.split(",") if featured else list(body))
-    except ValueError:
-        raise SequenceError(f"malformed token {word!r}") from None
+    values = _ints(body.split(",") if featured else list(body), f"malformed token {word!r}")
     if not values:
         raise SequenceError(f"malformed token {word!r}")
     if not featured and any(v not in (0, 1) for v in values):
@@ -898,111 +912,101 @@ def encode_graph(g: Graph, k: int, ordering: str = "identity",
                          tokens=tokens, perm=perm)
 
 
-def _token_grid(tokens: tuple[Token, ...], k: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """Per-token diagonal flags and child slots, or None when some token's
-    arity does not match its kind.
+def _token_grid(tokens: tuple[Token, ...],
+                k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-token diagonal flags, child slots and malformed flags.
 
     The grid has one row per token and ``k*k`` columns, the slots
     ``i*k + j`` (0-based) in row-major order; a diagonal token's values sit
-    in its :func:`child_orders` slots and its other slots hold 0.  A value
-    beyond int64 also gives None: no rule admits it.
+    in its :func:`child_orders` slots and its other slots hold 0.  A token
+    whose arity does not match its kind, or that holds a value beyond int64,
+    is malformed: its row holds 0s, and no rule admits the token.
     """
     diag = np.fromiter((t.kind == DIAGONAL for t in tokens), dtype=bool, count=len(tokens))
     rows = [t.values for t in tokens]
     lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(tokens))
     kk, arity = k * k, diagonal_arity(k)
-    if (lengths != np.where(diag, arity, kk)).any():
-        return None
+    expected = np.where(diag, arity, kk)
+    malformed = lengths != expected
     try:
         flat = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=int(lengths.sum()))
     except OverflowError:
-        return None
-    starts = np.cumsum(lengths) - lengths
+        malformed |= [any(not _INT64_MIN <= v <= _INT64_MAX for v in values) for values in rows]
+    if malformed.any():
+        rows = [(0,) * size if bad else values
+                for values, bad, size in zip(rows, malformed.tolist(), expected.tolist())]
+        flat = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=int(expected.sum()))
+    starts = np.cumsum(expected) - expected
     grid = np.zeros((len(tokens), kk), dtype=np.int64)
     off = np.flatnonzero(~diag)
     grid[off] = flat[starts[off, None] + np.arange(kk)]
     on = np.flatnonzero(diag)
     grid[on[:, None], _held_slots(k, True)] = flat[starts[on, None] + np.arange(arity)]
-    return diag, grid
+    return diag, grid, malformed
 
 
-def _token_arrays(s: TokenSequence) -> tuple[np.ndarray, np.ndarray] | None:
+def _token_arrays(s: TokenSequence) -> tuple[np.ndarray, np.ndarray]:
     """Per-token diagonal flags and child-slot grid of ``s``: gathered from
     the structural table by vocabulary id when ``s`` has ids, else built by
     :func:`_token_grid`."""
     ids = _plain_ids(s)
     if ids is None:
-        return _token_grid(s.tokens, s.k)
+        return _token_grid(s.tokens, s.k)[:2]
     table = _structural(s.k)
     return ids < table.off_base, table.grid[ids]
 
 
-def _level_cells(s: TokenSequence) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+def _level_cells(s: TokenSequence) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rows, columns and values of the nonzero full-depth cells that the
-    tokens of ``s`` encode, all lower-triangle; None when the tokens break a
-    rule of :func:`element_rules`, run out, or run past the last level.
-
-    Level ``d`` (1-based) takes the next run of tokens, one per pending block
-    of depth ``d - 1``, held as arrays of block origins and diagonal flags.
-    Each run is checked as a whole.  Its nonzero slots are the blocks of the
-    next level, or, at the last level, the cells.
-    """
-    shaped = _token_arrays(s)
-    if shaped is None:
-        return None
-    diag, grid = shaped
-    k, n = s.k, s.original_n
-    i, j = np.divmod(np.arange(grid.shape[1]), k)
-    r0 = c0 = np.zeros(1, dtype=np.int64)
-    pending_diag = np.ones(1, dtype=bool)
-    start, block = 0, s.padded_n
-    for _ in range(tree_levels(s.padded_n, k)):
-        block //= k
-        end = start + len(r0)
-        if end > len(grid) or (diag[start:end] != pending_diag).any():
-            return None
-        run = grid[start:end]
-        r = r0[:, None] + i * block
-        c = c0[:, None] + j * block
-        on_diag = pending_diag[:, None] & (i == j)
-        zero_only = (r >= n) | (c >= n)
-        # The slots a diagonal token does not hold are 0 in the grid, and no
-        # rule below flags a 0 off the diagonal.
+    tokens of ``s`` encode, all lower-triangle.  Each level takes the next
+    run of tokens, one per pending block, and checks it as a whole against
+    the level's rule table; the first bad row is the first token the builder
+    refuses, and :func:`_row_error` names it.  The nonzero slots are the next
+    level's blocks or, at the last level, the cells."""
+    # A malformed token's row holds 0s, so the all-zero check flags it.
+    diag, grid = _token_arrays(s)
+    k, kk, total = s.k, s.k * s.k, len(grid)
+    levels = tree_levels(s.padded_n, k)
+    origins, start = np.zeros((2, 1), dtype=np.int64), 0
+    for depth in range(1, levels + 1):
+        pending, rc, zero_ok, lo, hi = _level_rules(
+            origins, s.padded_n // k ** (depth - 1), k, s.original_n, s.featured,
+            s.node_vocab, s.edge_vocab)
+        end = min(start + len(pending), total)
+        run, held = grid[start:end], slice(0, end - start)
         nonzero = run != 0
-        if not s.featured:
-            zero_only |= on_diag & (np.minimum(r + block, n) - r < 2)
-            bad = nonzero & (zero_only | (run != 1))
-        else:
-            if block > 1:
-                out_of_range = run != 1
-            else:
-                nv, ev = s.node_vocab, s.edge_vocab
-                out_of_range = np.where(on_diag, (run < 1) | (run > nv),
-                                        (run <= nv) | (run > nv + ev))
-            bad = np.where(zero_only, nonzero, out_of_range & (on_diag | nonzero))
-        if bad.any() or not nonzero.any(axis=1).all():
-            return None
+        flat = np.flatnonzero(nonzero)
+        # Bad rows: another kind than the block's, no nonzero value, or a
+        # value the rule refuses (reduced by row only then, as that is slow).
+        bad = (diag[start:end] != pending[held]) | (np.bincount(flat // kk, minlength=len(run)) == 0)
+        refused = np.where(nonzero, (run < lo[held]) | (run > hi[held]), ~zero_ok[held])
+        if refused.any():
+            bad |= refused.any(axis=1)
+        if bad.any():
+            b = int(bad.argmax())
+            rules = _row_rules(zero_ok[b].tolist(), lo[b].tolist(), hi[b].tolist(),
+                               bool(pending[b]), k)
+            raise _row_error(s.tokens[start + b], start + b + 1, depth, bool(pending[b]), rules)
+        if end < start + len(pending):
+            children = len(flat) if depth < levels else 0
+            raise _truncated_error(start + len(pending) - end + children, total)
         start = end
-        rows, slots = np.nonzero(nonzero)
-        r0, c0 = r[rows, slots], c[rows, slots]
-        pending_diag = on_diag[rows, slots]
-    if start < len(grid):
-        return None
-    return r0, c0, run[rows, slots]
+        origins = rc.reshape(2, -1).take(flat, axis=1)
+    if start < total:
+        raise _trailing_error(start + 1)
+    return origins[0], origins[1], run.ravel()[flat]
 
 
 def decode_graph(s: TokenSequence) -> Graph:
     """Inverse of :func:`encode_graph`, undoing any stored node ordering.
 
     Decodes level by level over arrays (:func:`_level_cells`), with no tree
-    and no builder; the stored ``perm`` relabels the cells by indexing.  A
-    stream the level walk rejects is replayed through :func:`detokenize_build`,
-    so its error is the builder's, naming the first token the builder refuses.
-    A header that :func:`_check_header` refuses is refused before any token,
-    so every accepted stream is one :func:`encode_graph` writes.  Memory is
-    bounded by the token count and ``perm``, never by ``padded_n`` or
-    ``original_n``: a header-only stream decodes to an edgeless graph without
-    any per-node work.
+    and no builder, and raises the builder's error for a stream it rejects;
+    the stored ``perm`` relabels the cells by indexing.  A header that
+    :func:`_check_header` refuses is refused before any token, so every
+    accepted stream is one :func:`encode_graph` writes.  Memory is bounded by
+    the token count and ``perm``, never by ``padded_n`` or ``original_n``: a
+    header-only stream decodes to an edgeless graph without per-node work.
     """
     _check_header(s.k, s.padded_n, s.original_n, s.featured, s.node_vocab, s.edge_vocab)
     n = s.original_n
@@ -1012,22 +1016,15 @@ def decode_graph(s: TokenSequence) -> Graph:
         if s.featured:
             raise GraphError("featured tree does not label every node")
         return Graph(n=n)
-    cells = _level_cells(s)
-    if cells is None:
-        detokenize_build(s)  # raises the builder's error for the stream
-        raise AssertionError("the builder accepted a stream the level walk rejects")
-    rows, cols, values = cells
+    rows, cols, values = _level_cells(s)
     if s.perm is not None:
         perm = np.asarray(s.perm, dtype=np.int64)
         rows, cols = perm[rows], perm[cols]
     lo, hi = np.minimum(rows, cols).tolist(), np.maximum(rows, cols).tolist()
     if not s.featured:
         return Graph(n=n, edges=frozenset(zip(lo, hi)))
-    node_labels, edge_labels = {}, {}
-    for u, v, value in zip(lo, hi, values.tolist()):
-        if u == v:
-            node_labels[u] = value - 1
-        else:
-            edge_labels[u, v] = value - s.node_vocab - 1
+    cells = list(zip(lo, hi, values.tolist()))
+    node_labels = {u: value - 1 for u, v, value in cells if u == v}
+    edge_labels = {(u, v): value - s.node_vocab - 1 for u, v, value in cells if u != v}
     return Graph(n=n, edges=frozenset(edge_labels), node_labels=node_labels,
                  edge_labels=edge_labels, node_vocab=s.node_vocab, edge_vocab=s.edge_vocab)

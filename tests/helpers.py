@@ -8,6 +8,7 @@ contraction-based complete-minor search.
 
 from __future__ import annotations
 
+from collections import deque, namedtuple
 from dataclasses import replace
 from itertools import chain, combinations, permutations
 
@@ -17,10 +18,11 @@ from hypothesis import strategies as st
 from k2seq import Graph
 from k2seq.generators import gen_community, gen_er, gen_grid, gen_planar
 from k2seq.graphs import apply_ordering, invert_permutation, order_nodes
-from k2seq.sequence import (DIAGONAL, IncrementalBuilder, SequenceError, Token,
-                            TokenSequence, detokenize_build, diagonal_arity,
-                            flatten_tokenize, prune)
-from k2seq.tree import build_k2tree, rebuild_graph
+from k2seq.sequence import (DIAGONAL, OFFDIAGONAL, InvalidTokenError, Rule, SequenceError,
+                            Token, TokenMismatchError, TokenSequence, TrailingTokensError,
+                            TruncatedSequenceError, _check_header, child_orders,
+                            diagonal_arity, flatten_tokenize, offdiagonal_arity, prune)
+from k2seq.tree import K2Tree, TreeNode, build_k2tree, rebuild_graph, tree_levels
 
 
 @st.composite
@@ -57,16 +59,181 @@ def reference_encode(g: Graph, k: int, ordering: str = "identity",
     return replace(flatten_tokenize(prune(t)), perm=perm)
 
 
+_ZERO: Rule = (True, range(0))
+_BIT: Rule = (True, range(1, 2))
+_ONE: Rule = (False, range(1, 2))
+
+
+def reference_element_rules(k: int, original_n: int, featured: bool, node_vocab: int,
+                            edge_vocab: int, parent_diag: bool, r0: int, c0: int,
+                            block: int) -> tuple[Rule, ...]:
+    """Admissible attribute values for each pending child slot, as
+    ``(zero_ok, nonzero)``, one sibling group at a time: the slot rules of
+    :class:`ReferenceBuilder`, kept as the reference the library's level
+    table must match.
+
+    ``(r0, c0, block)`` is the parent's region.  A slot whose sub-block cannot
+    hold any nonzero cell of a valid matrix (padding, or a diagonal block with
+    fewer than two real ids in a plain tree) admits only 0.  In a featured tree
+    a diagonal block inside the real region is forced nonzero because every
+    node carries a label; at single cells the slot is restricted to the label
+    range of its cell kind.
+    """
+    step = block // k
+    at_cells = step == 1
+    rules = []
+    for i, j in child_orders(k, parent_diag):
+        r = r0 + (i - 1) * step
+        c = c0 + (j - 1) * step
+        on_diag = parent_diag and i == j
+        if r >= original_n or c >= original_n:
+            rules.append(_ZERO)
+        elif not featured:
+            rules.append(_ZERO if on_diag and min(r + step, original_n) - r < 2 else _BIT)
+        elif at_cells:
+            if on_diag:
+                rules.append((False, range(1, node_vocab + 1)))
+            else:
+                rules.append((True, range(node_vocab + 1, node_vocab + edge_vocab + 1)))
+        else:
+            rules.append(_ONE if on_diag else _BIT)
+    return tuple(rules)
+
+
+# A pending node: its root-to-node path, diagonal flag and region.  (Not a
+# dataclass: bench/workloads.py loads this module by path, with no entry in
+# sys.modules, which @dataclass needs.)
+_Pending = namedtuple("_Pending", "path diag r0 c0 block")
+
+
+class ReferenceBuilder:
+    """FIFO reconstruction of a pruned tree from tokens, one pending node at
+    a time over a queue, with :func:`reference_element_rules` per sibling
+    group.  The reference the library's level-table
+    :class:`~k2seq.sequence.IncrementalBuilder` and :func:`decode_graph`
+    must match: same trees, same paths, same error class and message."""
+
+    def __init__(self, k: int, padded_n: int, original_n: int | None = None,
+                 featured: bool = False, node_vocab: int = 0, edge_vocab: int = 0):
+        original_n = padded_n if original_n is None else original_n
+        _check_header(k, padded_n, original_n, featured, node_vocab, edge_vocab)
+        self.k = k
+        self.padded_n = padded_n
+        self.original_n = original_n
+        self.featured = featured
+        self.node_vocab = node_vocab
+        self.edge_vocab = edge_vocab
+        self.queue: deque[_Pending] = deque(
+            [_Pending(path=(), diag=True, r0=0, c0=0, block=padded_n)])
+        self._tokens: list[Token] = []
+        self._rules: tuple[Rule, ...] | None = None  # the front's, once asked
+
+    @property
+    def complete(self) -> bool:
+        return not self.queue
+
+    @property
+    def steps(self) -> int:
+        return len(self._tokens)
+
+    @property
+    def next_kind(self) -> str | None:
+        if not self.queue:
+            return None
+        return DIAGONAL if self.queue[0].diag else OFFDIAGONAL
+
+    @property
+    def next_path(self) -> tuple[tuple[int, int], ...] | None:
+        if not self.queue:
+            return None
+        return self.queue[0].path
+
+    def next_rules(self) -> tuple[Rule, ...]:
+        if not self.queue:
+            raise TrailingTokensError("no pending node")
+        if self._rules is None:
+            front = self.queue[0]
+            self._rules = reference_element_rules(
+                self.k, self.original_n, self.featured, self.node_vocab, self.edge_vocab,
+                front.diag, front.r0, front.c0, front.block)
+        return self._rules
+
+    def step(self, token: Token) -> None:
+        if not self.queue:
+            raise TrailingTokensError(f"token {self.steps + 1}: the tree is already complete")
+        front = self.queue[0]
+        where = f"token {self.steps + 1} (level {len(front.path) + 1})"
+        expected = DIAGONAL if front.diag else OFFDIAGONAL
+        if token.kind != expected:
+            raise TokenMismatchError(f"{where}: kind {token.kind!r} where {expected!r} is pending")
+        arity = diagonal_arity(self.k) if front.diag else offdiagonal_arity(self.k)
+        if len(token.values) != arity:
+            raise TokenMismatchError(f"{where}: arity {len(token.values)} where {arity} is pending")
+        for slot, (value, (zero_ok, nonzero)) in enumerate(zip(token.values, self.next_rules())):
+            if value not in nonzero and not (zero_ok and value == 0):
+                raise InvalidTokenError(f"{where}: value {value} not allowed at slot {slot}")
+        if not any(token.values):
+            raise InvalidTokenError(f"{where}: all-zero sibling group under a nonzero node")
+
+        self.queue.popleft()
+        self._rules = None
+        step = front.block // self.k
+        if step > 1:
+            for (i, j), value in zip(child_orders(self.k, front.diag), token.values):
+                if value == 1:
+                    self.queue.append(_Pending(
+                        path=front.path + ((i, j),), diag=front.diag and i == j,
+                        r0=front.r0 + (i - 1) * step, c0=front.c0 + (j - 1) * step,
+                        block=step))
+        self._tokens.append(token)
+
+    def tree(self) -> K2Tree:
+        if not self.complete:
+            raise TruncatedSequenceError(
+                f"{len(self.queue)} nodes still pending after {self.steps} tokens")
+        levels = tree_levels(self.padded_n, self.k)
+        nodes = [TreeNode(attr=1, depth=0, order=None, parent=None)]
+        internal = deque([(0, True)])
+        for token in self._tokens:
+            uid, diag = internal.popleft()
+            depth = nodes[uid].depth + 1
+            nodes[uid].children = tuple(range(len(nodes), len(nodes) + len(token.values)))
+            for (i, j), value in zip(child_orders(self.k, diag), token.values):
+                if value == 1 and depth < levels:
+                    internal.append((len(nodes), diag and i == j))
+                nodes.append(TreeNode(attr=value, depth=depth, order=(i, j), parent=uid))
+        return K2Tree(k=self.k, padded_n=self.padded_n, original_n=self.original_n,
+                      nodes=nodes, featured=self.featured,
+                      node_vocab=self.node_vocab, edge_vocab=self.edge_vocab, pruned=True)
+
+
+def reference_build(s: TokenSequence) -> tuple[K2Tree, list[tuple[tuple[int, int], ...]]]:
+    """The pruned tree of ``s`` and each token's root-to-parent path, by
+    replaying every token through :class:`ReferenceBuilder`."""
+    builder = ReferenceBuilder(s.k, s.padded_n, s.original_n, s.featured,
+                               s.node_vocab, s.edge_vocab)
+    if not s.tokens:
+        return K2Tree(k=s.k, padded_n=s.padded_n, original_n=s.original_n,
+                      nodes=[TreeNode(attr=0, depth=0, order=None, parent=None)],
+                      featured=s.featured, node_vocab=s.node_vocab,
+                      edge_vocab=s.edge_vocab, pruned=True), []
+    paths = []
+    for token in s.tokens:
+        paths.append(builder.next_path)
+        builder.step(token)
+    return builder.tree(), paths
+
+
 def reference_decode(s: TokenSequence) -> Graph:
-    """Decode through the pruned tree: replay every token through the
-    incremental builder, rebuild the graph from the tree's full-depth leaves,
-    then undo the stored ordering.  The reference the array-native
+    """Decode through the pruned tree: replay every token through
+    :class:`ReferenceBuilder`, rebuild the graph from the tree's full-depth
+    leaves, then undo the stored ordering.  The reference the array-native
     :func:`decode_graph` must match.  The header is checked first, as
     :func:`decode_graph` checks it."""
-    IncrementalBuilder(s.k, s.padded_n, s.original_n, s.featured, s.node_vocab, s.edge_vocab)
+    ReferenceBuilder(s.k, s.padded_n, s.original_n, s.featured, s.node_vocab, s.edge_vocab)
     if s.perm is not None and sorted(s.perm) != list(range(s.original_n)):
         raise SequenceError(f"perm is not a permutation of 0..{s.original_n - 1}")
-    g = rebuild_graph(detokenize_build(s))
+    g = rebuild_graph(reference_build(s)[0])
     if s.perm is not None:
         g = apply_ordering(g, invert_permutation(s.perm))
     return g

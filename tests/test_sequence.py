@@ -12,15 +12,16 @@ from k2seq.sequence import (DIAGONAL, OFFDIAGONAL, EmptyGraphError,
                             Token, TokenMismatchError, TokenSequence,
                             TrailingTokensError, TruncatedSequenceError, Vocabulary,
                             child_orders, detokenize_build, diagonal_arity,
-                            decode_graph, element_rules, encode_graph, encode_ids,
+                            decode_graph, encode_graph, encode_ids,
                             flatten_tokenize, full_tree_attrs, node_position,
                             offdiagonal_arity, position_paths, prune,
                             read_token_stream, tree_levels, write_token_stream,
-                            _token_arrays)
+                            _token_arrays, _token_grid)
 from k2seq.tree import build_k2tree, tree_stats
 
-from helpers import (graph_strategy, random_er, random_labeled_er, reference_decode,
-                     reference_encode, reference_token_grid, reference_write)
+from helpers import (ReferenceBuilder, graph_strategy, random_er, random_labeled_er,
+                     reference_build, reference_decode, reference_encode,
+                     reference_token_grid, reference_write)
 
 SINGLE_EDGE = Graph(n=4, edges=frozenset({(0, 1)}))
 K4 = Graph(n=4, edges=frozenset({(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)}))
@@ -119,24 +120,33 @@ BIT = (True, range(1, 2))
 ONE = (False, range(1, 2))
 
 
-class TestElementRules:
+class TestSlotRules:
+    """The builder's rules for the pending block, read off its level's table."""
+
     def test_plain_interior_blocks_are_unconstrained(self):
-        assert element_rules(2, 4, False, 0, 0, True, 0, 0, 4) == (BIT,) * 3
-        assert element_rules(2, 4, False, 0, 0, False, 2, 0, 2) == (BIT,) * 4
+        assert IncrementalBuilder(2, 4).next_rules() == (BIT,) * 3
+        b = IncrementalBuilder(2, 4)
+        b.step(tok(D, 1, 1, 0))
+        b.step(tok(D, 0, 1, 0))
+        assert (b.next_kind, b.next_path) == (O, ((2, 1),))
+        assert b.next_rules() == (BIT,) * 4
 
     def test_single_diagonal_cell_blocks_are_forced_zero(self):
-        assert element_rules(2, 2, False, 0, 0, True, 0, 0, 2) == (ZERO_ONLY, BIT, ZERO_ONLY)
+        assert IncrementalBuilder(2, 2).next_rules() == (ZERO_ONLY, BIT, ZERO_ONLY)
 
     def test_padding_blocks_are_forced_zero(self):
-        assert element_rules(2, 3, False, 0, 0, True, 0, 0, 4) == (BIT, BIT, ZERO_ONLY)
+        assert IncrementalBuilder(2, 4, original_n=3).next_rules() == (BIT, BIT, ZERO_ONLY)
 
     def test_featured_diagonal_blocks_are_forced_nonzero(self):
-        assert element_rules(2, 3, True, 2, 2, True, 0, 0, 4) == (ONE, BIT, ONE)
+        assert IncrementalBuilder(2, 4, 3, True, 2, 2).next_rules() == (ONE, BIT, ONE)
 
     def test_featured_cells_take_label_ranges(self):
         for nv, ev in ((2, 3), (2 ** 62, 1)):
             node, edge = (False, range(1, nv + 1)), (True, range(nv + 1, nv + ev + 1))
-            assert element_rules(2, 4, True, nv, ev, True, 0, 0, 2) == (node, edge, node)
+            b = IncrementalBuilder(2, 4, 4, True, nv, ev)
+            b.step(tok(D, 1, 1, 1))
+            assert b.next_path == ((1, 1),)
+            assert b.next_rules() == (node, edge, node)
 
 
 class TestIncrementalBuilder:
@@ -416,9 +426,42 @@ class TestWireFormat:
             "2 4 3 1\n2 2\nd:1,+3,0_2\n",
             "2 4 3 1\n2 2\nd:1,1,01\n",
             "2 4 4 0\nd:\uff1110\n",
+            # Whitespace the writer never emits: CR line ends, double spaces,
+            # tabs, leading or trailing spaces, blank lines at the end, no
+            # final newline, no token line.
+            "2 4 4 0\r\nd:110  d:010\to:0101\r\n",
+            "2 4 4 0\r\nd:110 d:010 o:0101\r\n",
+            "2 4 4 0\nd:110 d:010\to:0101\n",
+            " 2 4 4 0\nd:110 d:010 o:0101\n",
+            "2 4 4 0 \nd:110 d:010 o:0101\n",
+            "2  4 4 0\nd:110 d:010 o:0101\n",
+            "2 4 4 0\n d:110 d:010 o:0101\n",
+            "2 4 4 0\nd:110 d:010 o:0101 \n",
+            "2 4 4 0\nd:110 d:010 o:0101\n\n",
+            "2 4 4 0\nd:110 d:010 o:0101\n\n\n",
+            "2 4 4 0\nd:110 d:010 o:0101\nperm  1 0 2 3 \n",
+            "2 4 4 0\nd:110 d:010 o:0101\nperm 1 0 2 3 \n",
+            "2 4 4 0\nd:110 d:010 o:0101\nperm 1 0 2 3\n\n",
+            "2 4 4 0\nd:110 d:010 o:0101",
+            "2 4 4 0\nd:110 d:010 o:0101\nperm 1 0 2 3",
+            "2 4 4 0\n",
+            "2 4 3 1\n2 2\n",
+            "2 4 3 1\n2  2\n\n",
+            "2 4 3 1\n2 2\nd:1,1,1\td:1,4,2 o:4,3,0,0 d:1,0,0\n",
+            "\n",
         ):
             with pytest.raises(SequenceError):
                 read_token_stream(text)
+
+    @pytest.mark.parametrize("text", [
+        "2 4 4 0\nd:110 d:010 o:0101\nperm 1 0 2 3\n",
+        "2 4 3 0\n\n",
+        "2 4 4 0\n\nperm 0 1 2 3\n",
+        "2 4 3 1\n2 2\n\n",
+        "2 4 3 1\n2 2\nd:1,1,1 d:1,4,2 o:4,3,0,0 d:1,0,0\n",
+    ])
+    def test_the_writers_own_bytes_read_back(self, text):
+        assert write_token_stream(read_token_stream(text)) == text
 
     def test_negative_integers_read_and_fail_at_decode(self):
         s = read_token_stream("2 4 3 1\n-1 5\n\n")
@@ -454,11 +497,11 @@ class TestPackedForm:
     @staticmethod
     def assert_matches_references(s):
         assert write_token_stream(s) == reference_write(s)
-        got, ref = _token_arrays(s), reference_token_grid(s.tokens, s.k)
-        if ref is None:
-            assert got is None
-        else:
-            assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
+        diag, grid = _token_arrays(s)
+        ref = reference_token_grid(s.tokens, s.k)
+        assert _token_grid(s.tokens, s.k)[2].any() == (ref is None)
+        if ref is not None:
+            assert np.array_equal(diag, ref[0]) and np.array_equal(grid, ref[1])
         assert s.total_values == sum(len(t.values) for t in s.tokens)
         diagonal = sum(1 for t in s.tokens if t.kind == D)
         assert full_tree_attrs(s) == s.k * s.k * (2 * len(s.tokens) - diagonal)
@@ -692,14 +735,40 @@ def mutated_streams(draw, labeled):
     return replace(s, tokens=tuple(tokens))
 
 
+# Hand-made streams: valid ones, and one of each rejection (kind, arity,
+# value, all-zero group, truncation, trailing tokens, a value past int64).
+HAND_STREAMS = [
+    "2 4 4 0\nd:110 d:010 o:0101\n",
+    "2 4 4 0\nd:110 o:0101 d:010\n",
+    "2 4 4 0\nd:110 d:010 o:01010\n",
+    "2 4 4 0\nd:110 d:010 o:0000\n",
+    "2 4 4 0\nd:110 d:110 o:0101\n",
+    "2 4 4 0\nd:110 d:010\n",
+    "2 8 8 0\nd:110 d:110\n",
+    "2 4 4 0\nd:110 d:010 o:0101 d:010\n",
+    "2 4 3 0\nd:111 d:010 o:0101\n",
+    "2 4 3 1\n2 2\n\n",
+    "2 4 3 1\n2 2\nd:1,1,1 d:1,4,2 o:4,3,0,0 d:1,0,0\n",
+    "2 4 3 1\n2 2\nd:1,1,1 d:1,4,2 o:4,3,0,0 d:1,0,1\n",
+    "2 4 3 1\n2 2\nd:1,1,1 d:1,4,2 o:4,5,0,0 d:1,0,0\n",
+    "2 4 3 1\n2 2\nd:1,1,1 d:0,4,2 o:4,3,0,0 d:1,0,0\n",
+    f"2 2 2 1\n1 1\nd:1,{2 ** 70},1\n",
+    # Out of the encoder's image: a padded size past the smallest power,
+    # a label vocab sum and cell paths past int64.
+    "2 16 5 0\nd:100 d:100 d:110 d:010 o:0101\n",
+    f"2 2 2 1\n{2 ** 70} 1\nd:1,0,2\n",
+    f"2 {2 ** 40} {2 ** 40} 0\n" + "d:100 " * 39 + "d:010\n",
+    ]
+
+
 class TestArrayDecoder:
-    """``decode_graph`` walks level arrays and hands a stream the walk rejects
-    to the builder for its error; ``reference_decode`` replays every token
-    through the builder and rebuilds from the tree.  On any stream they return
-    the same graph or raise the same error with the same message, so the walk
-    accepts exactly what the builder accepts: where the walk is stricter,
-    ``decode_graph`` raises AssertionError, and where it is looser, it returns
-    a graph while the reference raises."""
+    """``decode_graph`` walks level arrays against each level's rule table;
+    ``reference_decode`` replays every token through the frozen reference
+    builder of ``tests/helpers.py`` (one pending node at a time, with its
+    own per-group slot rules) and rebuilds from the tree.  On any stream
+    they return the same graph or raise the same error with the same
+    message, so the walk accepts exactly what the reference accepts and
+    names each rejection as the reference does."""
 
     @staticmethod
     def assert_agrees_with_reference(s):
@@ -723,30 +792,28 @@ class TestArrayDecoder:
     def test_labeled_mutants_agree_with_the_reference(self, s):
         self.assert_agrees_with_reference(s)
 
-    @pytest.mark.parametrize("text", [
-        "2 4 4 0\nd:110 d:010 o:0101\n",
-        "2 4 4 0\nd:110 o:0101 d:010\n",
-        "2 4 4 0\nd:110 d:010 o:01010\n",
-        "2 4 4 0\nd:110 d:010 o:0000\n",
-        "2 4 4 0\nd:110 d:110 o:0101\n",
-        "2 4 4 0\nd:110 d:010\n",
-        "2 8 8 0\nd:110 d:110\n",
-        "2 4 4 0\nd:110 d:010 o:0101 d:010\n",
-        "2 4 3 0\nd:111 d:010 o:0101\n",
-        "2 4 3 1\n2 2\n\n",
-        "2 4 3 1\n2 2\nd:1,1,1 d:1,4,2 o:4,3,0,0 d:1,0,0\n",
-        "2 4 3 1\n2 2\nd:1,1,1 d:1,4,2 o:4,3,0,0 d:1,0,1\n",
-        "2 4 3 1\n2 2\nd:1,1,1 d:1,4,2 o:4,5,0,0 d:1,0,0\n",
-        "2 4 3 1\n2 2\nd:1,1,1 d:0,4,2 o:4,3,0,0 d:1,0,0\n",
-        f"2 2 2 1\n1 1\nd:1,{2 ** 70},1\n",
-        # Out of the encoder's image: a padded size past the smallest power,
-        # a label vocab sum and cell paths past int64.
-        "2 16 5 0\nd:100 d:100 d:110 d:010 o:0101\n",
-        f"2 2 2 1\n{2 ** 70} 1\nd:1,0,2\n",
-        f"2 {2 ** 40} {2 ** 40} 0\n" + "d:100 " * 39 + "d:010\n",
-    ])
+    @pytest.mark.parametrize("text", HAND_STREAMS)
     def test_hand_made_streams_agree_with_the_reference(self, text):
         self.assert_agrees_with_reference(read_token_stream(text))
+
+    def test_rejections_are_named_without_the_builder(self, monkeypatch):
+        def refuse(*args):
+            raise RuntimeError("the builder ran")
+
+        monkeypatch.setattr(IncrementalBuilder, "step", refuse)
+        monkeypatch.setattr("k2seq.sequence.detokenize_build", refuse)
+        messages = []
+        for text in HAND_STREAMS:
+            s = read_token_stream(text)
+            got, ref = _outcome(decode_graph, s), _outcome(reference_decode, s)
+            if isinstance(ref, Exception):
+                assert (type(got), str(got)) == (type(ref), str(ref))
+                messages.append(str(got))
+            else:
+                assert got == ref
+        for case in ("kind", "arity", "value 0 not", "value 1 not", "all-zero", "still pending",
+                     "already complete", f"value {2 ** 70} not"):
+            assert any(case in message for message in messages), case
 
     def test_huge_label_vocab_rejections_come_from_the_builder(self):
         s = read_token_stream(f"2 2 2 1\n{2 ** 62} 1\nd:0,0,2\n")
@@ -760,6 +827,44 @@ class TestArrayDecoder:
         s = read_token_stream("2 8 8 0\nd:100 d:100 d:110\n")
         with pytest.raises(InvalidTokenError, match=r"token 3 \(level 3\): value 1 not allowed"):
             decode_graph(s)
+
+
+class TestBuilderMatchesReference:
+    """The level-table builder gives the frozen reference builder's tree and
+    paths, or its error class and message, on any stream."""
+
+    @staticmethod
+    def assert_agrees(s):
+        got = _outcome(lambda s: (detokenize_build(s), position_paths(s)), s)
+        ref = _outcome(reference_build, s)
+        if isinstance(ref, Exception):
+            assert (type(got), str(got)) == (type(ref), str(ref))
+        else:
+            assert got == ref
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.booleans().flatmap(lambda labeled: mutated_streams(labeled=labeled)))
+    def test_mutants_agree_with_the_reference(self, s):
+        self.assert_agrees(s)
+
+    @pytest.mark.parametrize("text", HAND_STREAMS)
+    def test_hand_made_streams_agree_with_the_reference(self, text):
+        self.assert_agrees(read_token_stream(text))
+
+    def test_next_rules_match_the_reference_at_every_step(self):
+        for g, k in ((random_er(4, 23, 0.3), 2), (random_er(5, 20, 0.4), 3),
+                     (random_labeled_er(6, 11, 0.4, node_vocab=3, edge_vocab=2), 2)):
+            s = encode_graph(g, k, ordering="cm")
+            b = IncrementalBuilder(s.k, s.padded_n, s.original_n, s.featured,
+                                   s.node_vocab, s.edge_vocab)
+            ref = ReferenceBuilder(s.k, s.padded_n, s.original_n, s.featured,
+                                   s.node_vocab, s.edge_vocab)
+            for token in s.tokens:
+                assert (b.next_kind, b.next_path, b.next_rules()) == \
+                    (ref.next_kind, ref.next_path, ref.next_rules())
+                b.step(token)
+                ref.step(token)
+            assert b.complete and ref.complete and b.tree() == ref.tree()
 
 
 class TestHeaderRule:
