@@ -1,6 +1,11 @@
 """Undirected graphs with optional categorical labels, edge-list text I/O,
 node-ordering schemes, and padding arithmetic.
 
+A :class:`Graph` is ``n`` plus one sorted ``(m, 2)`` int64 array of its
+edges, with label arrays aligned to nodes and edges.  Parsing, reordering,
+serializing and the codec read and build these arrays directly; the
+frozenset and dict forms are views built on first use.
+
 Two text formats are supported.  Plain: a header line ``"N M"`` followed by
 ``M`` lines ``"u v"`` with ``0 <= u < v < N``.  Labeled: a header line
 ``"N M L_node L_edge"`` followed by ``N`` lines ``"n <id> <label>"`` and then
@@ -10,14 +15,22 @@ per LF-terminated line.
 
 from __future__ import annotations
 
+import operator
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping
+
+import numpy as np
 
 Edge = tuple[int, int]
 Permutation = tuple[int, ...]
 
 ORDERING_SCHEMES = ("bfs", "dfs", "cm")
+
+_INT64_MIN, _INT64_MAX = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+# The largest n whose edge keys ``u * n + v`` fit int64.
+_MAX_KEYED_N = 3_037_000_499
 
 
 class GraphError(ValueError):
@@ -32,91 +45,262 @@ class ParseError(GraphError):
         self.line = line
 
 
-@dataclass(frozen=True)
+def _index(value, what: str) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise GraphError(f"{what} must be an integer, got {value!r}") from None
+
+
+def _int64(values, what: str) -> np.ndarray:
+    """``values`` (numbers, pairs of them, or an array) as an int64 array.
+    Each must be an integer in the sense of :func:`operator.index`, so numpy
+    integers pass and a float, even ``1.0``, is refused, not truncated."""
+    try:
+        array = np.array(values)
+    except ValueError:
+        raise GraphError("edges must be (u, v) pairs") from None
+    kind = array.dtype.kind
+    if kind in "bi" or (kind == "u" and (not array.size or array.max() <= _INT64_MAX)):
+        return array.astype(np.int64, copy=False)
+    # Not held as machine integers: check each value.
+    ints = [_index(x, what) for x in array.ravel().tolist()]
+    if any(not _INT64_MIN <= x <= _INT64_MAX for x in ints):
+        raise GraphError(f"{what} beyond int64")
+    return np.array(ints, dtype=np.int64).reshape(array.shape)
+
+
+def _pairs(array: np.ndarray) -> np.ndarray:
+    if array.size == 0:
+        return array.reshape(0, 2)
+    if array.ndim != 2 or array.shape[1] != 2:
+        raise GraphError("edges must be (u, v) pairs")
+    return array
+
+
+def _first(mask: np.ndarray) -> int | None:
+    """Index of the first True in ``mask``, or None."""
+    return int(mask.argmax()) if np.count_nonzero(mask) else None
+
+
+def _sort_rows(n: int, lo: np.ndarray, hi: np.ndarray,
+               in_range: bool) -> tuple[np.ndarray, int | None]:
+    """The order that sorts the rows ``(lo, hi)`` lexicographically, and the
+    sorted position of the first row equal to the next one (None when all
+    differ).  ``in_range`` says that every value lies in ``[0, n)``."""
+    if in_range and n <= _MAX_KEYED_N:
+        keys = lo * n + hi
+        order = np.argsort(keys)
+        keys = keys.take(order)
+        return order, _first(keys[1:] == keys[:-1])
+    order = np.lexsort((hi, lo))
+    lo, hi = lo.take(order), hi.take(order)
+    return order, _first((lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1]))
+
+
+def _read_only(array: np.ndarray | None) -> np.ndarray | None:
+    if array is not None:
+        array.flags.writeable = False
+    return array
+
+
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class Graph:
     """Simple undirected graph, optionally with dense categorical labels.
 
-    Each edge appears exactly once as ``(u, v)`` with ``u < v``; self-loops are
-    rejected.  When present, ``node_labels`` must cover every node and
-    ``edge_labels`` every edge, with label ids in ``[0, vocab)``.
+    The graph is ``n`` plus ``edge_array``, a read-only ``(m, 2)`` int64
+    array holding each edge once as ``(u, v)`` with ``u < v``, rows in
+    lexicographic order.  ``node_label_array`` (one label per node) and
+    ``edge_label_array`` (aligned with ``edge_array``) are read-only int64
+    arrays, or None for an unlabeled kind.
+
+    The constructor takes edges as any iterable of pairs in either
+    orientation and labels as mappings; :meth:`from_arrays` takes arrays.
+    Both refuse values that are not integers (:func:`operator.index`), a
+    self-loop, an endpoint outside ``[0, n)``, a duplicate edge, labels that
+    miss a node or an edge, and label ids outside ``[0, vocab)``.
+
+    ``edges`` (a frozenset of pairs), ``node_labels`` and ``edge_labels``
+    (dicts in sorted key order) are views of the arrays, built on first use.
+    With ``n`` and the vocab sizes they are this dataclass's fields, so
+    :func:`dataclasses.replace` builds a changed copy.  Graphs are equal, and
+    hash alike, when ``n``, the arrays and the vocab sizes are.
     """
 
     n: int
-    edges: frozenset[Edge] = frozenset()
-    node_labels: Mapping[int, int] | None = None
-    edge_labels: Mapping[Edge, int] | None = None
-    node_vocab: int = 0
-    edge_vocab: int = 0
+    edges: frozenset[Edge]
+    node_labels: dict[int, int] | None
+    edge_labels: dict[Edge, int] | None
+    node_vocab: int
+    edge_vocab: int
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, edges: Iterable[Edge] = frozenset(),
+                 node_labels: Mapping[int, int] | None = None,
+                 edge_labels: Mapping[Edge, int] | None = None,
+                 node_vocab: int = 0, edge_vocab: int = 0):
+        n = _index(n, "node count")
+        by_node = label_keys = labels = None
+        if node_labels is not None:
+            nodes = _int64(list(node_labels), "node id")
+            values = _int64(list(node_labels.values()), "node label")
+            # Labels that miss a node are left empty, which the check refuses.
+            by_node = np.zeros(0, dtype=np.int64)
+            if len(nodes) == n and np.array_equal(np.sort(nodes), np.arange(n)):
+                by_node = np.empty(n, dtype=np.int64)
+                by_node[nodes] = values
+        if edge_labels is not None:
+            label_keys = _int64(list(edge_labels), "edge endpoint")
+            labels = _int64(list(edge_labels.values()), "edge label")
+        self._store(n, _int64(list(edges), "edge endpoint"), by_node, label_keys, labels,
+                    node_vocab, edge_vocab)
+
+    @classmethod
+    def from_arrays(cls, n: int, edges: np.ndarray, node_labels: np.ndarray | None = None,
+                    edge_labels: np.ndarray | None = None, node_vocab: int = 0,
+                    edge_vocab: int = 0) -> Graph:
+        """The graph whose edges are the rows of an ``(m, 2)`` integer array,
+        in any order and orientation, with node labels indexed by node and
+        edge labels aligned with ``edges``; checked as the constructor
+        checks."""
+        pairs = _int64(edges, "edge endpoint")
+        g = cls.__new__(cls)
+        g._store(_index(n, "node count"), pairs,
+                 None if node_labels is None else _int64(node_labels, "node label"),
+                 None if edge_labels is None else pairs,
+                 None if edge_labels is None else _int64(edge_labels, "edge label"),
+                 node_vocab, edge_vocab)
+        return g
+
+    def _store(self, n: int, pairs: np.ndarray, node_labels: np.ndarray | None,
+               label_keys: np.ndarray | None, edge_labels: np.ndarray | None,
+               node_vocab: int, edge_vocab: int) -> None:
+        """Check and store: ``node_labels`` by node, ``edge_labels[i]`` the
+        label of the edge ``label_keys[i]`` (either orientation)."""
+        node_vocab, edge_vocab = _index(node_vocab, "node_vocab"), _index(edge_vocab, "edge_vocab")
+        if n < 1:
             raise GraphError("node count must be positive")
-        norm: set[Edge] = set()
-        for u, v in self.edges:
-            if u == v:
-                raise GraphError(f"self-loop at node {u}")
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise GraphError(f"edge ({u}, {v}) has an endpoint out of range")
-            e = (u, v) if u < v else (v, u)
-            if e in norm:
-                raise GraphError(f"duplicate edge {e}")
-            norm.add(e)
-        object.__setattr__(self, "edges", frozenset(norm))
+        pairs = _pairs(pairs)
+        u, v = pairs[:, 0], pairs[:, 1]
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        if len(lo) and (lo.min() < 0 or hi.max() >= n or np.count_nonzero(lo == hi)):
+            if (i := _first(u == v)) is not None:
+                raise GraphError(f"self-loop at node {u[i]}")
+            i = _first((lo < 0) | (hi >= n))
+            raise GraphError(f"edge ({u[i]}, {v[i]}) has an endpoint out of range")
+        order, repeat = _sort_rows(n, lo, hi, True)
+        edges = np.empty((len(lo), 2), dtype=np.int64)
+        edges[:, 0], edges[:, 1] = lo, hi
+        edges = edges.take(order, axis=0)
+        lo, hi = edges[:, 0], edges[:, 1]
+        if repeat is not None:
+            raise GraphError(f"duplicate edge ({lo[repeat]}, {hi[repeat]})")
 
-        if self.node_labels is not None:
-            if self.node_vocab < 1:
+        if node_labels is not None:
+            if node_vocab < 1:
                 raise GraphError("node_vocab must be >= 1 when node labels are present")
-            if set(self.node_labels) != set(range(self.n)):
+            if node_labels.shape != (n,):
                 raise GraphError("node labels must cover exactly all nodes")
-            for node, lab in self.node_labels.items():
-                if not 0 <= lab < self.node_vocab:
-                    raise GraphError(f"node label {lab} at node {node} outside [0, {self.node_vocab})")
-            object.__setattr__(self, "node_labels", dict(sorted(self.node_labels.items())))
-        elif self.node_vocab:
+            if (i := _first((node_labels < 0) | (node_labels >= node_vocab))) is not None:
+                raise GraphError(f"node label {node_labels[i]} at node {i} "
+                                 f"outside [0, {node_vocab})")
+        elif node_vocab:
             raise GraphError("node_vocab given without node labels")
 
-        if self.edge_labels is not None:
-            if self.edge_vocab < 1:
+        if edge_labels is not None:
+            if edge_vocab < 1:
                 raise GraphError("edge_vocab must be >= 1 when edge labels are present")
-            keyed = {}
-            for (u, v), lab in self.edge_labels.items():
-                e = (u, v) if u < v else (v, u)
-                if e in keyed:
-                    raise GraphError(f"duplicate edge label for {e}")
-                keyed[e] = lab
-            if set(keyed) != self.edges:
+            label_keys = _pairs(label_keys)
+            if edge_labels.shape != (len(label_keys),):
                 raise GraphError("edge labels must cover exactly all edges")
-            for e, lab in keyed.items():
-                if not 0 <= lab < self.edge_vocab:
-                    raise GraphError(f"edge label {lab} at {e} outside [0, {self.edge_vocab})")
-            object.__setattr__(self, "edge_labels", dict(sorted(keyed.items())))
-        elif self.edge_vocab:
+            klo = np.minimum(label_keys[:, 0], label_keys[:, 1])
+            khi = np.maximum(label_keys[:, 0], label_keys[:, 1])
+            in_range = not len(klo) or (klo.min() >= 0 and khi.max() < n)
+            order, repeat = _sort_rows(n, klo, khi, in_range)
+            klo, khi, edge_labels = klo.take(order), khi.take(order), edge_labels.take(order)
+            if repeat is not None:
+                raise GraphError(f"duplicate edge label for ({klo[repeat]}, {khi[repeat]})")
+            if not (np.array_equal(klo, lo) and np.array_equal(khi, hi)):
+                raise GraphError("edge labels must cover exactly all edges")
+            if (i := _first((edge_labels < 0) | (edge_labels >= edge_vocab))) is not None:
+                raise GraphError(f"edge label {edge_labels[i]} at ({lo[i]}, {hi[i]}) "
+                                 f"outside [0, {edge_vocab})")
+        elif edge_vocab:
             raise GraphError("edge_vocab given without edge labels")
+
+        # Frozen: set the instance dict directly, as the views are cached.
+        vars(self).update(n=n, edge_array=_read_only(edges),
+                          node_label_array=_read_only(node_labels),
+                          edge_label_array=_read_only(edge_labels),
+                          node_vocab=node_vocab, edge_vocab=edge_vocab)
+
+    @cached_property
+    def edges(self) -> frozenset[Edge]:
+        return frozenset(map(tuple, self.edge_array.tolist()))
+
+    @cached_property
+    def node_labels(self) -> dict[int, int] | None:
+        if self.node_label_array is None:
+            return None
+        return dict(enumerate(self.node_label_array.tolist()))
+
+    @cached_property
+    def edge_labels(self) -> dict[Edge, int] | None:
+        if self.edge_label_array is None:
+            return None
+        return dict(zip(map(tuple, self.edge_array.tolist()), self.edge_label_array.tolist()))
+
+    def _key(self) -> tuple:
+        return (self.n, self.node_vocab, self.edge_vocab) + tuple(
+            None if a is None else a.tobytes()
+            for a in (self.edge_array, self.node_label_array, self.edge_label_array))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (f"{type(self).__name__}(n={self.n!r}, edges={self.edges!r}, "
+                f"node_labels={self.node_labels!r}, edge_labels={self.edge_labels!r}, "
+                f"node_vocab={self.node_vocab!r}, edge_vocab={self.edge_vocab!r})")
 
     @property
     def labeled(self) -> bool:
-        return self.node_labels is not None or self.edge_labels is not None
+        return self.node_label_array is not None or self.edge_label_array is not None
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self.edge_array)
+
+    def degree_array(self) -> np.ndarray:
+        return np.bincount(self.edge_array.ravel(), minlength=self.n)
+
+    def _adjacency(self) -> tuple[np.ndarray, np.ndarray]:
+        """Row pointers and neighbours: node ``u``'s neighbours, ascending,
+        are ``nbrs[ptr[u]:ptr[u + 1]]``."""
+        lo, hi = self.edge_array[:, 0], self.edge_array[:, 1]
+        # Each node's smaller neighbours come first, ascending as the rows
+        # do, then its larger ones; a stable sort by node keeps that order.
+        src, nbrs = np.concatenate([hi, lo]), np.concatenate([lo, hi])
+        ptr = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=self.n), out=ptr[1:])
+        return ptr, nbrs[np.argsort(src, kind="stable")]
 
     def neighbors(self) -> list[list[int]]:
         """Adjacency lists, each sorted ascending."""
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        for lst in adj:
-            lst.sort()
-        return adj
+        return _split(*self._adjacency())
 
     def degrees(self) -> list[int]:
-        deg = [0] * self.n
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
+        return self.degree_array().tolist()
+
+
+def _split(ptr: np.ndarray, values: np.ndarray) -> list[list[int]]:
+    """The row slices ``values[ptr[i]:ptr[i + 1]]`` as lists."""
+    flat, bounds = values.tolist(), ptr.tolist()
+    return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def _parse_int(tok: str, line: int, what: str) -> int:
@@ -126,83 +310,123 @@ def _parse_int(tok: str, line: int, what: str) -> int:
         raise ParseError(line, f"{what} is not an integer: {tok!r}") from None
 
 
-def _data_lines(text: str) -> list[tuple[int, str]]:
-    """Non-empty lines with 1-based numbers; trailing blank lines are ignored."""
+def parse_edge_list(text: str) -> Graph:
+    """Parse plain or labeled edge-list text into a :class:`Graph`.
+
+    The records are read and checked as whole arrays; text that fails is
+    read again line by line, only to name the first offending line."""
+    g = _parse_arrays(text)
+    if g is None:
+        _raise_first_error(text)
+    return g
+
+
+def _ints(words: list[str]) -> np.ndarray | None:
+    """The int64 values ``int`` reads from ``words``, or None."""
+    try:
+        return np.fromiter(map(int, words), dtype=np.int64, count=len(words))
+    except (ValueError, OverflowError):
+        return None
+
+
+def _parse_arrays(text: str) -> Graph | None:
+    """The graph of a well-formed text, or None.
+
+    Each line break becomes a ``|`` word, so a text with the expected line
+    count has the expected layout exactly when every line-end position holds
+    ``|`` and every tag position its tag: the other positions must read as
+    integers, which ``|`` does not.  Whitespace is what ``str.split`` takes,
+    and the values are what ``int`` reads, as line by line."""
+    head, _, body = text.rstrip("\n").partition("\n")
+    try:
+        header = list(map(int, head.split()))
+    except ValueError:
+        return None
+    if len(header) not in (2, 4):
+        return None
+    n, m, *vocabs = header
+    labeled = bool(vocabs)
+    lines = n + m if labeled else m
+    if n < 1 or m < 0 or min(vocabs, default=1) < 1:
+        return None
+    if (body.count("\n") + 1 if body else 0) != lines:
+        return None
+    words = (body + "\n").replace("\n", " | ").split() if lines else []
+    if not labeled:
+        if len(words) != 3 * m or words[2::3].count("|") != m:
+            return None
+        del words[2::3]
+        pairs = _ints(words)
+        if pairs is None:
+            return None
+        pairs = pairs.reshape(-1, 2)
+        if not (pairs[:, 0] < pairs[:, 1]).all():
+            return None
+        try:
+            return Graph.from_arrays(n, pairs)
+        except GraphError:
+            return None
+    node_words, edge_words = words[:4 * n], words[4 * n:]
+    if (len(edge_words) != 5 * m or node_words[0::4].count("n") != n
+            or node_words[3::4].count("|") != n or edge_words[0::5].count("e") != m
+            or edge_words[4::5].count("|") != m):
+        return None
+    nodes = _ints(node_words[1::4] + node_words[2::4])
+    edges = _ints(edge_words[1::5] + edge_words[2::5] + edge_words[3::5])
+    if nodes is None or edges is None:
+        return None
+    ids, node_labels = nodes[:n], nodes[n:]
+    u, v, edge_labels = edges[:m], edges[m:2 * m], edges[2 * m:]
+    if not (np.array_equal(np.sort(ids), np.arange(n)) and (u < v).all()):
+        return None
+    by_node = np.empty(n, dtype=np.int64)
+    by_node[ids] = node_labels
+    try:
+        return Graph.from_arrays(n, np.stack([u, v], axis=1), by_node, edge_labels, *vocabs)
+    except GraphError:
+        return None
+
+
+def _raise_first_error(text: str) -> None:
+    """Raise the :class:`ParseError` of the first offending line of a text
+    that :func:`_parse_arrays` refuses, reading it line by line.  A graph
+    needs its ids and labels in int64, so a value beyond it is refused even
+    where a node count or vocab size beyond int64 would admit it."""
     raw = text.split("\n")
     while raw and raw[-1] == "":
         raw.pop()
-    out = []
+    lines = []
     for idx, line in enumerate(raw, start=1):
         if line.strip() == "":
             raise ParseError(idx, "blank line inside record")
-        out.append((idx, line))
-    return out
-
-
-def parse_edge_list(text: str) -> Graph:
-    """Parse plain or labeled edge-list text into a :class:`Graph`."""
-    lines = _data_lines(text)
+        lines.append((idx, line))
     if not lines:
         raise ParseError(1, "empty input")
     head_no, head = lines[0]
     fields = head.split()
-    if len(fields) == 2:
-        n = _parse_int(fields[0], head_no, "node count")
-        m = _parse_int(fields[1], head_no, "edge count")
-        return _parse_plain(n, m, lines[1:], head_no)
-    if len(fields) == 4:
-        n = _parse_int(fields[0], head_no, "node count")
-        m = _parse_int(fields[1], head_no, "edge count")
+    if len(fields) not in (2, 4):
+        raise ParseError(head_no, "header must be 'N M' or 'N M L_node L_edge'")
+    n = _parse_int(fields[0], head_no, "node count")
+    m = _parse_int(fields[1], head_no, "edge count")
+    labeled = len(fields) == 4
+    if labeled:
         lnode = _parse_int(fields[2], head_no, "node label vocab")
         ledge = _parse_int(fields[3], head_no, "edge label vocab")
-        return _parse_labeled(n, m, lnode, ledge, lines[1:], head_no)
-    raise ParseError(head_no, "header must be 'N M' or 'N M L_node L_edge'")
-
-
-def _check_endpoints(u: int, v: int, n: int, line: int) -> Edge:
-    if u == v:
-        raise ParseError(line, f"self-loop at node {u}")
-    if u > v:
-        raise ParseError(line, f"edge endpoints must satisfy u < v, got {u} {v}")
-    if v >= n or u < 0:
-        raise ParseError(line, f"endpoint out of range in edge ({u}, {v})")
-    return (u, v)
-
-
-def _parse_plain(n: int, m: int, body: list[tuple[int, str]], head_no: int) -> Graph:
     if n < 1:
         raise ParseError(head_no, "node count must be positive")
     if m < 0:
         raise ParseError(head_no, "edge count must be non-negative")
-    if len(body) != m:
+    body, node_lines = lines[1:], n if labeled else 0
+    if labeled:
+        if lnode < 1 or ledge < 1:
+            raise ParseError(head_no, "label vocab sizes must be positive")
+        if len(body) != n + m:
+            raise ParseError(head_no + 1 + min(len(body), n + m),
+                             f"expected {n} node lines and {m} edge lines, found {len(body)}")
+    elif len(body) != m:
         raise ParseError(head_no + 1 + min(len(body), m), f"expected {m} edge lines, found {len(body)}")
-    edges: set[Edge] = set()
-    for line_no, line in body:
-        fields = line.split()
-        if len(fields) != 2:
-            raise ParseError(line_no, "edge line must be 'u v'")
-        u = _parse_int(fields[0], line_no, "endpoint")
-        v = _parse_int(fields[1], line_no, "endpoint")
-        e = _check_endpoints(u, v, n, line_no)
-        if e in edges:
-            raise ParseError(line_no, f"duplicate edge {e}")
-        edges.add(e)
-    return Graph(n=n, edges=frozenset(edges))
-
-
-def _parse_labeled(n: int, m: int, lnode: int, ledge: int,
-                   body: list[tuple[int, str]], head_no: int) -> Graph:
-    if n < 1:
-        raise ParseError(head_no, "node count must be positive")
-    if m < 0:
-        raise ParseError(head_no, "edge count must be non-negative")
-    if lnode < 1 or ledge < 1:
-        raise ParseError(head_no, "label vocab sizes must be positive")
-    if len(body) != n + m:
-        raise ParseError(head_no + 1 + min(len(body), n + m),
-                         f"expected {n} node lines and {m} edge lines, found {len(body)}")
-    node_labels: dict[int, int] = {}
-    for line_no, line in body[:n]:
+    labeled_nodes: set[int] = set()
+    for line_no, line in body[:node_lines]:
         fields = line.split()
         if len(fields) != 3 or fields[0] != "n":
             raise ParseError(line_no, "expected node label line 'n <id> <label>'")
@@ -210,29 +434,38 @@ def _parse_labeled(n: int, m: int, lnode: int, ledge: int,
         lab = _parse_int(fields[2], line_no, "node label")
         if not 0 <= node < n:
             raise ParseError(line_no, f"node id {node} out of range")
-        if node in node_labels:
+        if node in labeled_nodes:
             raise ParseError(line_no, f"duplicate label for node {node}")
         if not 0 <= lab < lnode:
             raise ParseError(line_no, f"node label {lab} outside [0, {lnode})")
-        node_labels[node] = lab
-    edges: set[Edge] = set()
-    edge_labels: dict[Edge, int] = {}
-    for line_no, line in body[n:]:
+        if lab > _INT64_MAX:
+            raise ParseError(line_no, "value beyond int64")
+        labeled_nodes.add(node)
+    seen: set[Edge] = set()
+    for line_no, line in body[node_lines:]:
         fields = line.split()
-        if len(fields) != 4 or fields[0] != "e":
+        if labeled and (len(fields) != 4 or fields[0] != "e"):
             raise ParseError(line_no, "expected edge line 'e <u> <v> <label>'")
-        u = _parse_int(fields[1], line_no, "endpoint")
-        v = _parse_int(fields[2], line_no, "endpoint")
-        lab = _parse_int(fields[3], line_no, "edge label")
-        e = _check_endpoints(u, v, n, line_no)
-        if e in edges:
-            raise ParseError(line_no, f"duplicate edge {e}")
-        if not 0 <= lab < ledge:
+        if not labeled and len(fields) != 2:
+            raise ParseError(line_no, "edge line must be 'u v'")
+        fields = fields[labeled:]
+        u = _parse_int(fields[0], line_no, "endpoint")
+        v = _parse_int(fields[1], line_no, "endpoint")
+        lab = _parse_int(fields[2], line_no, "edge label") if labeled else 0
+        if u == v:
+            raise ParseError(line_no, f"self-loop at node {u}")
+        if u > v:
+            raise ParseError(line_no, f"edge endpoints must satisfy u < v, got {u} {v}")
+        if v >= n or u < 0:
+            raise ParseError(line_no, f"endpoint out of range in edge ({u}, {v})")
+        if (u, v) in seen:
+            raise ParseError(line_no, f"duplicate edge {(u, v)}")
+        if labeled and not 0 <= lab < ledge:
             raise ParseError(line_no, f"edge label {lab} outside [0, {ledge})")
-        edges.add(e)
-        edge_labels[e] = lab
-    return Graph(n=n, edges=frozenset(edges), node_labels=node_labels,
-                 edge_labels=edge_labels, node_vocab=lnode, edge_vocab=ledge)
+        if max(v, lab) > _INT64_MAX:
+            raise ParseError(line_no, "value beyond int64")
+        seen.add((u, v))
+    raise AssertionError("text refused by the array parse has no offending line")
 
 
 def serialize_edge_list(g: Graph) -> str:
@@ -241,16 +474,16 @@ def serialize_edge_list(g: Graph) -> str:
     Labeled graphs need labels on both nodes and edges; a graph labeled on only
     one of the two cannot be expressed in this format.
     """
+    edges = g.edge_array
     if not g.labeled:
-        out = [f"{g.n} {g.m}"]
-        out.extend(f"{u} {v}" for u, v in sorted(g.edges))
-        return "\n".join(out) + "\n"
-    if g.node_labels is None or g.edge_labels is None:
+        return f"{g.n} {g.m}\n" + "%d %d\n" * g.m % tuple(edges.ravel().tolist())
+    if g.node_label_array is None or g.edge_label_array is None:
         raise GraphError("edge-list format requires labels on both nodes and edges, or neither")
-    out = [f"{g.n} {g.m} {g.node_vocab} {g.edge_vocab}"]
-    out.extend(f"n {i} {g.node_labels[i]}" for i in range(g.n))
-    out.extend(f"e {u} {v} {g.edge_labels[(u, v)]}" for u, v in sorted(g.edges))
-    return "\n".join(out) + "\n"
+    nodes = np.stack([np.arange(g.n), g.node_label_array], axis=1)
+    rows = np.concatenate([edges, g.edge_label_array[:, None]], axis=1)
+    return (f"{g.n} {g.m} {g.node_vocab} {g.edge_vocab}\n"
+            + "n %d %d\n" * g.n % tuple(nodes.ravel().tolist())
+            + "e %d %d %d\n" * g.m % tuple(rows.ravel().tolist()))
 
 
 def _components(g: Graph, adj: list[list[int]]) -> list[list[int]]:
@@ -288,12 +521,20 @@ def order_nodes(g: Graph, scheme: str, reverse: bool = False) -> Permutation:
     """
     if scheme not in ORDERING_SCHEMES:
         raise ValueError(f"unknown ordering scheme {scheme!r}")
-    adj = g.neighbors()
-    deg = [len(a) for a in adj]
+    ptr, nbrs = g._adjacency()
+    adj = _split(ptr, nbrs)
+    if scheme == "cm":
+        deg = np.diff(ptr)
+        # Each node's neighbours by (degree, id): a stable sort by node, then
+        # degree, keeps the ascending ids within a degree.
+        keys = np.repeat(np.arange(g.n), deg) * (int(deg.max(initial=0)) + 1) + deg[nbrs]
+        by_degree = _split(ptr, nbrs[np.argsort(keys, kind="stable")])
+        deg, seen = deg.tolist(), [False] * g.n
     perm: list[int] = []
     for comp in _components(g, adj):
         if scheme == "cm":
-            perm.extend(_cuthill_mckee(comp, adj, deg))
+            start = min(comp, key=lambda u: (deg[u], u))
+            perm.extend(_cuthill_mckee(start, by_degree, seen))
         elif scheme == "bfs":
             perm.extend(comp)
         else:
@@ -319,18 +560,16 @@ def _dfs_order(start: int, adj: list[list[int]]) -> list[int]:
     return order
 
 
-def _cuthill_mckee(comp: list[int], adj: list[list[int]], deg: list[int]) -> list[int]:
-    start = min(comp, key=lambda u: (deg[u], u))
+def _cuthill_mckee(start: int, by_degree: list[list[int]], seen: list[bool]) -> list[int]:
+    """Breadth-first order from ``start``, each node's unseen neighbours in
+    the order of ``by_degree``; marks them in ``seen``."""
     order = [start]
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        for w in sorted(adj[u], key=lambda x: (deg[x], x)):
-            if w not in seen:
-                seen.add(w)
+    seen[start] = True
+    for u in order:  # the list grows as it is read: a FIFO queue
+        for w in by_degree[u]:
+            if not seen[w]:
+                seen[w] = True
                 order.append(w)
-                queue.append(w)
     return order
 
 
@@ -341,29 +580,30 @@ def invert_permutation(perm: Permutation) -> Permutation:
     return tuple(inv)
 
 
+def permutation_array(perm, n: int) -> np.ndarray | None:
+    """``perm`` as an int64 array if it is a permutation of ``0..n-1``, else None."""
+    array = np.array(perm)
+    if (array.shape != (n,) or array.dtype.kind not in "iu"
+            or not np.array_equal(np.sort(array), np.arange(n))):
+        return None
+    return array.astype(np.int64, copy=False)
+
+
 def apply_ordering(g: Graph, perm: Permutation) -> Graph:
     """Relabel ``g`` so that new node ``u`` is original node ``perm[u]``.
 
     An edge ``(u, v)`` is present in the result iff ``(perm[u], perm[v])`` is an
-    edge of ``g``.  Labels follow their nodes and edges.
+    edge of ``g``.  Labels follow their nodes and edges.  The edges map
+    through the inverse permutation and are sorted once.
     """
-    if len(perm) != g.n or sorted(perm) != list(range(g.n)):
+    array = permutation_array(perm, g.n)
+    if array is None:
         raise GraphError(f"permutation is not a bijection on 0..{g.n - 1}")
-    inv = invert_permutation(perm)
-
-    def remap(u: int, v: int) -> Edge:
-        a, b = inv[u], inv[v]
-        return (a, b) if a < b else (b, a)
-
-    edges = frozenset(remap(u, v) for u, v in g.edges)
-    node_labels = None
-    if g.node_labels is not None:
-        node_labels = {u: g.node_labels[perm[u]] for u in range(g.n)}
-    edge_labels = None
-    if g.edge_labels is not None:
-        edge_labels = {remap(u, v): lab for (u, v), lab in g.edge_labels.items()}
-    return Graph(n=g.n, edges=edges, node_labels=node_labels, edge_labels=edge_labels,
-                 node_vocab=g.node_vocab, edge_vocab=g.edge_vocab)
+    inv = np.empty(g.n, dtype=np.int64)
+    inv[array] = np.arange(g.n)
+    node_labels = None if g.node_label_array is None else g.node_label_array[array]
+    return Graph.from_arrays(g.n, inv[g.edge_array], node_labels, g.edge_label_array,
+                             g.node_vocab, g.edge_vocab)
 
 
 def padded_size(n: int, k: int) -> int:
@@ -380,4 +620,4 @@ def padded_size(n: int, k: int) -> int:
 
 def bandwidth(g: Graph) -> int:
     """Maximum index distance ``|u - v|`` over edges; 0 for an edgeless graph."""
-    return max((v - u for u, v in g.edges), default=0)
+    return int(np.max(g.edge_array[:, 1] - g.edge_array[:, 0], initial=0))

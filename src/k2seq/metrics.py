@@ -50,7 +50,7 @@ class Histogram:
 
 def degree_histogram(g: Graph) -> Histogram:
     """Counts of node degrees 0..max on unit-width integer bins."""
-    counts = np.bincount(g.degrees())
+    counts = np.bincount(g.degree_array())
     return Histogram(counts=counts.astype(np.int64),
                      edges=np.arange(len(counts) + 1, dtype=float))
 
@@ -58,8 +58,8 @@ def degree_histogram(g: Graph) -> Histogram:
 def _triangles(g: Graph):
     """Edge keys ``u * n + v`` and rows ``u < v``, both sorted; row pointers of
     each node's later neighbours; degrees; triangles ``u < v < w`` as rows."""
-    keys = np.sort(np.fromiter((u * g.n + v for u, v in g.edges), np.int64, count=g.m))
-    edges = np.stack(np.divmod(keys, g.n), axis=1)
+    edges = g.edge_array
+    keys = edges[:, 0] * g.n + edges[:, 1]
     later = np.searchsorted(edges[:, 0], np.arange(g.n + 1))
     tri = _grow_cliques(edges, later, keys, edges)
     deg = np.bincount(edges.ravel(), minlength=g.n)

@@ -29,8 +29,9 @@ bits read as a binary number, so :func:`encode_graph` computes the ids from
 its level grids by arithmetic, :func:`write_token_stream` looks each id's
 word up, :func:`read_token_stream` looks each word's id up, and
 :func:`decode_graph` gathers the level grids back by id.  One table per ``k``
-(:func:`_structural`) holds each id's word, its one shared :class:`Token` and
-its grid row; :class:`Vocabulary` reads its value tables off the same table.
+(:func:`_structural`) holds each id's word and grid row, and makes each id's
+one shared :class:`Token` when the id first occurs; :class:`Vocabulary`
+reads its value tables off the same table.
 Featured streams, ``k >= 5`` and plain tokens that are not all structural
 take the generic path, token by token.  A sequence built with ``tokens=``
 derives its ids from them on first use.
@@ -57,7 +58,8 @@ from itertools import chain
 
 import numpy as np
 
-from .graphs import Graph, GraphError, apply_ordering, order_nodes, padded_size
+from .graphs import (Graph, GraphError, apply_ordering, order_nodes, padded_size,
+                     permutation_array)
 from .tree import K2Tree, TreeNode, edge_label_token, node_label_token, tree_levels
 
 DIAGONAL = "d"
@@ -136,11 +138,11 @@ class TokenSequence:
             raise SequenceError(f"k={k} has no structural table; tables support 2 <= k <= 4")
         table = _structural(k)
         ids = np.array(ids, dtype=np.int64)
-        if len(ids) and (ids.min() < _SPECIALS or ids.max() >= len(table.tokens)):
-            raise SequenceError(f"ids must be structural, in [{_SPECIALS}, {len(table.tokens)})")
+        if len(ids) and (ids.min() < _SPECIALS or ids.max() >= len(table.grid)):
+            raise SequenceError(f"ids must be structural, in [{_SPECIALS}, {len(table.grid)})")
         ids.flags.writeable = False
         s = cls(k=k, padded_n=padded_n, original_n=original_n,
-                tokens=tuple(table.tokens[ids].tolist()), perm=perm)
+                tokens=tuple(table.tokens(ids).tolist()), perm=perm)
         object.__setattr__(s, "_ids", ids)
         return s
 
@@ -186,19 +188,49 @@ class _Structural:
 
     ``grid`` is ids x ``k*k``: each token's values in their slots ``i*k + j``
     (0-based), a diagonal token's other slots 0, as :func:`_level_tokens` and
-    :func:`_token_grid` lay them out.  ``words`` and ``tokens`` are object
-    arrays of each id's stream word and its one shared :class:`Token`;
-    ``word_ids`` maps a word back to its id.  ``weights[diagonal]`` turns a
-    grid row into the id's offset from its kind's base: the bits of the held
-    slots, the first most significant.
+    :func:`_token_grid` lay them out.  ``words`` is an object array of each
+    id's stream word; ``word_ids`` maps a word back to its id.
+    ``weights[diagonal]`` turns a grid row into the id's offset from its
+    kind's base: the bits of the held slots, the first most significant.
+
+    Each id has one shared :class:`Token`, which :meth:`tokens` and
+    :meth:`token` make the first time the id is asked for (``k=4`` has 66,563
+    ids, and a stream uses few of them).
     """
 
+    k: int
     off_base: int
     grid: np.ndarray
     words: np.ndarray
-    tokens: np.ndarray
     word_ids: dict[str, int]
     weights: np.ndarray
+    _made: np.ndarray = field(init=False, repr=False)
+    _tokens: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_made", np.zeros(len(self.grid), dtype=bool))
+        object.__setattr__(self, "_tokens", np.full(len(self.grid), None, dtype=object))
+
+    def tokens(self, ids: np.ndarray) -> np.ndarray:
+        """The shared tokens of the structural ``ids``, as an object array;
+        the ids asked for the first time get theirs, one per distinct id."""
+        made = self._made.take(ids)
+        if np.count_nonzero(made) < len(ids):
+            new = np.unique(ids[~made])
+            held = self.grid[new].tolist()
+            diag_slots = _held_slots(self.k, True)
+            self._tokens[new] = [
+                Token(DIAGONAL, tuple([bits[s] for s in diag_slots])) if on_diag
+                else Token(OFFDIAGONAL, tuple(bits))
+                for bits, on_diag in zip(held, (new < self.off_base).tolist())]
+            self._made[new] = True
+        return self._tokens.take(ids)
+
+    def token(self, token_id: int) -> Token:
+        """The shared token of one structural id."""
+        if self._made[token_id]:
+            return self._tokens[token_id]
+        return self.tokens(np.array([token_id]))[0]
 
 
 @lru_cache(maxsize=None)
@@ -207,27 +239,25 @@ def _structural(k: int) -> _Structural:
     off_base = _SPECIALS + (1 << diagonal_arity(k))
     grid = np.zeros((off_base + (1 << kk), kk), dtype=np.int8)
     weights = np.zeros((2, kk), dtype=np.int64)
-    words, tokens = [None] * _SPECIALS, [None] * _SPECIALS
+    words = [None] * _SPECIALS
     for kind, base in ((DIAGONAL, _SPECIALS), (OFFDIAGONAL, off_base)):
         slots = _held_slots(k, kind == DIAGONAL)
         count, shifts = 1 << len(slots), np.arange(len(slots) - 1, -1, -1)
         weights[int(kind == DIAGONAL), slots] = 1 << shifts
-        bits = np.arange(count)[:, None] >> shifts & 1
-        grid[base:base + count, slots] = bits
+        grid[base:base + count, slots] = np.arange(count)[:, None] >> shifts & 1
         words += [f"{kind}:{offset:0{len(slots)}b}" for offset in range(count)]
-        tokens += [Token(kind, values) for values in map(tuple, bits.tolist())]
     word_ids = {word: i for i, word in enumerate(words) if word is not None}
-    words, tokens = np.array(words, dtype=object), np.array(tokens, dtype=object)
-    for array in (grid, words, tokens, weights):
+    words = np.array(words, dtype=object)
+    for array in (grid, words, weights):
         array.flags.writeable = False  # every caller shares them
-    return _Structural(off_base, grid, words, tokens, word_ids, weights)
+    return _Structural(k, off_base, grid, words, word_ids, weights)
 
 
 def _grid_ids(diag: np.ndarray, grid: np.ndarray, k: int) -> np.ndarray:
     """Vocabulary ids of plain tokens given as diagonal flags and a 0/1 grid
     laid out as :class:`_Structural`'s."""
     table = _structural(k)
-    offsets = (grid * table.weights[diag.astype(np.intp)]).sum(axis=1)
+    offsets = np.einsum("ij,ij->i", grid, table.weights[diag.astype(np.intp)])
     ids = np.where(diag, _SPECIALS, table.off_base) + offsets
     ids.flags.writeable = False
     return ids
@@ -680,7 +710,7 @@ class Vocabulary:
 
     def decode(self, token_id: int) -> Token:
         if self._diag_base <= token_id < self._ext_base:
-            return _structural(self.k).tokens[token_id]
+            return _structural(self.k).token(token_id)
         if self._ext_base <= token_id < self.size:
             return self.featured_tokens[token_id - self._ext_base]
         raise SequenceError(f"id {token_id} is reserved or out of range")
@@ -811,17 +841,16 @@ def _lower_cells(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rows, columns and values of the nonzero cells on and below the diagonal:
     ``(v, u)`` for each edge ``u < v``, plus the node-label cells of a labeled
     graph, valued as :func:`build_k2tree` values them."""
+    edges = g.edge_array
     if not g.labeled:
-        edges = np.array(list(g.edges), dtype=np.int64).reshape(-1, 2)
         return edges[:, 1], edges[:, 0], np.ones(len(edges), dtype=np.int64)
-    if g.node_labels is None or g.edge_labels is None:
+    if g.node_label_array is None or g.edge_label_array is None:
         raise GraphError("featured build requires node and edge labels")
-    edges = np.array(list(g.edge_labels), dtype=np.int64).reshape(-1, 2)
     nodes = np.arange(g.n, dtype=np.int64)
-    values = [node_label_token(lab) for lab in g.node_labels.values()]
-    values += [edge_label_token(lab, g.node_vocab) for lab in g.edge_labels.values()]
+    values = [node_label_token(g.node_label_array),
+              edge_label_token(g.edge_label_array, g.node_vocab)]
     return (np.concatenate([nodes, edges[:, 1]]), np.concatenate([nodes, edges[:, 0]]),
-            np.array(values, dtype=np.int64))
+            np.concatenate(values))
 
 
 def _level_tokens(rows: np.ndarray, cols: np.ndarray, values: np.ndarray,
@@ -1010,21 +1039,23 @@ def decode_graph(s: TokenSequence) -> Graph:
     """
     _check_header(s.k, s.padded_n, s.original_n, s.featured, s.node_vocab, s.edge_vocab)
     n = s.original_n
-    if s.perm is not None and (len(s.perm) != n or sorted(s.perm) != list(range(n))):
+    perm = None if s.perm is None else permutation_array(s.perm, n)
+    if s.perm is not None and perm is None:
         raise SequenceError(f"perm is not a permutation of 0..{n - 1}")
     if not s.tokens:
         if s.featured:
             raise GraphError("featured tree does not label every node")
         return Graph(n=n)
     rows, cols, values = _level_cells(s)
-    if s.perm is not None:
-        perm = np.asarray(s.perm, dtype=np.int64)
+    if perm is not None:
         rows, cols = perm[rows], perm[cols]
-    lo, hi = np.minimum(rows, cols).tolist(), np.maximum(rows, cols).tolist()
     if not s.featured:
-        return Graph(n=n, edges=frozenset(zip(lo, hi)))
-    cells = list(zip(lo, hi, values.tolist()))
-    node_labels = {u: value - 1 for u, v, value in cells if u == v}
-    edge_labels = {(u, v): value - s.node_vocab - 1 for u, v, value in cells if u != v}
-    return Graph(n=n, edges=frozenset(edge_labels), node_labels=node_labels,
-                 edge_labels=edge_labels, node_vocab=s.node_vocab, edge_vocab=s.edge_vocab)
+        return Graph.from_arrays(n, np.stack([rows, cols], axis=1))
+    on_diag = rows == cols
+    if np.count_nonzero(on_diag) != n:
+        raise GraphError("featured tree does not label every node")
+    node_labels = np.empty(n, dtype=np.int64)
+    node_labels[rows[on_diag]] = values[on_diag] - 1
+    off = ~on_diag
+    return Graph.from_arrays(n, np.stack([rows[off], cols[off]], axis=1), node_labels,
+                             values[off] - s.node_vocab - 1, s.node_vocab, s.edge_vocab)

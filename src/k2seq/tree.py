@@ -102,25 +102,22 @@ def adjacency_matrix(g: Graph, size: int | None = None) -> np.ndarray:
     """Symmetric 0/1 matrix of ``g``, optionally zero-padded to ``size``."""
     size = g.n if size is None else size
     mat = np.zeros((size, size), dtype=np.int32)
-    for u, v in g.edges:
-        mat[u, v] = 1
-        mat[v, u] = 1
+    u, v = g.edge_array[:, 0], g.edge_array[:, 1]
+    mat[u, v] = mat[v, u] = 1
     return mat
 
 
 def label_matrix(g: Graph, size: int | None = None) -> np.ndarray:
     """Token matrix of a labeled graph: node tokens on the diagonal, edge
     tokens off it, zero elsewhere and in the padding region."""
-    if g.node_labels is None or g.edge_labels is None:
+    if g.node_label_array is None or g.edge_label_array is None:
         raise GraphError("label matrix requires node and edge labels")
     size = g.n if size is None else size
     mat = np.zeros((size, size), dtype=np.int64)
-    for u, lab in g.node_labels.items():
-        mat[u, u] = node_label_token(lab)
-    for (u, v), lab in g.edge_labels.items():
-        tok = edge_label_token(lab, g.node_vocab)
-        mat[u, v] = tok
-        mat[v, u] = tok
+    nodes = np.arange(g.n)
+    mat[nodes, nodes] = node_label_token(g.node_label_array)
+    u, v = g.edge_array[:, 0], g.edge_array[:, 1]
+    mat[u, v] = mat[v, u] = edge_label_token(g.edge_label_array, g.node_vocab)
     return mat
 
 
@@ -172,7 +169,7 @@ def build_k2tree(g: Graph, k: int, featured: bool | None = None) -> K2Tree:
     if featured is None:
         featured = g.labeled
     if featured:
-        if g.node_labels is None or g.edge_labels is None:
+        if g.node_label_array is None or g.edge_label_array is None:
             raise GraphError("featured build requires node and edge labels")
     elif g.labeled:
         raise GraphError("labeled input cannot be encoded with featured=False")

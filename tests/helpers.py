@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 
 from k2seq import Graph
 from k2seq.generators import gen_community, gen_er, gen_grid, gen_planar
-from k2seq.graphs import apply_ordering, invert_permutation, order_nodes
+from k2seq.graphs import (GraphError, ParseError, apply_ordering, invert_permutation,
+                          order_nodes)
 from k2seq.sequence import (DIAGONAL, OFFDIAGONAL, InvalidTokenError, Rule, SequenceError,
                             Token, TokenMismatchError, TokenSequence, TrailingTokensError,
                             TruncatedSequenceError, _check_header, child_orders,
@@ -288,7 +289,10 @@ def random_labeled_er(seed: int, n: int, p: float,
     rng = np.random.default_rng(seed)
     base = gen_er(n, p, seed + 1)
     node_labels = {u: int(rng.integers(node_vocab)) for u in range(n)}
-    edge_labels = {e: int(rng.integers(edge_vocab)) for e in base.edges}
+    # Edges draw their labels in the order the set-based Graph iterated
+    # them, so that fixed-seed graphs (and the samples trained on them)
+    # stay what they were.
+    edge_labels = {e: int(rng.integers(edge_vocab)) for e in reference_edge_order(base.edges)}
     return Graph(n=n, edges=base.edges, node_labels=node_labels,
                  edge_labels=edge_labels, node_vocab=node_vocab,
                  edge_vocab=edge_vocab)
@@ -332,6 +336,284 @@ def mixed_family_graphs(seed: int, count: int, max_n: int = 40) -> list[Graph]:
         else:
             graphs.append(gen_planar(int(rng.integers(8, 33)), sub))
     return graphs
+
+
+# The set-based Graph of earlier versions, frozen as the reference the
+# array-backed Graph and the functions over it must match: a frozenset of
+# (u, v) pairs with u < v and label dicts, checked edge by edge.
+SetGraph = namedtuple("SetGraph", "n edges node_labels edge_labels node_vocab edge_vocab")
+
+
+def reference_edge_order(edges: frozenset[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The order in which the set-based Graph iterated the edges of a graph
+    that the generators built by adding pairs in ascending order: the
+    generator's set, copied to a frozenset, re-added one by one into the
+    Graph's set, and frozen again."""
+    added = set()
+    for e in sorted(edges):
+        added.add(e)
+    norm = set()
+    for e in frozenset(added):
+        norm.add(e)
+    return list(frozenset(norm))
+
+
+def reference_graph(n, edges=frozenset(), node_labels=None, edge_labels=None,
+                    node_vocab=0, edge_vocab=0) -> SetGraph:
+    """The set-based Graph's checks and normal form."""
+    if n < 1:
+        raise GraphError("node count must be positive")
+    norm = set()
+    for u, v in edges:
+        if u == v:
+            raise GraphError(f"self-loop at node {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphError(f"edge ({u}, {v}) has an endpoint out of range")
+        e = (u, v) if u < v else (v, u)
+        if e in norm:
+            raise GraphError(f"duplicate edge {e}")
+        norm.add(e)
+    if node_labels is not None:
+        if node_vocab < 1:
+            raise GraphError("node_vocab must be >= 1 when node labels are present")
+        if set(node_labels) != set(range(n)):
+            raise GraphError("node labels must cover exactly all nodes")
+        for node, lab in node_labels.items():
+            if not 0 <= lab < node_vocab:
+                raise GraphError(f"node label {lab} at node {node} outside [0, {node_vocab})")
+        node_labels = dict(sorted(node_labels.items()))
+    elif node_vocab:
+        raise GraphError("node_vocab given without node labels")
+    if edge_labels is not None:
+        if edge_vocab < 1:
+            raise GraphError("edge_vocab must be >= 1 when edge labels are present")
+        keyed = {}
+        for (u, v), lab in edge_labels.items():
+            e = (u, v) if u < v else (v, u)
+            if e in keyed:
+                raise GraphError(f"duplicate edge label for {e}")
+            keyed[e] = lab
+        if set(keyed) != norm:
+            raise GraphError("edge labels must cover exactly all edges")
+        for e, lab in keyed.items():
+            if not 0 <= lab < edge_vocab:
+                raise GraphError(f"edge label {lab} at {e} outside [0, {edge_vocab})")
+        edge_labels = dict(sorted(keyed.items()))
+    elif edge_vocab:
+        raise GraphError("edge_vocab given without edge labels")
+    return SetGraph(n, frozenset(norm), node_labels, edge_labels, node_vocab, edge_vocab)
+
+
+def set_graph(g: Graph) -> SetGraph:
+    return reference_graph(g.n, g.edges, g.node_labels, g.edge_labels, g.node_vocab,
+                           g.edge_vocab)
+
+
+def array_graph(sg: SetGraph) -> Graph:
+    return Graph(n=sg.n, edges=sg.edges, node_labels=sg.node_labels,
+                 edge_labels=sg.edge_labels, node_vocab=sg.node_vocab,
+                 edge_vocab=sg.edge_vocab)
+
+
+def reference_neighbors(sg: SetGraph) -> list[list[int]]:
+    adj = [[] for _ in range(sg.n)]
+    for u, v in sg.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    for lst in adj:
+        lst.sort()
+    return adj
+
+
+def reference_degrees(sg: SetGraph) -> list[int]:
+    deg = [0] * sg.n
+    for u, v in sg.edges:
+        deg[u] += 1
+        deg[v] += 1
+    return deg
+
+
+def _reference_int(tok: str, line: int, what: str) -> int:
+    try:
+        return int(tok)
+    except ValueError:
+        raise ParseError(line, f"{what} is not an integer: {tok!r}") from None
+
+
+def _reference_endpoints(u: int, v: int, n: int, line: int) -> tuple[int, int]:
+    if u == v:
+        raise ParseError(line, f"self-loop at node {u}")
+    if u > v:
+        raise ParseError(line, f"edge endpoints must satisfy u < v, got {u} {v}")
+    if v >= n or u < 0:
+        raise ParseError(line, f"endpoint out of range in edge ({u}, {v})")
+    return (u, v)
+
+
+def reference_parse(text: str) -> SetGraph:
+    """The line-by-line edge-list parser over sets."""
+    raw = text.split("\n")
+    while raw and raw[-1] == "":
+        raw.pop()
+    lines = []
+    for idx, line in enumerate(raw, start=1):
+        if line.strip() == "":
+            raise ParseError(idx, "blank line inside record")
+        lines.append((idx, line))
+    if not lines:
+        raise ParseError(1, "empty input")
+    head_no, head = lines[0]
+    fields = head.split()
+    if len(fields) not in (2, 4):
+        raise ParseError(head_no, "header must be 'N M' or 'N M L_node L_edge'")
+    n = _reference_int(fields[0], head_no, "node count")
+    m = _reference_int(fields[1], head_no, "edge count")
+    if len(fields) == 4:
+        lnode = _reference_int(fields[2], head_no, "node label vocab")
+        ledge = _reference_int(fields[3], head_no, "edge label vocab")
+    if n < 1:
+        raise ParseError(head_no, "node count must be positive")
+    if m < 0:
+        raise ParseError(head_no, "edge count must be non-negative")
+    body = lines[1:]
+    edges = set()
+    if len(fields) == 2:
+        if len(body) != m:
+            raise ParseError(head_no + 1 + min(len(body), m),
+                             f"expected {m} edge lines, found {len(body)}")
+        for line_no, line in body:
+            fields = line.split()
+            if len(fields) != 2:
+                raise ParseError(line_no, "edge line must be 'u v'")
+            u = _reference_int(fields[0], line_no, "endpoint")
+            v = _reference_int(fields[1], line_no, "endpoint")
+            e = _reference_endpoints(u, v, n, line_no)
+            if e in edges:
+                raise ParseError(line_no, f"duplicate edge {e}")
+            edges.add(e)
+        return reference_graph(n, frozenset(edges))
+    if lnode < 1 or ledge < 1:
+        raise ParseError(head_no, "label vocab sizes must be positive")
+    if len(body) != n + m:
+        raise ParseError(head_no + 1 + min(len(body), n + m),
+                         f"expected {n} node lines and {m} edge lines, found {len(body)}")
+    node_labels = {}
+    for line_no, line in body[:n]:
+        fields = line.split()
+        if len(fields) != 3 or fields[0] != "n":
+            raise ParseError(line_no, "expected node label line 'n <id> <label>'")
+        node = _reference_int(fields[1], line_no, "node id")
+        lab = _reference_int(fields[2], line_no, "node label")
+        if not 0 <= node < n:
+            raise ParseError(line_no, f"node id {node} out of range")
+        if node in node_labels:
+            raise ParseError(line_no, f"duplicate label for node {node}")
+        if not 0 <= lab < lnode:
+            raise ParseError(line_no, f"node label {lab} outside [0, {lnode})")
+        node_labels[node] = lab
+    edge_labels = {}
+    for line_no, line in body[n:]:
+        fields = line.split()
+        if len(fields) != 4 or fields[0] != "e":
+            raise ParseError(line_no, "expected edge line 'e <u> <v> <label>'")
+        u = _reference_int(fields[1], line_no, "endpoint")
+        v = _reference_int(fields[2], line_no, "endpoint")
+        lab = _reference_int(fields[3], line_no, "edge label")
+        e = _reference_endpoints(u, v, n, line_no)
+        if e in edges:
+            raise ParseError(line_no, f"duplicate edge {e}")
+        if not 0 <= lab < ledge:
+            raise ParseError(line_no, f"edge label {lab} outside [0, {ledge})")
+        edges.add(e)
+        edge_labels[e] = lab
+    return reference_graph(n, frozenset(edges), node_labels, edge_labels, lnode, ledge)
+
+
+def reference_serialize(sg: SetGraph) -> str:
+    if sg.node_labels is None and sg.edge_labels is None:
+        out = [f"{sg.n} {len(sg.edges)}"]
+        out.extend(f"{u} {v}" for u, v in sorted(sg.edges))
+        return "\n".join(out) + "\n"
+    if sg.node_labels is None or sg.edge_labels is None:
+        raise GraphError("edge-list format requires labels on both nodes and edges, or neither")
+    out = [f"{sg.n} {len(sg.edges)} {sg.node_vocab} {sg.edge_vocab}"]
+    out.extend(f"n {i} {sg.node_labels[i]}" for i in range(sg.n))
+    out.extend(f"e {u} {v} {sg.edge_labels[(u, v)]}" for u, v in sorted(sg.edges))
+    return "\n".join(out) + "\n"
+
+
+def reference_order_nodes(sg: SetGraph, scheme: str, reverse: bool = False) -> tuple[int, ...]:
+    """Orderings over adjacency lists, Cuthill-McKee sorting each node's
+    neighbours by (degree, id) as it visits them."""
+    adj = reference_neighbors(sg)
+    deg = [len(a) for a in adj]
+    seen, perm = [False] * sg.n, []
+    for start in range(sg.n):
+        if seen[start]:
+            continue
+        comp, queue = [], deque([start])
+        seen[start] = True
+        while queue:
+            u = queue.popleft()
+            comp.append(u)
+            for w in adj[u]:
+                if not seen[w]:
+                    seen[w] = True
+                    queue.append(w)
+        if scheme == "bfs":
+            perm.extend(comp)
+        elif scheme == "dfs":
+            order, stack, done = [], [comp[0]], set()
+            while stack:
+                u = stack.pop()
+                if u in done:
+                    continue
+                done.add(u)
+                order.append(u)
+                stack.extend(w for w in reversed(adj[u]) if w not in done)
+            perm.extend(order)
+        else:
+            first = min(comp, key=lambda u: (deg[u], u))
+            order, visited, queue = [first], {first}, deque([first])
+            while queue:
+                u = queue.popleft()
+                for w in sorted(adj[u], key=lambda x: (deg[x], x)):
+                    if w not in visited:
+                        visited.add(w)
+                        order.append(w)
+                        queue.append(w)
+            perm.extend(order)
+    if reverse:
+        perm.reverse()
+    return tuple(perm)
+
+
+def reference_apply_ordering(sg: SetGraph, perm: tuple[int, ...]) -> SetGraph:
+    if len(perm) != sg.n or sorted(perm) != list(range(sg.n)):
+        raise GraphError(f"permutation is not a bijection on 0..{sg.n - 1}")
+    inv = invert_permutation(perm)
+
+    def remap(u, v):
+        a, b = inv[u], inv[v]
+        return (a, b) if a < b else (b, a)
+
+    node_labels = edge_labels = None
+    if sg.node_labels is not None:
+        node_labels = {u: sg.node_labels[perm[u]] for u in range(sg.n)}
+    if sg.edge_labels is not None:
+        edge_labels = {remap(u, v): lab for (u, v), lab in sg.edge_labels.items()}
+    return reference_graph(sg.n, frozenset(remap(u, v) for u, v in sg.edges), node_labels,
+                           edge_labels, sg.node_vocab, sg.edge_vocab)
+
+
+def reference_lower_cells(sg: SetGraph) -> list[tuple[int, int, int]]:
+    """The sorted nonzero cells ``(row, col, value)`` on and below the
+    diagonal, valued as the tree builder values them."""
+    if sg.node_labels is None and sg.edge_labels is None:
+        return sorted((v, u, 1) for u, v in sg.edges)
+    cells = [(u, u, lab + 1) for u, lab in sg.node_labels.items()]
+    cells += [(v, u, sg.node_vocab + 1 + lab) for (u, v), lab in sg.edge_labels.items()]
+    return sorted(cells)
 
 
 # The six connected 4-node patterns with a per-node orbit column (0..10).

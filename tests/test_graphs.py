@@ -1,3 +1,6 @@
+from dataclasses import replace
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,8 +8,12 @@ from hypothesis import strategies as st
 from k2seq.graphs import (Graph, GraphError, ParseError, apply_ordering, bandwidth,
                           invert_permutation, order_nodes, padded_size,
                           parse_edge_list, serialize_edge_list)
+from k2seq.sequence import _lower_cells, decode_graph, encode_graph
 
-from helpers import connected_er, graph_strategy
+from helpers import (array_graph, connected_er, graph_strategy, reference_apply_ordering,
+                     reference_degrees, reference_graph, reference_lower_cells,
+                     reference_neighbors, reference_order_nodes, reference_parse,
+                     reference_serialize, set_graph)
 
 STAR4 = Graph(n=4, edges=frozenset({(0, 1), (0, 2), (0, 3)}))
 PATH4 = Graph(n=4, edges=frozenset({(0, 1), (1, 2), (2, 3)}))
@@ -56,6 +63,86 @@ class TestGraphConstruction:
         assert STAR4.neighbors() == [[1, 2, 3], [0], [0], [0]]
         assert STAR4.degrees() == [3, 1, 1, 1]
         assert STAR4.m == 3
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(n=3, edges={(0.5, 2)}),
+        dict(n=3, edges={(1.0, 2)}),
+        dict(n=3, edges={(0, "2")}),
+        dict(n=2.5),
+        dict(n=2.0),
+        dict(n=2, node_labels={0: 0.5, 1: 0}, node_vocab=1),
+        dict(n=2, node_labels={0.0: 0, 1: 0}, node_vocab=1),
+        dict(n=2, node_labels={0: 0, 1: 0}, node_vocab=1.5),
+        dict(n=2, edges={(0, 1)}, edge_labels={(0, 1): 0.5}, edge_vocab=1),
+        dict(n=2, edges={(0, 1)}, edge_labels={(0.0, 1): 0}, edge_vocab=1),
+        dict(n=2, edges={(0, 1)}, edge_labels={(0, 1): 0}, edge_vocab=1.0),
+    ])
+    def test_values_that_are_not_integers_are_refused(self, kwargs):
+        with pytest.raises(GraphError, match="integer"):
+            Graph(**kwargs)
+
+    def test_a_fractional_endpoint_no_longer_round_trips_to_another_graph(self):
+        # Such a graph used to encode as the edge (0, 2) and decode unequal.
+        with pytest.raises(GraphError):
+            encode_graph(Graph(n=3, edges={(0.5, 2)}), 2)
+        g = Graph(n=3, edges={(0, 2)})
+        assert decode_graph(encode_graph(g, 2)) == g
+
+    def test_numpy_integers_pass(self):
+        g = Graph(n=np.int64(3), edges={(np.int32(2), np.int64(0)), (True, 2)},
+                  node_labels={np.int64(u): np.uint8(1) for u in range(3)},
+                  edge_labels={(0, 2): np.int16(0), (1, 2): 1},
+                  node_vocab=np.int64(2), edge_vocab=2)
+        assert g == Graph(n=3, edges={(0, 2), (1, 2)}, node_labels={0: 1, 1: 1, 2: 1},
+                          edge_labels={(0, 2): 0, (1, 2): 1}, node_vocab=2, edge_vocab=2)
+        assert type(g.n) is int and g.edges == frozenset({(0, 2), (1, 2)})
+
+    def test_values_beyond_int64_are_refused(self):
+        with pytest.raises(GraphError, match="int64"):
+            Graph(n=2 ** 70, edges={(0, 2 ** 64)})
+
+    def test_edge_array_is_sorted_read_only_and_aligned_with_labels(self):
+        g = Graph(n=4, edges=[(3, 1), (2, 0), (0, 1)], node_labels={3: 0, 2: 1, 1: 0, 0: 1},
+                  edge_labels={(1, 3): 2, (0, 2): 1, (1, 0): 0}, node_vocab=2, edge_vocab=3)
+        assert g.edge_array.tolist() == [[0, 1], [0, 2], [1, 3]]
+        assert g.edge_label_array.tolist() == [0, 1, 2]
+        assert g.node_label_array.tolist() == [1, 0, 1, 0]
+        assert g.edge_labels == {(0, 1): 0, (0, 2): 1, (1, 3): 2}
+        assert list(g.node_labels) == [0, 1, 2, 3]
+        for array in (g.edge_array, g.node_label_array, g.edge_label_array):
+            assert array.dtype == np.int64 and not array.flags.writeable
+        assert Graph(n=2).edge_array.shape == (0, 2)
+
+    def test_from_arrays_checks_as_the_constructor_does(self):
+        g = Graph.from_arrays(4, np.array([[3, 1], [2, 0], [0, 1]]), np.array([1, 0, 1, 0]),
+                              np.array([2, 1, 0]), 2, 3)
+        assert g == Graph(n=4, edges={(1, 3), (0, 2), (0, 1)},
+                          node_labels={0: 1, 1: 0, 2: 1, 3: 0},
+                          edge_labels={(1, 3): 2, (0, 2): 1, (0, 1): 0},
+                          node_vocab=2, edge_vocab=3)
+        for edges, message in (([[1, 1]], "self-loop at node 1"),
+                               ([[0, 4]], r"edge \(0, 4\) has an endpoint out of range"),
+                               ([[0, 1], [1, 0]], r"duplicate edge \(0, 1\)"),
+                               ([[0.5, 1]], "integer"), ([[0, 1, 2]], "pairs")):
+            with pytest.raises(GraphError, match=message):
+                Graph.from_arrays(4, np.array(edges))
+        with pytest.raises(GraphError, match="cover exactly all nodes"):
+            Graph.from_arrays(4, np.zeros((0, 2)), np.zeros(3, dtype=int), node_vocab=1)
+        with pytest.raises(GraphError, match="cover exactly all edges"):
+            Graph.from_arrays(4, np.array([[0, 1]]), edge_labels=np.zeros(2, dtype=int),
+                              edge_vocab=1)
+        with pytest.raises(GraphError, match=r"edge label 3 at \(0, 1\) outside \[0, 3\)"):
+            Graph.from_arrays(4, np.array([[1, 0]]), edge_labels=np.array([3]), edge_vocab=3)
+
+    def test_equality_hashing_and_replace(self):
+        a = Graph(n=3, edges={(0, 1), (1, 2)})
+        b = Graph.from_arrays(3, np.array([[2, 1], [1, 0]]))
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != Graph(n=4, edges={(0, 1), (1, 2)}) and a != a.edges
+        assert replace(a, n=4) == Graph(n=4, edges={(0, 1), (1, 2)})
+        labeled = Graph(n=2, node_labels={0: 0, 1: 0}, node_vocab=1)
+        assert labeled != Graph(n=2) and labeled != replace(labeled, node_vocab=2)
+        assert eval(repr(a), {"Graph": Graph}) == a
 
 
 class TestParsing:
@@ -263,3 +350,155 @@ class TestPaddingAndBandwidth:
             wins += after < before
         assert ties_or_wins >= 95
         assert wins >= 80
+
+
+# Mutations of edge-list text: each mutant must parse to the same graph as
+# the line-by-line set-based parser, or fail with the same class, line and
+# message.
+_PIECES = ["0", "1", "7", "-1", "+1", "01", "1_0", "\u0663", "99999999999999999999", " ",
+           "  ", "\t", "\r", "\x0b", "\x1c", "\u2003", "\n", "\n\n", "|", "n", "e", "x",
+           ".5", ""]
+
+
+def _mutate(rng: np.random.Generator, text: str) -> str:
+    lines = text.split("\n")
+    for _ in range(int(rng.integers(1, 4))):
+        op = int(rng.integers(8))
+        if op == 0 and text:  # replace, insert or delete a character
+            i = int(rng.integers(len(text)))
+            text = text[:i] + _PIECES[rng.integers(len(_PIECES))] + text[i + int(rng.integers(2)):]
+        elif op == 1 and len(lines) > 1:  # duplicate, drop or swap lines
+            i, j = (int(x) for x in rng.integers(len(lines), size=2))
+            lines.insert(j, lines[i]) if rng.integers(2) else lines.pop(i)
+            text = "\n".join(lines)
+        elif op == 2 and len(lines) > 2:
+            i, j = (int(x) for x in rng.integers(len(lines) - 1, size=2))
+            lines[i], lines[j] = lines[j], lines[i]
+            text = "\n".join(lines)
+        elif op == 3:  # respell or change one number
+            words = text.split(" ")
+            i = int(rng.integers(len(words)))
+            word = words[i].strip("\n")
+            if word.isdigit():
+                value = int(word)
+                new = str(rng.choice([value + 1, value - 1, -value, 2 ** 63, 2 ** 64 + value]))
+                spelled = rng.choice([new, "+" + word, "0" + word, word + "_0", word + ".0"])
+                words[i] = words[i].replace(word, spelled)
+            text = " ".join(words)
+        elif op == 4:  # whitespace or blank lines at the end
+            text += rng.choice(["\n", "\n\n", " \n", "\t", "\n \n", ""])
+        elif op == 5:  # truncate
+            text = text[:int(rng.integers(len(text) + 1))]
+        elif op == 6:  # change a header field
+            head, _, rest = text.partition("\n")
+            fields = head.split(" ")
+            i = int(rng.integers(len(fields)))
+            fields[i] = _PIECES[rng.integers(len(_PIECES))] or "0"
+            text = " ".join(fields) + "\n" + rest
+        else:  # make the header's edge count match the edge lines
+            fields = lines[0].split(" ")
+            if len(fields) in (2, 4) and fields[0].isdigit():
+                body = [line for line in lines[1:] if line]
+                fields[1] = str(len(body) - (int(fields[0]) if len(fields) == 4 else 0))
+                text = "\n".join([" ".join(fields)] + lines[1:])
+        lines = text.split("\n")
+    return text
+
+
+def _parse_outcome(parse, text):
+    try:
+        return "graph", parse(text)
+    except ParseError as exc:
+        return type(exc), exc.line, str(exc)
+
+
+def _line_faults(text: str) -> list[str]:
+    """Each record line duplicated (with the header's edge count raised to
+    match) or with one field set to a value the checks refuse."""
+    head, *body = text.rstrip("\n").split("\n")
+    fields = head.split(" ")
+    out = []
+    for i, line in enumerate(body):
+        words = line.split(" ")
+        raised = fields[:1] + [str(int(fields[1]) + 1)] + fields[2:]
+        out.append("\n".join([" ".join(raised)] + body[:i + 1] + body[i:]) + "\n")
+        numbers = [j for j, w in enumerate(words) if w.lstrip("-").isdigit()]
+        for j in numbers:
+            for value in ("-1", fields[0], words[numbers[0]], "x"):
+                changed = words[:j] + [value] + words[j + 1:]
+                out.append("\n".join([head] + body[:i] + [" ".join(changed)] + body[i + 1:]) + "\n")
+    return out
+
+
+def _mutants(seed: int, count: int) -> list[str]:
+    rng = np.random.default_rng(seed)
+    bases = [serialize_edge_list(g) for g in (
+        STAR4, PATH4, Graph(n=3), Graph(n=6, edges={(0, 5), (1, 2), (2, 4), (3, 4)}),
+        Graph(n=3, edges={(0, 1), (1, 2)}, node_labels={0: 1, 1: 0, 2: 1},
+              edge_labels={(0, 1): 2, (1, 2): 0}, node_vocab=2, edge_vocab=3),
+        Graph(n=4, edges={(0, 3), (1, 3)}, node_labels={u: u % 2 for u in range(4)},
+              edge_labels={(0, 3): 0, (1, 3): 1}, node_vocab=2, edge_vocab=2))]
+    return ([fault for text in bases for fault in _line_faults(text)]
+            + [_mutate(rng, bases[i % len(bases)]) for i in range(count)])
+
+
+class TestArrayGraphMatchesReference:
+    """The array-backed Graph and the functions over it against the frozen
+    set-based code in ``helpers``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(graph_strategy(), graph_strategy(labeled=True)))
+    def test_parse_and_serialize(self, g):
+        text = serialize_edge_list(g)
+        assert text == reference_serialize(set_graph(g))
+        assert parse_edge_list(text) == array_graph(reference_parse(text)) == g
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(graph_strategy(), graph_strategy(labeled=True)))
+    def test_neighbors_degrees_and_cells(self, g):
+        sg = set_graph(g)
+        assert g.neighbors() == reference_neighbors(sg)
+        assert g.degrees() == reference_degrees(sg)
+        rows, cols, values = _lower_cells(g)
+        assert sorted(zip(rows.tolist(), cols.tolist(), values.tolist())) == \
+            reference_lower_cells(sg)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(graph_strategy(), graph_strategy(labeled=True)),
+           st.sampled_from(["bfs", "dfs", "cm"]), st.booleans(), st.randoms())
+    def test_orderings_and_relabeling(self, g, scheme, reverse, random):
+        sg = set_graph(g)
+        perm = order_nodes(g, scheme, reverse=reverse)
+        assert perm == reference_order_nodes(sg, scheme, reverse)
+        shuffled = list(range(g.n))
+        random.shuffle(shuffled)
+        for p in (perm, tuple(shuffled)):
+            assert apply_ordering(g, p) == array_graph(reference_apply_ordering(sg, p))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.tuples(st.integers(-1, n), st.integers(-1, n)), max_size=6),
+        st.booleans())))
+    def test_construction_accepts_and_refuses_alike(self, case):
+        n, pairs, labeled = case
+        kwargs = dict(n=n, edges=pairs)
+        if labeled:
+            kwargs.update(edge_labels={p: i % 2 for i, p in enumerate(pairs)}, edge_vocab=2)
+        try:
+            expected = array_graph(reference_graph(**kwargs))
+        except GraphError:
+            with pytest.raises(GraphError):
+                Graph(**kwargs)
+        else:
+            assert Graph(**kwargs) == expected
+
+    def test_mutated_texts_parse_or_fail_alike(self):
+        outcomes = set()
+        for text in _mutants(seed=13, count=1500):
+            got, want = _parse_outcome(parse_edge_list, text), \
+                _parse_outcome(lambda t: array_graph(reference_parse(t)), text)
+            assert got == want, repr(text)
+            outcomes.add(got[0] if got[0] == "graph" else got[2].split(":")[1].split()[0])
+        # The mutants reach acceptance and a spread of refusals.
+        assert {"graph", "duplicate", "self-loop", "endpoint", "edge", "node", "blank",
+                "header", "expected"} <= outcomes

@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from k2seq.graphs import Graph, GraphError, apply_ordering
+from k2seq.graphs import Graph, GraphError, apply_ordering, serialize_edge_list
 from k2seq.sampling import GenerationConfig, sample_sequence, uniform_model
 from k2seq.sequence import (DIAGONAL, OFFDIAGONAL, EmptyGraphError,
                             IncrementalBuilder, InvalidTokenError, SequenceError,
@@ -912,3 +913,23 @@ class TestHeaderRule:
         messages = self.refusals(lambda: encode_graph(replace(g, node_vocab=nv + 1), 2),
                                  lambda: decode_graph(replace(s, node_vocab=nv + 1)))
         assert len(messages) == 1 and "beyond int64" in messages.pop()
+
+
+class TestFrozenStreams:
+    """The criterion-1 corpus, its streams and their ``perm`` lines at K=2
+    and K=3 under every ordering, hashed: the digest is that of the
+    set-based Graph's code, so the array-backed Graph reorders and encodes
+    byte for byte as it did."""
+
+    DIGEST = "2ea45985d7e7835907988d0c71e2189d85ae961776a538cb0a824fcf03dcfcfe"
+
+    def test_streams_and_perms_are_unchanged(self):
+        from test_acceptance import ORDERINGS, _corpus_for_round_trips
+
+        digest = hashlib.sha256()
+        for g in _corpus_for_round_trips():
+            digest.update(serialize_edge_list(g).encode())
+            for k in (2, 3):
+                for ordering in ORDERINGS:
+                    digest.update(write_token_stream(encode_graph(g, k, ordering=ordering)).encode())
+        assert digest.hexdigest() == self.DIGEST
