@@ -2,7 +2,7 @@
 autoregressive samplers, synthetic dataset generators, and graph-distribution
 metrics."""
 
-from .graphs import (Graph, GraphError, ParseError, apply_ordering, bandwidth,
+from .graphs import (Graph, GraphError, ParseError, apply_ordering,
                      invert_permutation, order_nodes, padded_size,
                      parse_edge_list, serialize_edge_list)
 from .tree import (K2Tree, TreeNode, TreeStats, build_k2tree, rebuild_graph,

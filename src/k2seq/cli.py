@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -64,7 +65,7 @@ def _cmd_stats(args) -> int:
     g = parse_edge_list(_read(args.infile))
     s = encode_graph(g, args.k, ordering=args.order, reverse=args.reverse)
     print(f"ratio\t{_float_str(sequence_ratio(s))}")
-    print(f"tokens\t{len(s.tokens)}")
+    print(f"tokens\t{len(s.diag)}")
     print(f"depth\t{tree_levels(s.padded_n, s.k)}")
     print(f"attrs_full\t{full_tree_attrs(s)}")
     print(f"attrs_pruned\t{s.total_values}")
@@ -237,8 +238,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)  # once per process: building the parser costs more than a parse
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
         if not getattr(args, "func", None):

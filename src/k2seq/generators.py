@@ -19,15 +19,10 @@ def gen_grid(rows: int, cols: int) -> Graph:
     """Rectangular lattice with ``rows * cols`` nodes in row-major order."""
     if rows < 1 or cols < 1:
         raise ValueError("grid dimensions must be positive")
-    edges = set()
-    for r in range(rows):
-        for c in range(cols):
-            u = r * cols + c
-            if c + 1 < cols:
-                edges.add((u, u + 1))
-            if r + 1 < rows:
-                edges.add((u, u + cols))
-    return Graph(n=rows * cols, edges=frozenset(edges))
+    ids = np.arange(rows * cols).reshape(rows, cols)
+    right = np.stack([ids[:, :-1].ravel(), ids[:, 1:].ravel()], axis=1)
+    down = np.stack([ids[:-1].ravel(), ids[1:].ravel()], axis=1)
+    return Graph.from_arrays(rows * cols, np.concatenate([right, down]))
 
 
 def gen_er(n: int, p: float, seed: int) -> Graph:
@@ -35,13 +30,12 @@ def gen_er(n: int, p: float, seed: int) -> Graph:
     if not 0.0 <= p <= 1.0:
         raise ValueError("edge probability must be in [0, 1]")
     rng = np.random.default_rng(seed)
-    edges = set()
-    for u in range(n):
-        draws = rng.random(n - u - 1)
-        for offset, x in enumerate(draws):
-            if x < p:
-                edges.add((u, u + 1 + offset))
-    return Graph(n=n, edges=frozenset(edges))
+    # One draw per row, u ascending, so a seed keeps its graph; a single
+    # draw over all pairs would hold n*(n-1)/2 floats at once.
+    heads = [np.flatnonzero(rng.random(n - u - 1) < p) + (u + 1) for u in range(n)]
+    tails = np.repeat(np.arange(n), [len(h) for h in heads])
+    heads = np.concatenate([np.zeros(0, dtype=np.int64), *heads])
+    return Graph.from_arrays(n, np.stack([tails, heads], axis=1))
 
 
 def gen_community(n: int, p_intra: float = 0.7, inter_frac: float = 0.05,
@@ -58,20 +52,21 @@ def gen_community(n: int, p_intra: float = 0.7, inter_frac: float = 0.05,
         raise ValueError("intra-community probability must be in [0, 1]")
     rng = np.random.default_rng(seed)
     half = (n + 1) // 2
-    edges = set()
+    parts = []
     for lo, hi in ((0, half), (half, n)):
-        for u in range(lo, hi):
-            for v in range(u + 1, hi):
-                if rng.random() < p_intra:
-                    edges.add((u, v))
+        # One draw per pair, u ascending and then v, as a loop over pairs draws.
+        u, v = np.triu_indices(hi - lo, 1)
+        keep = rng.random(len(u)) < p_intra
+        parts.append(np.stack([u[keep], v[keep]], axis=1) + lo)
     want = math.ceil(inter_frac * n)
-    cross = [(u, v) for u in range(half) for v in range(half, n)]
-    if want > len(cross):
-        raise ValueError(f"{want} cross edges requested but only {len(cross)} pairs exist")
+    width = n - half
+    if want > half * width:
+        raise ValueError(f"{want} cross edges requested but only {half * width} pairs exist")
     if want:
-        picks = rng.choice(len(cross), size=want, replace=False)
-        edges.update(cross[i] for i in picks)
-    return Graph(n=n, edges=frozenset(edges))
+        # Cross pair i is (i // width, half + i % width), u then v ascending.
+        picks = rng.choice(half * width, size=want, replace=False)
+        parts.append(np.stack([picks // width, half + picks % width], axis=1))
+    return Graph.from_arrays(n, np.concatenate(parts))
 
 
 def gen_planar(n: int, seed: int) -> Graph:
@@ -96,13 +91,9 @@ def gen_planar(n: int, seed: int) -> Graph:
         if tri.coplanar.size:
             points = points + rng.normal(scale=1e-9, size=points.shape)
             continue
-        edges = set()
-        for simplex in tri.simplices:
-            a, b, c = (int(x) for x in simplex)
-            edges.add((min(a, b), max(a, b)))
-            edges.add((min(a, c), max(a, c)))
-            edges.add((min(b, c), max(b, c)))
-        return Graph(n=n, edges=frozenset(edges))
+        # Each side of each triangle, once: neighbouring triangles share one.
+        sides = np.sort(tri.simplices[:, [0, 1, 0, 2, 1, 2]].reshape(-1, 2), axis=1)
+        return Graph.from_arrays(n, np.unique(sides, axis=0))
     raise RuntimeError("degenerate point set persisted across retries")
 
 

@@ -616,8 +616,3 @@ def padded_size(n: int, k: int) -> int:
     while size < n:
         size *= k
     return size
-
-
-def bandwidth(g: Graph) -> int:
-    """Maximum index distance ``|u - v|`` over edges; 0 for an edgeless graph."""
-    return int(np.max(g.edge_array[:, 1] - g.edge_array[:, 0], initial=0))

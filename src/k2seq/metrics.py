@@ -241,6 +241,6 @@ def compression_ratio(g: Graph, k: int, ordering: str = "identity",
 
 def sequence_ratio(s: TokenSequence) -> float:
     """:func:`compression_ratio` of the graph that ``s`` encodes."""
-    if not s.tokens:
+    if not len(s.diag):
         raise MetricsError("compression ratio is undefined for an empty graph")
     return s.total_values / float(s.original_n * s.original_n)

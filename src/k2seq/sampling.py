@@ -15,8 +15,8 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .sequence import (BOS, EOS, IncrementalBuilder, Rule, Token, TokenSequence,
-                       Vocabulary, encode_ids)
+from .sequence import (BOS, EOS, IncrementalBuilder, Rule, TokenSequence, Vocabulary,
+                       encode_ids)
 
 
 class GenerationError(RuntimeError):
@@ -182,9 +182,8 @@ def sample_sequence(model: SamplerModel, config: GenerationConfig) -> TokenSeque
     builder = IncrementalBuilder(config.k, padded_n, original_n, config.featured,
                                  config.node_vocab, config.edge_vocab)
     ids = [BOS]
-    tokens: list[Token] = []
     while not builder.complete:
-        if len(tokens) >= config.max_tokens:
+        if len(ids) > config.max_tokens:
             raise MaxLengthExceededError(
                 f"tree incomplete after {config.max_tokens} tokens")
         mask = builder_mask(builder, vocab)
@@ -201,13 +200,8 @@ def sample_sequence(model: SamplerModel, config: GenerationConfig) -> TokenSeque
             token_id = int(masked.argmax())
         else:
             token_id = int(rng.choice(vocab.size, p=masked / total))
-        token = vocab.decode(token_id)
-        builder.step(token)
-        tokens.append(token)
+        builder.step(vocab.decode(token_id))
         ids.append(token_id)
-    if not config.featured:
-        # Plain rules admit only 0 and 1, so every drawn id is a structural one.
-        return TokenSequence.from_ids(config.k, padded_n, original_n, ids[1:])
-    return TokenSequence(k=config.k, padded_n=padded_n, original_n=original_n,
-                         featured=config.featured, node_vocab=config.node_vocab,
-                         edge_vocab=config.edge_vocab, tokens=tuple(tokens))
+    diag, grid = vocab._rows(np.array(ids[1:], dtype=np.int64))
+    return TokenSequence._from_arrays(config.k, padded_n, original_n, diag, grid,
+                                      config.featured, config.node_vocab, config.edge_vocab)

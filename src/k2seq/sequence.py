@@ -23,18 +23,18 @@ check (:func:`_row_error`) names the first token that breaks it.  The decoder
 checks whole runs against the table and the :class:`IncrementalBuilder`,
 which drives the samplers, one token at a time, so both reject alike.
 
-A plain sequence with ``2 <= k <= 4`` also carries its tokens as one int64
-array of :class:`Vocabulary` ids.  An id is its kind's base plus the token's
-bits read as a binary number, so :func:`encode_graph` computes the ids from
-its level grids by arithmetic, :func:`write_token_stream` looks each id's
-word up, :func:`read_token_stream` looks each word's id up, and
-:func:`decode_graph` gathers the level grids back by id.  One table per ``k``
-(:func:`_structural`) holds each id's word and grid row, and makes each id's
-one shared :class:`Token` when the id first occurs; :class:`Vocabulary`
-reads its value tables off the same table.
-Featured streams, ``k >= 5`` and plain tokens that are not all structural
-take the generic path, token by token.  A sequence built with ``tokens=``
-derives its ids from them on first use.
+Every :class:`TokenSequence` holds its tokens as two arrays: ``diag``,
+one bool per token, and ``grid``, one row per token of ``k*k`` int64 child
+slots ``i*k + j`` (0-based), a diagonal token's values in its
+:func:`child_orders` slots and its other slots 0.  :func:`encode_graph`
+reads them off its level grids, :func:`decode_graph` walks them, and
+``tokens`` is a view built on first use.  A plain token with
+``2 <= k <= 4`` is one :class:`Vocabulary` id, its kind's base plus its
+bits read as a binary number, so :func:`write_token_stream` and
+:func:`encode_ids` compute the ids from the grid by arithmetic, and
+:func:`read_token_stream` looks each word's id up and gathers its row.  One
+table per ``k`` (:func:`_structural`) holds each id's word and grid row;
+:class:`Vocabulary` reads its value tables off the same table.
 
 The wire format holds each integer as ``str`` writes it and each plain bit
 as ``0`` or ``1``.  The reader refuses any other spelling of a number (a
@@ -52,8 +52,8 @@ exactly the encoder's image and all array work is over int64.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from dataclasses import dataclass, replace
+from functools import cached_property, lru_cache
 from itertools import chain
 
 import numpy as np
@@ -106,53 +106,110 @@ class Token:
             raise SequenceError(f"unknown token kind {self.kind!r}")
 
 
-@dataclass(frozen=True)
+# Every slot of a malformed token's row: no rule admits it.
+_MALFORMED = -1
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class TokenSequence:
     """Flattened pruned tree plus the header needed to decode it.
 
     ``perm`` optionally records the node ordering (new index -> original id)
     applied before encoding, so decoding can restore original node ids.
 
-    ``_ids`` holds the :class:`Vocabulary` ids of ``tokens`` for a plain
-    sequence with ``2 <= k <= 4`` (see :func:`_plain_ids`).  It is not an
-    ``__init__`` argument, so :func:`~dataclasses.replace` never carries it
-    over to other tokens.
+    The tokens are two read-only arrays: ``diag``, one bool per token, and
+    ``grid``, tokens x ``k*k`` int64 as :func:`_level_tokens` lays it out;
+    ``tokens`` is a view with one shared :class:`Token` per distinct row.
+    Encode, read and the sampler build a sequence from arrays
+    (:meth:`_from_arrays`).  One built with ``tokens=`` keeps that tuple and
+    converts it on first use, so :func:`decode_graph` refuses a bad header
+    before any per-token work.  A malformed token (an arity not its kind's,
+    or a value beyond int64) has a row of -1s and is read off the tuple.
+    Equality and hashing read the header, ``perm``, the arrays and the
+    malformed tokens; :func:`dataclasses.replace` works on the fields.
     """
 
     k: int
     padded_n: int
     original_n: int
-    featured: bool = False
-    node_vocab: int = 0
-    edge_vocab: int = 0
-    tokens: tuple[Token, ...] = ()
-    perm: tuple[int, ...] | None = None
-    _ids: np.ndarray | None = field(default=None, init=False, compare=False, repr=False)
+    featured: bool
+    node_vocab: int
+    edge_vocab: int
+    tokens: tuple[Token, ...]
+    perm: tuple[int, ...] | None
+
+    def __init__(self, k: int, padded_n: int, original_n: int, featured: bool = False,
+                 node_vocab: int = 0, edge_vocab: int = 0, tokens: tuple[Token, ...] = (),
+                 perm: tuple[int, ...] | None = None):
+        # Frozen: set the instance dict directly, as the views are cached.
+        vars(self).update(k=k, padded_n=padded_n, original_n=original_n, featured=featured,
+                          node_vocab=node_vocab, edge_vocab=edge_vocab, tokens=tuple(tokens),
+                          perm=perm)
 
     @classmethod
-    def from_ids(cls, k: int, padded_n: int, original_n: int, ids: np.ndarray | list[int],
-                 perm: tuple[int, ...] | None = None) -> "TokenSequence":
-        """The plain sequence whose tokens have these structural
-        :class:`Vocabulary` ids; ``k`` must be 2, 3 or 4."""
-        if not 2 <= k <= _MAX_TABLE_K:
-            raise SequenceError(f"k={k} has no structural table; tables support 2 <= k <= 4")
-        table = _structural(k)
-        ids = np.array(ids, dtype=np.int64)
-        if len(ids) and (ids.min() < _SPECIALS or ids.max() >= len(table.grid)):
-            raise SequenceError(f"ids must be structural, in [{_SPECIALS}, {len(table.grid)})")
-        ids.flags.writeable = False
-        s = cls(k=k, padded_n=padded_n, original_n=original_n,
-                tokens=tuple(table.tokens(ids).tolist()), perm=perm)
-        object.__setattr__(s, "_ids", ids)
+    def _from_arrays(cls, k: int, padded_n: int, original_n: int, diag: np.ndarray,
+                     grid: np.ndarray, featured: bool = False, node_vocab: int = 0,
+                     edge_vocab: int = 0, perm: tuple[int, ...] | None = None) -> TokenSequence:
+        """The sequence whose tokens are the rows of ``diag`` and ``grid``,
+        which it keeps, read-only."""
+        diag.flags.writeable = grid.flags.writeable = False
+        s = cls.__new__(cls)
+        vars(s).update(k=k, padded_n=padded_n, original_n=original_n, featured=featured,
+                       node_vocab=node_vocab, edge_vocab=edge_vocab, perm=perm,
+                       _arrays=(diag, grid))
         return s
+
+    @cached_property
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        diag, grid, _ = _token_grid(self.tokens, self.k)
+        diag.flags.writeable = grid.flags.writeable = False
+        return diag, grid
+
+    @property
+    def diag(self) -> np.ndarray:
+        return self._arrays[0]
+
+    @property
+    def grid(self) -> np.ndarray:
+        return self._arrays[1]
+
+    @cached_property
+    def tokens(self) -> tuple[Token, ...]:
+        return _row_tokens(self.diag, self.grid, self.k)
+
+    def _token(self, i: int) -> Token:
+        """Token ``i``, made from its row alone unless it is malformed."""
+        if (self.grid[i] == _MALFORMED).all():
+            return self.tokens[i]
+        return _row_tokens(self.diag[i:i + 1], self.grid[i:i + 1], self.k)[0]
+
+    def _malformed(self) -> list[int]:
+        """Indices of the rows that hold -1 in every slot: the malformed
+        tokens, and any token built by hand with only -1s."""
+        return np.flatnonzero((self.grid == _MALFORMED).all(axis=1)).tolist()
 
     @property
     def total_values(self) -> int:
-        """Total attribute count over all tokens."""
-        if _plain_ids(self) is None:
-            return sum(len(t.values) for t in self.tokens)
-        diagonal = _diagonal_count(self)
-        return diagonal * diagonal_arity(self.k) + (len(self.tokens) - diagonal) * self.k * self.k
+        """Total attribute count over all tokens: ``k*(k+1)/2`` per diagonal
+        token, ``k*k`` per other one, and its own per malformed one."""
+        arity = np.where(self.diag, diagonal_arity(self.k), self.k * self.k)
+        total = int(arity.sum())
+        for i in self._malformed():
+            total += len(self.tokens[i].values) - int(arity[i])
+        return total
+
+    def _key(self) -> tuple:
+        return (self.k, self.padded_n, self.original_n, self.featured, self.node_vocab,
+                self.edge_vocab, self.perm, self.diag.tobytes(), self.grid.tobytes(),
+                tuple([self.tokens[i] for i in self._malformed()]))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 def diagonal_arity(k: int) -> int:
@@ -192,10 +249,6 @@ class _Structural:
     id's stream word; ``word_ids`` maps a word back to its id.
     ``weights[diagonal]`` turns a grid row into the id's offset from its
     kind's base: the bits of the held slots, the first most significant.
-
-    Each id has one shared :class:`Token`, which :meth:`tokens` and
-    :meth:`token` make the first time the id is asked for (``k=4`` has 66,563
-    ids, and a stream uses few of them).
     """
 
     k: int
@@ -204,40 +257,13 @@ class _Structural:
     words: np.ndarray
     word_ids: dict[str, int]
     weights: np.ndarray
-    _made: np.ndarray = field(init=False, repr=False)
-    _tokens: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_made", np.zeros(len(self.grid), dtype=bool))
-        object.__setattr__(self, "_tokens", np.full(len(self.grid), None, dtype=object))
-
-    def tokens(self, ids: np.ndarray) -> np.ndarray:
-        """The shared tokens of the structural ``ids``, as an object array;
-        the ids asked for the first time get theirs, one per distinct id."""
-        made = self._made.take(ids)
-        if np.count_nonzero(made) < len(ids):
-            new = np.unique(ids[~made])
-            held = self.grid[new].tolist()
-            diag_slots = _held_slots(self.k, True)
-            self._tokens[new] = [
-                Token(DIAGONAL, tuple([bits[s] for s in diag_slots])) if on_diag
-                else Token(OFFDIAGONAL, tuple(bits))
-                for bits, on_diag in zip(held, (new < self.off_base).tolist())]
-            self._made[new] = True
-        return self._tokens.take(ids)
-
-    def token(self, token_id: int) -> Token:
-        """The shared token of one structural id."""
-        if self._made[token_id]:
-            return self._tokens[token_id]
-        return self.tokens(np.array([token_id]))[0]
 
 
 @lru_cache(maxsize=None)
 def _structural(k: int) -> _Structural:
     kk = k * k
     off_base = _SPECIALS + (1 << diagonal_arity(k))
-    grid = np.zeros((off_base + (1 << kk), kk), dtype=np.int8)
+    grid = np.zeros((off_base + (1 << kk), kk), dtype=np.int64)
     weights = np.zeros((2, kk), dtype=np.int64)
     words = [None] * _SPECIALS
     for kind, base in ((DIAGONAL, _SPECIALS), (OFFDIAGONAL, off_base)):
@@ -253,36 +279,16 @@ def _structural(k: int) -> _Structural:
     return _Structural(k, off_base, grid, words, word_ids, weights)
 
 
-def _grid_ids(diag: np.ndarray, grid: np.ndarray, k: int) -> np.ndarray:
-    """Vocabulary ids of plain tokens given as diagonal flags and a 0/1 grid
-    laid out as :class:`_Structural`'s."""
-    table = _structural(k)
-    offsets = np.einsum("ij,ij->i", grid, table.weights[diag.astype(np.intp)])
-    ids = np.where(diag, _SPECIALS, table.off_base) + offsets
-    ids.flags.writeable = False
-    return ids
-
-
 def _plain_ids(s: TokenSequence) -> np.ndarray | None:
     """The :class:`Vocabulary` ids of the tokens of a plain sequence with
-    ``2 <= k <= 4`` whose every token is a structural one; None for any other
-    sequence.  :func:`encode_graph`, :func:`read_token_stream` and
-    :meth:`TokenSequence.from_ids` set them; a sequence built with
-    ``tokens=`` derives them here on first use and keeps them.  One with a
-    token that is not structural, which no graph encodes to, has none and
-    tries again on each call."""
-    if s._ids is None and not s.featured and 2 <= s.k <= _MAX_TABLE_K:
-        diag, grid, malformed = _token_grid(s.tokens, s.k)
-        if not malformed.any() and ((grid == 0) | (grid == 1)).all():
-            object.__setattr__(s, "_ids", _grid_ids(diag, grid, s.k))
-    return s._ids
-
-
-def _diagonal_count(s: TokenSequence) -> int:
-    ids = _plain_ids(s)
-    if ids is None:
-        return sum(1 for t in s.tokens if t.kind == DIAGONAL)
-    return int(np.count_nonzero(ids < _structural(s.k).off_base))
+    ``2 <= k <= 4`` whose every row holds only 0s and 1s, a structural
+    token's; None for any other sequence.  An id's offset from its kind's
+    base is its row weighed by :class:`_Structural`'s ``weights``."""
+    if s.featured or not 2 <= s.k <= _MAX_TABLE_K or (s.grid & -2).any():
+        return None
+    table = _structural(s.k)
+    offsets = np.einsum("ij,ij->i", s.grid, table.weights.take(s.diag.astype(np.intp), axis=0))
+    return np.where(s.diag, _SPECIALS, table.off_base) + offsets
 
 
 def node_position(path: tuple[tuple[int, int], ...], k: int) -> tuple[int, int]:
@@ -645,6 +651,9 @@ class Vocabulary:
     id order, read off the structural table of ``k`` that the codec shares,
     then the featured tokens of that kind and arity (those with a negative
     value are left out, as no position admits them).  Masks read it.
+
+    :meth:`decode` makes a structural id's one :class:`Token` when the id
+    is first asked for (``k=4`` has 66,563 ids; a sampler meets few).
     """
 
     BOS = BOS
@@ -670,6 +679,8 @@ class Vocabulary:
         self._ext_ids = {t: self._ext_base + i for i, t in enumerate(ext)}
         self._tables = {DIAGONAL: self._value_table(DIAGONAL, self._diag_base, self._off_base),
                         OFFDIAGONAL: self._value_table(OFFDIAGONAL, self._off_base, self._ext_base)}
+        self._featured_rows = _token_grid(self.featured_tokens, k)[:2]
+        self._decoded: dict[int, Token] = {}
 
     def _value_table(self, kind: str, base: int, end: int) -> tuple[np.ndarray, np.ndarray]:
         arity = self.diag_arity if kind == DIAGONAL else self.off_arity
@@ -710,10 +721,25 @@ class Vocabulary:
 
     def decode(self, token_id: int) -> Token:
         if self._diag_base <= token_id < self._ext_base:
-            return _structural(self.k).token(token_id)
+            if token_id not in self._decoded:
+                self._decoded[token_id] = _row_tokens(*self._rows(np.array([token_id])), self.k)[0]
+            return self._decoded[token_id]
         if self._ext_base <= token_id < self.size:
             return self.featured_tokens[token_id - self._ext_base]
         raise SequenceError(f"id {token_id} is reserved or out of range")
+
+    def _rows(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Diagonal flags and grid rows of the tokens with these ids, none
+        reserved: structural rows from the table of ``k``, featured rows
+        from the featured tokens."""
+        featured = ids >= self._ext_base
+        structural = np.where(featured, self._diag_base, ids)
+        table = _structural(self.k)
+        diag, grid = structural < table.off_base, table.grid[structural]
+        if featured.any():
+            at = ids[featured] - self._ext_base
+            diag[featured], grid[featured] = self._featured_rows[0][at], self._featured_rows[1][at]
+        return diag, grid
 
     @classmethod
     def from_corpus(cls, k: int, sequences: list[TokenSequence]) -> "Vocabulary":
@@ -742,7 +768,8 @@ def write_token_stream(s: TokenSequence) -> str:
     ``d:``/``o:`` prefixed, values comma-separated for featured streams and
     concatenated bits otherwise; empty for a header-only sequence.  An optional
     trailing ``perm`` line records the node ordering applied before encoding.
-    A plain sequence with vocabulary ids looks its words up by id.
+    A plain sequence whose tokens have vocabulary ids (:func:`_plain_ids`)
+    looks its words up by id; any other is written token by token.
     """
     lines = [f"{s.k} {s.padded_n} {s.original_n} {int(s.featured)}"]
     if s.featured:
@@ -779,8 +806,8 @@ def read_token_stream(text: str) -> TokenSequence:
     ``0`` or ``1``.  Lines are split at each space, so a doubled, leading or
     trailing space leaves an empty field, which no field admits.  A plain
     stream with ``2 <= k <= 4`` whose every word is a structural token's is
-    read as vocabulary ids, by one dictionary lookup per word; any other
-    stream is parsed token by token."""
+    read by one dictionary lookup per word, to its vocabulary id, and its
+    rows are gathered by id; any other stream is parsed token by token."""
     if not text.endswith("\n"):
         raise SequenceError("stream must end with a newline")
     lines = [line.split(" ") if line else [] for line in text[:-1].split("\n")]
@@ -801,11 +828,13 @@ def read_token_stream(text: str) -> TokenSequence:
         if number > featured + 3 or line[:1] != ["perm"]:
             raise SequenceError(f"unexpected trailing line {number}")
     perm = _ints(rest[0][1:], "perm entry is not a canonical integer") if rest else None
-    if not featured and 2 <= k <= _MAX_TABLE_K and words:
-        word_ids = _structural(k).word_ids
+    if not featured and 2 <= k <= _MAX_TABLE_K:
+        table = _structural(k)
         try:
-            ids = np.fromiter(map(word_ids.__getitem__, words), dtype=np.int64, count=len(words))
-            return TokenSequence.from_ids(k, padded_n, original_n, ids, perm)
+            ids = np.fromiter(map(table.word_ids.__getitem__, words), dtype=np.int64,
+                              count=len(words))
+            return TokenSequence._from_arrays(k, padded_n, original_n, ids < table.off_base,
+                                              table.grid[ids], perm=perm)
         except KeyError:
             pass
     # Words repeat: each distinct one is parsed once, in stream order, and
@@ -834,7 +863,7 @@ def full_tree_attrs(s: TokenSequence) -> int:
     Every internal node of the full tree is a kept one or the mirror image of
     a kept off-diagonal one, and each has ``k*k`` children.
     """
-    return s.k * s.k * (2 * len(s.tokens) - _diagonal_count(s))
+    return s.k * s.k * (2 * len(s.diag) - int(np.count_nonzero(s.diag)))
 
 
 def _lower_cells(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -890,8 +919,8 @@ def _level_tokens(rows: np.ndarray, cols: np.ndarray, values: np.ndarray,
 
 
 def _row_tokens(diag: np.ndarray, grid: np.ndarray, k: int) -> tuple[Token, ...]:
-    """The tokens of :func:`_level_tokens`' arrays, for streams without
-    vocabulary ids (featured, or ``k >= 5``)."""
+    """The tokens of the rows of ``diag`` and ``grid``, laid out as
+    :func:`_level_tokens` lays them out."""
     diag_slots = _held_slots(k, True)
     tokens = []
     # Rows repeat: each distinct one becomes one Token, shared by every
@@ -918,10 +947,8 @@ def encode_graph(g: Graph, k: int, ordering: str = "identity",
     or not: a graph whose cell paths or label vocab sizes do not fit int64
     raises :class:`SequenceError` before any per-node work.  With a
     non-identity ordering the permutation is stored on the sequence so
-    :func:`decode_graph` can restore original node ids.  A plain sequence
-    with ``k <= 4`` carries the vocabulary ids of its tokens, read off the
-    level grids by arithmetic, and its tokens are the shared ones of those
-    ids.
+    :func:`decode_graph` can restore original node ids.  The sequence
+    keeps the level grids as its arrays.
     """
     padded_n = padded_size(g.n, k)
     _check_header(k, padded_n, g.n, g.labeled, g.node_vocab, g.edge_vocab)
@@ -930,15 +957,11 @@ def encode_graph(g: Graph, k: int, ordering: str = "identity",
         perm = order_nodes(g, ordering, reverse=reverse)
         g = apply_ordering(g, perm)
     rows, cols, values = _lower_cells(g)
-    tokens = ()
+    diag, grid = np.zeros(0, dtype=bool), np.zeros((0, k * k), dtype=np.int64)
     if len(rows):
         diag, grid = _level_tokens(rows, cols, values, k, tree_levels(padded_n, k))
-        if not g.labeled and k <= _MAX_TABLE_K:
-            return TokenSequence.from_ids(k, padded_n, g.n, _grid_ids(diag, grid, k), perm)
-        tokens = _row_tokens(diag, grid, k)
-    return TokenSequence(k=k, padded_n=padded_n, original_n=g.n, featured=g.labeled,
-                         node_vocab=g.node_vocab, edge_vocab=g.edge_vocab,
-                         tokens=tokens, perm=perm)
+    return TokenSequence._from_arrays(k, padded_n, g.n, diag, grid, g.labeled, g.node_vocab,
+                                      g.edge_vocab, perm)
 
 
 def _token_grid(tokens: tuple[Token, ...],
@@ -949,7 +972,7 @@ def _token_grid(tokens: tuple[Token, ...],
     ``i*k + j`` (0-based) in row-major order; a diagonal token's values sit
     in its :func:`child_orders` slots and its other slots hold 0.  A token
     whose arity does not match its kind, or that holds a value beyond int64,
-    is malformed: its row holds 0s, and no rule admits the token.
+    is malformed: its row holds -1 in every slot, and no rule admits it.
     """
     diag = np.fromiter((t.kind == DIAGONAL for t in tokens), dtype=bool, count=len(tokens))
     rows = [t.values for t in tokens]
@@ -971,18 +994,8 @@ def _token_grid(tokens: tuple[Token, ...],
     grid[off] = flat[starts[off, None] + np.arange(kk)]
     on = np.flatnonzero(diag)
     grid[on[:, None], _held_slots(k, True)] = flat[starts[on, None] + np.arange(arity)]
+    grid[malformed] = _MALFORMED
     return diag, grid, malformed
-
-
-def _token_arrays(s: TokenSequence) -> tuple[np.ndarray, np.ndarray]:
-    """Per-token diagonal flags and child-slot grid of ``s``: gathered from
-    the structural table by vocabulary id when ``s`` has ids, else built by
-    :func:`_token_grid`."""
-    ids = _plain_ids(s)
-    if ids is None:
-        return _token_grid(s.tokens, s.k)[:2]
-    table = _structural(s.k)
-    return ids < table.off_base, table.grid[ids]
 
 
 def _level_cells(s: TokenSequence) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -992,8 +1005,8 @@ def _level_cells(s: TokenSequence) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     the level's rule table; the first bad row is the first token the builder
     refuses, and :func:`_row_error` names it.  The nonzero slots are the next
     level's blocks or, at the last level, the cells."""
-    # A malformed token's row holds 0s, so the all-zero check flags it.
-    diag, grid = _token_arrays(s)
+    # A malformed token's row holds -1s, which every rule refuses.
+    diag, grid = s.diag, s.grid
     k, kk, total = s.k, s.k * s.k, len(grid)
     levels = tree_levels(s.padded_n, k)
     origins, start = np.zeros((2, 1), dtype=np.int64), 0
@@ -1015,7 +1028,7 @@ def _level_cells(s: TokenSequence) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             b = int(bad.argmax())
             rules = _row_rules(zero_ok[b].tolist(), lo[b].tolist(), hi[b].tolist(),
                                bool(pending[b]), k)
-            raise _row_error(s.tokens[start + b], start + b + 1, depth, bool(pending[b]), rules)
+            raise _row_error(s._token(start + b), start + b + 1, depth, bool(pending[b]), rules)
         if end < start + len(pending):
             children = len(flat) if depth < levels else 0
             raise _truncated_error(start + len(pending) - end + children, total)
@@ -1042,7 +1055,7 @@ def decode_graph(s: TokenSequence) -> Graph:
     perm = None if s.perm is None else permutation_array(s.perm, n)
     if s.perm is not None and perm is None:
         raise SequenceError(f"perm is not a permutation of 0..{n - 1}")
-    if not s.tokens:
+    if not len(s.diag):
         if s.featured:
             raise GraphError("featured tree does not label every node")
         return Graph(n=n)

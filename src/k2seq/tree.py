@@ -181,21 +181,6 @@ def build_k2tree(g: Graph, k: int, featured: bool | None = None) -> K2Tree:
                   node_vocab=g.node_vocab, edge_vocab=g.edge_vocab)
 
 
-def build_from_matrix(mat: np.ndarray, k: int, original_n: int, featured: bool = False,
-                      node_vocab: int = 0, edge_vocab: int = 0,
-                      pruned: bool = False) -> K2Tree:
-    """Build a tree directly from a padded square matrix (power-of-``k`` side)."""
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    size = mat.shape[0]
-    if mat.shape != (size, size) or size != padded_size(size, k):
-        raise GraphError("matrix must be square with a power-of-k side of at least k")
-    nodes = _build_nodes(mat, k)
-    return K2Tree(k=k, padded_n=size, original_n=original_n, nodes=nodes,
-                  featured=featured, node_vocab=node_vocab, edge_vocab=edge_vocab,
-                  pruned=pruned)
-
-
 def _maxdepth_cells(t: K2Tree) -> list[tuple[int, int, int]]:
     """0-based ``(row, col, attr)`` for every nonzero leaf at full depth."""
     levels = t.levels

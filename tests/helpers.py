@@ -18,12 +18,12 @@ from hypothesis import strategies as st
 from k2seq import Graph
 from k2seq.generators import gen_community, gen_er, gen_grid, gen_planar
 from k2seq.graphs import (GraphError, ParseError, apply_ordering, invert_permutation,
-                          order_nodes)
+                          order_nodes, padded_size)
 from k2seq.sequence import (DIAGONAL, OFFDIAGONAL, InvalidTokenError, Rule, SequenceError,
                             Token, TokenMismatchError, TokenSequence, TrailingTokensError,
                             TruncatedSequenceError, _check_header, child_orders,
                             diagonal_arity, flatten_tokenize, offdiagonal_arity, prune)
-from k2seq.tree import K2Tree, TreeNode, build_k2tree, rebuild_graph, tree_levels
+from k2seq.tree import K2Tree, TreeNode, _build_nodes, build_k2tree, rebuild_graph, tree_levels
 
 
 @st.composite
@@ -278,6 +278,26 @@ def reference_token_grid(tokens: tuple[Token, ...],
     slots = [i * k + j for i, j in np.argwhere(np.tri(k, dtype=bool)).tolist()]
     grid[on[:, None], slots] = flat[starts[on, None] + np.arange(arity)]
     return diag, grid
+
+
+def build_from_matrix(mat: np.ndarray, k: int, original_n: int, featured: bool = False,
+                      node_vocab: int = 0, edge_vocab: int = 0,
+                      pruned: bool = False) -> K2Tree:
+    """Build a tree directly from a padded square matrix (power-of-``k`` side)."""
+    if k < 2:
+        raise ValueError("k must be >= 2")
+    size = mat.shape[0]
+    if mat.shape != (size, size) or size != padded_size(size, k):
+        raise GraphError("matrix must be square with a power-of-k side of at least k")
+    nodes = _build_nodes(mat, k)
+    return K2Tree(k=k, padded_n=size, original_n=original_n, nodes=nodes,
+                  featured=featured, node_vocab=node_vocab, edge_vocab=edge_vocab,
+                  pruned=pruned)
+
+
+def bandwidth(g: Graph) -> int:
+    """Maximum index distance ``|u - v|`` over edges; 0 for an edgeless graph."""
+    return int(np.max(g.edge_array[:, 1] - g.edge_array[:, 0], initial=0))
 
 
 def random_er(seed: int, n: int, p: float) -> Graph:

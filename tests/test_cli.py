@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from k2seq import cli
 from k2seq.cli import main
 from k2seq.generators import Dataset, gen_planar, read_dataset, write_dataset
 from k2seq.graphs import Graph, parse_edge_list, serialize_edge_list
@@ -216,6 +217,45 @@ class TestExitCodes:
             capture_output=True, text=True, timeout=60)
         assert proc.returncode == 2
         assert "k must be >= 2" in proc.stderr
+
+
+class TestParserReuse:
+    def test_calls_in_one_process_match_fresh_runs(self, tmp_path, capsys, monkeypatch):
+        src = write(tmp_path / "g.txt", serialize_edge_list(STAR4))
+        stream = str(tmp_path / "g.k2s")
+        calls = [
+            ["encode", "--k", "2", "--order", "cm", "--in", src, "--out", stream],
+            ["stats", "--k", "3", "--in", src],
+            ["encode", "--k", "2", "--in", src],
+            ["decode", "--in", stream, "--out", str(tmp_path / "back.txt")],
+            ["order", "--scheme", "nope", "--in", src, "--out", stream],
+            ["stats", "--k", "2", "--order", "bfs", "--reverse", "--in", src],
+            ["stats", "--help"],
+            [],
+            ["stats", "--k", "2", "--in", src],
+        ]
+
+        def run(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # --help
+                code = exc.code
+            out = capsys.readouterr()
+            return code, out.out, out.err
+
+        built = []
+        real = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+        cli._parser.cache_clear()
+        shared = [run(argv) for argv in calls]
+        assert len(built) == 1
+        fresh = []
+        for argv in calls:
+            cli._parser.cache_clear()
+            fresh.append(run(argv))
+        assert len(built) == 1 + len(calls)
+        assert shared == fresh
+        assert [code for code, _, _ in shared] == [0, 0, 1, 0, 1, 0, 0, 1, 0]
 
 
 @st.composite

@@ -5,15 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from k2seq.graphs import (Graph, GraphError, ParseError, apply_ordering, bandwidth,
+from k2seq.graphs import (Graph, GraphError, ParseError, apply_ordering,
                           invert_permutation, order_nodes, padded_size,
                           parse_edge_list, serialize_edge_list)
 from k2seq.sequence import _lower_cells, decode_graph, encode_graph
 
-from helpers import (array_graph, connected_er, graph_strategy, reference_apply_ordering,
-                     reference_degrees, reference_graph, reference_lower_cells,
-                     reference_neighbors, reference_order_nodes, reference_parse,
-                     reference_serialize, set_graph)
+from helpers import (array_graph, bandwidth, connected_er, graph_strategy,
+                     reference_apply_ordering, reference_degrees, reference_graph,
+                     reference_lower_cells, reference_neighbors, reference_order_nodes,
+                     reference_parse, reference_serialize, set_graph)
 
 STAR4 = Graph(n=4, edges=frozenset({(0, 1), (0, 2), (0, 3)}))
 PATH4 = Graph(n=4, edges=frozenset({(0, 1), (1, 2), (2, 3)}))

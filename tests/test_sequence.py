@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from k2seq.cli import main
 from k2seq.graphs import Graph, GraphError, apply_ordering, serialize_edge_list
 from k2seq.sampling import GenerationConfig, sample_sequence, uniform_model
 from k2seq.sequence import (DIAGONAL, OFFDIAGONAL, EmptyGraphError,
@@ -17,7 +18,7 @@ from k2seq.sequence import (DIAGONAL, OFFDIAGONAL, EmptyGraphError,
                             flatten_tokenize, full_tree_attrs, node_position,
                             offdiagonal_arity, position_paths, prune,
                             read_token_stream, tree_levels, write_token_stream,
-                            _token_arrays, _token_grid)
+                            _plain_ids, _token_grid)
 from k2seq.tree import build_k2tree, tree_stats
 
 from helpers import (ReferenceBuilder, graph_strategy, random_er, random_labeled_er,
@@ -490,15 +491,16 @@ class TestWireFormat:
 
 
 class TestPackedForm:
-    """A plain sequence with ``k <= 4`` carries its tokens' vocabulary ids;
-    writing, reading, decoding and the counts read them.  Each must agree
-    with the token-by-token references, which a sequence without ids still
-    follows."""
+    """Every sequence holds its tokens as ``diag``/``grid`` arrays, and a
+    plain one with ``k <= 4`` derives its tokens' vocabulary ids from the
+    grid; writing, reading, decoding and the counts read them.  Each must
+    agree with the token-by-token references, which a sequence without ids
+    still follows."""
 
     @staticmethod
     def assert_matches_references(s):
         assert write_token_stream(s) == reference_write(s)
-        diag, grid = _token_arrays(s)
+        diag, grid = s.diag, s.grid
         ref = reference_token_grid(s.tokens, s.k)
         assert _token_grid(s.tokens, s.k)[2].any() == (ref is None)
         if ref is not None:
@@ -512,10 +514,10 @@ class TestPackedForm:
            st.sampled_from([2, 3]), st.sampled_from(["identity", "cm"]))
     def test_encoded_and_read_streams_match_the_references(self, g, k, ordering):
         s = encode_graph(g, k, ordering=ordering)
-        packed = not g.labeled and g.m > 0
-        assert (s._ids is not None) == packed
+        packed = not g.labeled
+        assert (_plain_ids(s) is not None) == packed
         r = read_token_stream(reference_write(s))
-        assert r == s and (r._ids is not None) == packed
+        assert r == s and (_plain_ids(r) is not None) == packed
         for seq in (s, r):
             self.assert_matches_references(seq)
         vocab = Vocabulary(k) if not g.labeled else Vocabulary.from_corpus(k, [s])
@@ -535,14 +537,14 @@ class TestPackedForm:
     def test_edges_of_the_id_range_match_the_references(self, text):
         # The first and last id of each kind, valid or not.
         s = read_token_stream(text)
-        assert s._ids is not None
+        assert _plain_ids(s) is not None
         self.assert_matches_references(s)
 
     def test_replaced_tokens_decode_from_their_own_tokens(self):
         s, other = encode_graph(STAR4, 2), encode_graph(K4, 2)
-        assert s._ids is not None
+        assert _plain_ids(s) is not None
         swapped = replace(s, tokens=other.tokens)
-        assert swapped._ids is None
+        assert swapped == other
         assert decode_graph(swapped) == K4
         assert write_token_stream(swapped) == write_token_stream(other)
         assert swapped.total_values == other.total_values
@@ -554,23 +556,69 @@ class TestPackedForm:
         g = random_er(11, 30, 0.2)
         s = encode_graph(g, k, ordering="cm")
         assert s == reference_encode(g, k, "cm")
-        assert (s._ids is not None) == packed
+        assert (_plain_ids(s) is not None) == packed
         text = write_token_stream(s)
         assert text == reference_write(s)
         r = read_token_stream(text)
-        assert r == s and (r._ids is not None) == packed
+        assert r == s and (_plain_ids(r) is not None) == packed
         assert decode_graph(r) == g
 
     def test_samples_carry_the_ids_they_drew(self):
         vocab = Vocabulary(2)
         s = sample_sequence(uniform_model(vocab), GenerationConfig(k=2, padded_n=8, seed=3))
-        assert s._ids.tolist() == [vocab.encode(t) for t in s.tokens]
+        assert _plain_ids(s).tolist() == [vocab.encode(t) for t in s.tokens]
 
-    def test_ids_must_be_structural(self):
-        assert TokenSequence.from_ids(2, 4, 4, [10, 5, 26, 5]) == encode_graph(K4, 2)
-        for k, ids in ((2, [2]), (2, [27]), (5, [3]), (1, [])):
-            with pytest.raises(SequenceError):
-                TokenSequence.from_ids(k, 4, 4, ids)
+
+class TestHotPathsBuildNoToken:
+    """Encode, the wire format, decode and the CLI work on a sequence's
+    arrays alone and never build its ``tokens`` view; a rejection makes only
+    the token it names."""
+
+    @pytest.fixture
+    def made(self, monkeypatch):
+        tokens = []
+        post_init = Token.__post_init__
+
+        def counting(token):
+            tokens.append(token)
+            post_init(token)
+
+        monkeypatch.setattr(Token, "__post_init__", counting)
+        return tokens
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_plain_stream_round_trip(self, made, k):
+        for g in (random_er(5, 60, 0.1), Graph(n=5)):
+            text = write_token_stream(encode_graph(g, k, ordering="cm"))
+            assert decode_graph(read_token_stream(text)) == g
+        assert made == []
+
+    @pytest.mark.parametrize("g, k", [
+        (random_labeled_er(6, 40, 0.2, node_vocab=3, edge_vocab=2), 2),
+        (random_labeled_er(6, 40, 0.2, node_vocab=3, edge_vocab=2), 3),
+        (random_er(7, 40, 0.2), 5)], ids=["featured-k2", "featured-k3", "plain-k5"])
+    def test_encode_and_decode(self, made, g, k):
+        assert decode_graph(encode_graph(g, k, ordering="cm")) == g
+        assert made == []
+        assert encode_graph(g, k).tokens and made  # the count sees the view
+
+    def test_a_rejection_makes_only_the_token_it_names(self, made):
+        header, line = write_token_stream(encode_graph(random_er(5, 60, 0.1), 2)).split("\n")[:2]
+        words = line.split(" ")
+        words[-1] = words[-1][:2] + "0" * (len(words[-1]) - 2)
+        with pytest.raises(InvalidTokenError, match=f"token {len(words)} "):
+            decode_graph(read_token_stream(f"{header}\n{' '.join(words)}\n"))
+        assert len(made) == 1
+
+    def test_cli_encode_decode_and_stats(self, made, tmp_path, capsys):
+        src, stream = tmp_path / "g.txt", tmp_path / "g.k2s"
+        src.write_text(serialize_edge_list(random_er(8, 80, 0.05)))
+        for k in ("2", "3"):
+            assert main(["encode", "--k", k, "--order", "cm", "--in", str(src),
+                         "--out", str(stream)]) == 0
+            assert main(["decode", "--in", str(stream), "--out", str(tmp_path / "b.txt")]) == 0
+            assert main(["stats", "--k", k, "--order", "cm", "--in", str(src)]) == 0
+        assert made == []
 
 
 class TestGraphPipeline:

@@ -5,11 +5,11 @@ from hypothesis import strategies as st
 
 from k2seq.graphs import Graph, GraphError
 from k2seq.sequence import encode_graph, node_position
-from k2seq.tree import (K2Tree, TreeNode, adjacency_matrix, build_from_matrix,
-                        build_k2tree, edge_label_token, label_matrix,
-                        node_label_token, rebuild_graph, rebuild_matrix, tree_stats)
+from k2seq.tree import (K2Tree, TreeNode, adjacency_matrix, build_k2tree,
+                        edge_label_token, label_matrix, node_label_token,
+                        rebuild_graph, rebuild_matrix, tree_stats)
 
-from helpers import graph_strategy, reference_encode
+from helpers import build_from_matrix, graph_strategy, reference_encode
 
 SINGLE_EDGE = Graph(n=4, edges=frozenset({(0, 1)}))
 K4 = Graph(n=4, edges=frozenset({(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)}))
