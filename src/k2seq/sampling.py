@@ -82,21 +82,40 @@ def _mask_for_rules(vocab: Vocabulary, kind: str, rules: tuple[Rule, ...]) -> np
     return mask
 
 
+# Masks a vocabulary keeps, the oldest dropped first.  A sampler meets few
+# rule signatures (6 at K=2 and 10 at K=3 on planar graphs), and one K=4
+# mask is 66,563 bytes.
+_MASK_CACHE_SIZE = 32
+
+
 def builder_mask(builder: IncrementalBuilder, vocab: Vocabulary) -> np.ndarray:
-    """Mask for the builder's pending position; all False when complete."""
+    """Mask for the builder's pending position; all False when complete.
+    Each ``(kind, rules)`` signature's mask is built once
+    (:func:`_mask_for_rules`) and kept, read-only, on ``vocab``, since masks
+    depend on its featured tokens."""
     if builder.complete:
         return np.zeros(vocab.size, dtype=bool)
-    return _mask_for_rules(vocab, builder.next_kind, builder.next_rules())
+    key = (builder.next_kind, builder.next_rules())
+    mask = vocab._masks.get(key)
+    if mask is None:
+        if len(vocab._masks) >= _MASK_CACHE_SIZE:
+            del vocab._masks[next(iter(vocab._masks))]
+        mask = vocab._masks[key] = _mask_for_rules(vocab, *key)
+        mask.flags.writeable = False
+    return mask
 
 
 class UniformModel:
-    """Uniform scores over the whole vocabulary; masking does the rest."""
+    """Uniform scores over the whole vocabulary; masking does the rest.  Every
+    call returns the same read-only row."""
 
     def __init__(self, vocab: Vocabulary):
         self.vocab = vocab
+        self._scores = np.full(vocab.size, 1.0 / vocab.size)
+        self._scores.flags.writeable = False
 
     def __call__(self, prefix, kind, path) -> np.ndarray:
-        return np.full(self.vocab.size, 1.0 / self.vocab.size)
+        return self._scores
 
 
 def uniform_model(vocab: Vocabulary) -> UniformModel:
@@ -159,16 +178,35 @@ def empirical_sizes(corpus: list[TokenSequence]) -> tuple[tuple[int, int], ...]:
     return tuple((s.padded_n, s.original_n) for s in corpus)
 
 
+def _draw(rng: np.random.Generator, masked: np.ndarray, total: float) -> int:
+    """The id ``rng.choice(masked.size, p=masked / total)`` picks, by its
+    arithmetic (the inverse CDF at one ``rng.random()``) without the cost of
+    its argument checks.  ``total`` is ``masked.sum()`` over the whole
+    vocabulary, as a sum over fewer ids could round differently and flip a
+    draw.  Negative, NaN or infinite mass, which ``choice`` refused, raises
+    :class:`GenerationError`."""
+    if not total < np.inf or masked.min() < 0.0:
+        raise GenerationError("model put negative, NaN or infinite mass on admissible tokens")
+    cdf = (masked / total).cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
 def sample_sequence(model: SamplerModel, config: GenerationConfig) -> TokenSequence:
     """Decode one sequence; deterministic given the config seed.
 
     Structural completion is authoritative: decoding stops when the builder's
     queue empties.  Running past ``max_tokens`` raises
     :class:`MaxLengthExceededError`; a model that puts zero mass on every
-    admissible token raises :class:`ZeroMassError`.  Sizes that are not a
-    header :func:`~k2seq.sequence.encode_graph` writes, such as ``padded_n``
-    past the smallest power of ``k`` holding ``original_n``, raise
+    admissible token raises :class:`ZeroMassError`, and, when sampling, one
+    that puts negative, NaN or infinite mass on them raises
+    :class:`GenerationError`.  Sizes that are not a header
+    :func:`~k2seq.sequence.encode_graph` writes, such as ``padded_n`` past
+    the smallest power of ``k`` holding ``original_n``, raise
     :class:`~k2seq.sequence.SequenceError` before any token.
+
+    Each draw picks the id ``rng.choice`` would (:func:`_draw`), so samples
+    stay as they were.  The model's scores are only read.
     """
     vocab = model.vocab
     if vocab.k != config.k:
@@ -199,7 +237,7 @@ def sample_sequence(model: SamplerModel, config: GenerationConfig) -> TokenSeque
         if config.greedy:
             token_id = int(masked.argmax())
         else:
-            token_id = int(rng.choice(vocab.size, p=masked / total))
+            token_id = _draw(rng, masked, total)
         builder.step(vocab.decode(token_id))
         ids.append(token_id)
     diag, grid = vocab._rows(np.array(ids[1:], dtype=np.int64))

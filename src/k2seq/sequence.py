@@ -55,6 +55,7 @@ from collections import deque
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from itertools import chain
+from typing import Callable
 
 import numpy as np
 
@@ -182,6 +183,25 @@ class TokenSequence:
         if (self.grid[i] == _MALFORMED).all():
             return self.tokens[i]
         return _row_tokens(self.diag[i:i + 1], self.grid[i:i + 1], self.k)[0]
+
+    def _through_first_misfit(self) -> TokenSequence:
+        """This sequence or, if a token's arity is not its kind's, its
+        tokens through the first such misfit: the decoder refuses a misfit
+        at the latest, so both fail alike, and no ``k*k``-wide row is made
+        for the tokens after it.  A misfit token 1 raises its error here,
+        before the root's table is made.  A sequence whose arrays exist
+        comes back as it is, with nothing left to save."""
+        if "_arrays" in vars(self):
+            return self
+        arity = {DIAGONAL: diagonal_arity(self.k), OFFDIAGONAL: self.k * self.k}
+        for i, token in enumerate(self.tokens):
+            if len(token.values) != arity[token.kind]:
+                break
+        else:
+            return self
+        if i == 0:  # the root is a diagonal block
+            raise _row_error(token, 1, 1, True, self.k, tuple)  # a misfit needs no rules
+        return replace(self, tokens=self.tokens[:i + 1])
 
     def _malformed(self) -> list[int]:
         """Indices of the rows that hold -1 in every slot: the malformed
@@ -449,20 +469,23 @@ def _row_rules(zero_ok: list[bool], lo: list[int], hi: list[int], diag: bool,
     return tuple([(zero_ok[s], range(lo[s], hi[s] + 1)) for s in _held_slots(k, diag)])
 
 
-def _row_error(token: Token, number: int, depth: int, diag: bool,
-               rules: tuple[Rule, ...]) -> SequenceError | None:
+def _row_error(token: Token, number: int, depth: int, diag: bool, k: int,
+               rules: Callable[[], tuple[Rule, ...]]) -> SequenceError | None:
     """Why token ``number`` (1-based) cannot fill a pending block of level
-    ``depth`` with diagonal flag ``diag`` and these rules, or None when it
-    can.  Kind and arity come first, then values, then the all-zero group:
-    the order in which the builder meets them."""
+    ``depth`` with diagonal flag ``diag`` and the rules ``rules()`` gives, or
+    None when it can.  Kind and arity come first, then values, then the
+    all-zero group: the order in which the builder meets them.  ``rules`` is
+    called only for a token of the block's kind and arity, so a malformed
+    token is refused before any ``k*k``-wide rule table is made."""
     expected, values = DIAGONAL if diag else OFFDIAGONAL, token.values
+    arity = diagonal_arity(k) if diag else k * k
     if token.kind != expected:
         cls, why = TokenMismatchError, f"kind {token.kind!r} where {expected!r} is pending"
-    elif len(values) != len(rules):
-        cls, why = TokenMismatchError, f"arity {len(values)} where {len(rules)} is pending"
+    elif len(values) != arity:
+        cls, why = TokenMismatchError, f"arity {len(values)} where {arity} is pending"
     else:
         cls, why = InvalidTokenError, "all-zero sibling group under a nonzero node"
-        for slot, (value, (zero_ok, nonzero)) in enumerate(zip(values, rules)):
+        for slot, (value, (zero_ok, nonzero)) in enumerate(zip(values, rules())):
             if value not in nonzero and not (zero_ok and value == 0):
                 why = f"value {value} not allowed at slot {slot}"
                 break
@@ -483,11 +506,12 @@ def _truncated_error(pending: int, steps: int) -> TruncatedSequenceError:
 class IncrementalBuilder:
     """Breadth-first reconstruction of a pruned tree, one token at a time.
 
-    The builder holds the current level's rule table (:func:`_level_rules`)
-    and a cursor on its next pending block.  Each step checks one token
-    against that block's row (:func:`_row_error`) and moves the cursor; when
-    a level is full, the nonzero slots of its tokens give the next level's
-    blocks, as in :func:`decode_graph`.  The tree is complete when the last
+    The builder holds the current level's pending blocks, its rule table
+    (:func:`_level_rules`, made when first needed) and a cursor on its next
+    pending block.  Each step checks one token against that block's row
+    (:func:`_row_error`) and moves the cursor; when a level is full, the
+    nonzero slots of its tokens give the next level's blocks, as in
+    :func:`decode_graph`.  The tree is complete when the last
     level is full.  Steps only record their tokens; :meth:`tree` builds the
     nodes once, at the end.  A step that raises leaves the builder as it was.
     """
@@ -509,11 +533,9 @@ class IncrementalBuilder:
 
     def _enter(self, depth: int, origins: np.ndarray) -> None:
         self._depth = depth
-        diag, self._rc, *table = _level_rules(
-            origins, self.padded_n // self.k ** (depth - 1), self.k, self.original_n,
-            self.featured, self.node_vocab, self.edge_vocab)
-        self._diag = diag.tolist()
-        self._table = [rows.tolist() for rows in table]
+        self._origins = origins
+        self._diag = (origins[0] == origins[1]).tolist()
+        self._table: list[list] | None = None  # made by _level_table
         self._r0, self._c0 = origins.tolist()
         self._sizes = [self.padded_n // self.k ** d for d in range(1, depth)]  # along a path
         self._cursor = 0
@@ -544,6 +566,18 @@ class IncrementalBuilder:
         k, r0, c0 = self.k, self._r0[self._cursor], self._c0[self._cursor]
         return tuple([(r0 // size % k + 1, c0 // size % k + 1) for size in self._sizes])
 
+    def _level_table(self) -> list[list]:
+        """The level's ``zero_ok``, ``lo`` and ``hi`` rows as lists, made the
+        first time a block's rules are asked for, with the child origins
+        ``_rc``: a builder whose first token is malformed never makes the
+        ``k*k``-wide root table."""
+        if self._table is None:
+            _, self._rc, *table = _level_rules(
+                self._origins, self.padded_n // self.k ** (self._depth - 1), self.k,
+                self.original_n, self.featured, self.node_vocab, self.edge_vocab)
+            self._table = [rows.tolist() for rows in table]
+        return self._table
+
     def next_rules(self) -> tuple[Rule, ...]:
         """Admissible values per slot of the pending block, read once per
         block off the level's table: the sampler's mask and :meth:`step`
@@ -551,7 +585,7 @@ class IncrementalBuilder:
         if self._cursor == len(self._diag):
             raise _trailing_error(self.steps + 1)
         if self._rules is None:
-            (zero_ok, lo, hi), b = self._table, self._cursor
+            (zero_ok, lo, hi), b = self._level_table(), self._cursor
             self._rules = _row_rules(zero_ok[b], lo[b], hi[b], self._diag[b], self.k)
         return self._rules
 
@@ -561,7 +595,7 @@ class IncrementalBuilder:
         if self._cursor == len(self._diag):
             raise _trailing_error(len(self._tokens) + 1)
         error = _row_error(token, len(self._tokens) + 1, self._depth, self._diag[self._cursor],
-                           self.next_rules())
+                           self.k, self.next_rules)
         if error is not None:
             raise error
         self._tokens.append(token)
@@ -650,7 +684,9 @@ class Vocabulary:
     array and an ``ids x arity`` array of values, first every bit pattern in
     id order, read off the structural table of ``k`` that the codec shares,
     then the featured tokens of that kind and arity (those with a negative
-    value are left out, as no position admits them).  Masks read it.
+    value are left out, as no position admits them).  Masks read it, and
+    ``_masks`` keeps the sampler's masks by rule signature
+    (:func:`~k2seq.sampling.builder_mask`).
 
     :meth:`decode` makes a structural id's one :class:`Token` when the id
     is first asked for (``k=4`` has 66,563 ids; a sampler meets few).
@@ -681,6 +717,7 @@ class Vocabulary:
                         OFFDIAGONAL: self._value_table(OFFDIAGONAL, self._off_base, self._ext_base)}
         self._featured_rows = _token_grid(self.featured_tokens, k)[:2]
         self._decoded: dict[int, Token] = {}
+        self._masks: dict[tuple[str, tuple[Rule, ...]], np.ndarray] = {}
 
     def _value_table(self, kind: str, base: int, end: int) -> tuple[np.ndarray, np.ndarray]:
         arity = self.diag_arity if kind == DIAGONAL else self.off_arity
@@ -1011,27 +1048,30 @@ def _level_cells(s: TokenSequence) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     levels = tree_levels(s.padded_n, k)
     origins, start = np.zeros((2, 1), dtype=np.int64), 0
     for depth in range(1, levels + 1):
+        # A table only for the blocks that tokens are left for, so a stream
+        # cut short pays nothing for the blocks it never fills.
+        blocks = origins.shape[1]
         pending, rc, zero_ok, lo, hi = _level_rules(
-            origins, s.padded_n // k ** (depth - 1), k, s.original_n, s.featured,
-            s.node_vocab, s.edge_vocab)
-        end = min(start + len(pending), total)
-        run, held = grid[start:end], slice(0, end - start)
+            origins[:, :total - start], s.padded_n // k ** (depth - 1), k, s.original_n,
+            s.featured, s.node_vocab, s.edge_vocab)
+        end = start + len(pending)
+        run = grid[start:end]
         nonzero = run != 0
         flat = np.flatnonzero(nonzero)
         # Bad rows: another kind than the block's, no nonzero value, or a
         # value the rule refuses (reduced by row only then, as that is slow).
-        bad = (diag[start:end] != pending[held]) | (np.bincount(flat // kk, minlength=len(run)) == 0)
-        refused = np.where(nonzero, (run < lo[held]) | (run > hi[held]), ~zero_ok[held])
+        bad = (diag[start:end] != pending) | (np.bincount(flat // kk, minlength=len(run)) == 0)
+        refused = np.where(nonzero, (run < lo) | (run > hi), ~zero_ok)
         if refused.any():
             bad |= refused.any(axis=1)
         if bad.any():
             b = int(bad.argmax())
-            rules = _row_rules(zero_ok[b].tolist(), lo[b].tolist(), hi[b].tolist(),
-                               bool(pending[b]), k)
-            raise _row_error(s._token(start + b), start + b + 1, depth, bool(pending[b]), rules)
-        if end < start + len(pending):
+            raise _row_error(s._token(start + b), start + b + 1, depth, bool(pending[b]), k,
+                             lambda: _row_rules(zero_ok[b].tolist(), lo[b].tolist(),
+                                                hi[b].tolist(), bool(pending[b]), k))
+        if end < start + blocks:
             children = len(flat) if depth < levels else 0
-            raise _truncated_error(start + len(pending) - end + children, total)
+            raise _truncated_error(start + blocks - end + children, total)
         start = end
         origins = rc.reshape(2, -1).take(flat, axis=1)
     if start < total:
@@ -1049,12 +1089,16 @@ def decode_graph(s: TokenSequence) -> Graph:
     accepted stream is one :func:`encode_graph` writes.  Memory is bounded by
     the token count and ``perm``, never by ``padded_n`` or ``original_n``: a
     header-only stream decodes to an edgeless graph without per-node work.
+    A token whose arity is not its kind's costs no ``k*k``-wide row for the
+    tokens after it, nor a root table when it is the first
+    (:meth:`TokenSequence._through_first_misfit`).
     """
     _check_header(s.k, s.padded_n, s.original_n, s.featured, s.node_vocab, s.edge_vocab)
     n = s.original_n
     perm = None if s.perm is None else permutation_array(s.perm, n)
     if s.perm is not None and perm is None:
         raise SequenceError(f"perm is not a permutation of 0..{n - 1}")
+    s = s._through_first_misfit()
     if not len(s.diag):
         if s.featured:
             raise GraphError("featured tree does not label every node")

@@ -3,11 +3,13 @@ import copy
 import numpy as np
 import pytest
 
+from k2seq import sampling
 from k2seq.graphs import Graph
 from k2seq.sampling import (GenerationConfig, GenerationError,
                             MaxLengthExceededError, NGramModel, UniformModel,
                             ZeroMassError, builder_mask, empirical_sizes,
-                            ngram_model, sample_sequence, uniform_model)
+                            ngram_model, sample_sequence, uniform_model,
+                            _draw, _mask_for_rules)
 from k2seq.sequence import (DIAGONAL, OFFDIAGONAL, IncrementalBuilder,
                             SequenceError, Token, Vocabulary, decode_graph,
                             encode_graph, read_token_stream, write_token_stream)
@@ -52,6 +54,9 @@ def assert_masks_agree_along(sequence, vocab):
         via_builder = builder_mask(builder, vocab)
         via_simulation = simulated_mask(builder, vocab)
         assert (via_builder == via_simulation).all()
+        # The mask kept for this signature is the one a fresh build gives.
+        assert (via_builder == _mask_for_rules(vocab, builder.next_kind,
+                                               builder.next_rules())).all()
         assert via_builder[vocab.encode(token)]
         builder.step(token)
     assert not builder_mask(builder, vocab).any()
@@ -148,6 +153,89 @@ class TestMaskMatchesBuilder:
         mask = builder_mask(b, v)
         assert set(np.flatnonzero(mask)) == {v.encode(tok(D, 1, 0, 1)),
                                              v.encode(tok(D, 1, 4, 2))}
+
+
+def golden_corpus(k):
+    """The corpus ``TestGoldenSamples`` trains its n-gram models on."""
+    return [encode_graph(g, k, ordering="cm") for g in mixed_family_graphs(5, 8, max_n=16)]
+
+
+class TestMaskCache:
+    """``builder_mask`` keeps one read-only mask per ``(kind, rules)``
+    signature on the vocabulary; ``assert_masks_agree_along`` checks each
+    against a fresh build at every step of ``TestMaskMatchesBuilder``."""
+
+    def test_masks_are_read_only(self):
+        mask = builder_mask(IncrementalBuilder(2, 4), Vocabulary(2))
+        assert not mask.flags.writeable
+        with pytest.raises(ValueError):
+            mask[0] = True
+
+    def test_vocabularies_with_other_featured_tokens_share_no_entry(self):
+        # Same builder position, same rules: the featured vocabulary admits
+        # a label-valued token that the structural one does not hold.
+        s = encode_graph(TRIANGLE_LABELED, 2)
+        plain, featured = Vocabulary(2), Vocabulary.from_corpus(2, [s])
+        b = IncrementalBuilder(s.k, s.padded_n, s.original_n, True, s.node_vocab, s.edge_vocab)
+        b.step(s.tokens[0])
+        a, c = builder_mask(b, plain), builder_mask(b, featured)
+        assert a.size == plain.size and c.size == featured.size
+        assert set(np.flatnonzero(a)) < set(np.flatnonzero(c))
+        assert plain._masks.keys() == featured._masks.keys()
+        assert not {id(m) for m in plain._masks.values()} & {id(m) for m in featured._masks.values()}
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_sampling_the_golden_corpus_stays_within_the_bound(self, k):
+        corpus = golden_corpus(k)
+        model = ngram_model(corpus, 3)
+        for seed in range(20):
+            sample_sequence(model, GenerationConfig(k=k, seed=seed, sizes=empirical_sizes(corpus)))
+        assert 0 < len(model.vocab._masks) <= sampling._MASK_CACHE_SIZE
+
+    def test_evicting_masks_leaves_samples_unchanged(self, monkeypatch):
+        corpus = golden_corpus(3)
+        config = GenerationConfig(k=3, seed=1, sizes=empirical_sizes(corpus))
+        kept = sample_sequence(ngram_model(corpus, 3), config)
+        monkeypatch.setattr(sampling, "_MASK_CACHE_SIZE", 2)
+        model = ngram_model(corpus, 3)
+        assert sample_sequence(model, config) == kept
+        assert len(model.vocab._masks) == 2
+
+
+def masked_distributions(vocab, rng):
+    """Masked score rows as a sampler meets them: each admissible mask of
+    an encoded random graph's steps, times uniform, n-gram-like and skewed
+    scores."""
+    for seed in range(6):
+        s = encode_graph(random_er(seed, 12, 0.4), vocab.k)
+        builder = IncrementalBuilder(s.k, s.padded_n, s.original_n)
+        for token in s.tokens:
+            mask = builder_mask(builder, vocab)
+            counts = rng.integers(0, 5, vocab.size)
+            for scores in (np.full(vocab.size, 1.0 / vocab.size),
+                           (counts + 1) / (counts.sum() + vocab.size),
+                           rng.random(vocab.size) ** 8):
+                yield np.where(mask, scores, 0.0)
+            builder.step(token)
+
+
+class TestDrawMatchesChoice:
+    """The inverse-CDF draw picks the id ``Generator.choice`` picks from the
+    same seed, and leaves the generator in the same state.  A numpy upgrade
+    that changes ``choice``'s arithmetic fails here."""
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_same_id_as_choice_over_many_seeds(self, k):
+        vocab, rng = Vocabulary(k), np.random.default_rng(k)
+        draws = 0
+        for i, masked in enumerate(masked_distributions(vocab, rng)):
+            for seed in range(10 * i, 10 * i + 10):
+                ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+                total = masked.sum()
+                assert _draw(ours, masked, total) == theirs.choice(vocab.size, p=masked / total)
+                assert ours.random() == theirs.random()
+                draws += 1
+        assert draws >= 2000
 
 
 class TestUniformSampling:
@@ -359,6 +447,30 @@ class TestSamplingErrors:
 
         with pytest.raises(ZeroMassError):
             sample_sequence(ZeroModel(), GenerationConfig(k=2, padded_n=4))
+
+    @pytest.mark.parametrize("bad", [-0.5, np.nan, np.inf])
+    def test_negative_nan_or_infinite_mass_is_a_generation_error(self, bad):
+        # Id 4 is admissible at the root of a 4-node K=2 tree.
+        v = Vocabulary(2)
+
+        class BadModel:
+            vocab = v
+
+            def __call__(self, prefix, kind, path):
+                scores = np.ones(v.size)
+                scores[4] = bad
+                return scores
+
+        with pytest.raises(GenerationError, match="negative, NaN or infinite"):
+            sample_sequence(BadModel(), GenerationConfig(k=2, padded_n=4))
+
+    def test_scores_are_only_read(self):
+        model = uniform_model(Vocabulary(2))
+        scores = model((), D, ())
+        assert not scores.flags.writeable and model((0, 5), O, ((1, 1),)) is scores
+        s = sample_sequence(model, GenerationConfig(k=2, padded_n=8, seed=3))
+        assert decode_graph(s).n == 8
+        assert (scores == 1 / 27).all()
 
     def test_bad_model_shape(self):
         v = Vocabulary(2)

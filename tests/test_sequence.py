@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -807,6 +808,11 @@ HAND_STREAMS = [
     "2 16 5 0\nd:100 d:100 d:110 d:010 o:0101\n",
     f"2 2 2 1\n{2 ** 70} 1\nd:1,0,2\n",
     f"2 {2 ** 40} {2 ** 40} 0\n" + "d:100 " * 39 + "d:010\n",
+    # A token whose arity is not its kind's: first, after a refused value,
+    # and after the tree is complete.
+    "2 4 4 0\no:110\n",
+    "2 4 4 0\nd:110 d:110 o:01010 d:1\n",
+    "2 4 4 0\nd:100 d:010 d:1 d:1\n",
     ]
 
 
@@ -961,6 +967,63 @@ class TestHeaderRule:
         messages = self.refusals(lambda: encode_graph(replace(g, node_vocab=nv + 1), 2),
                                  lambda: decode_graph(replace(s, node_vocab=nv + 1)))
         assert len(messages) == 1 and "beyond int64" in messages.pop()
+
+
+def traced_peak(call):
+    """The outcome of ``call()`` and the peak bytes traced while it ran."""
+    tracemalloc.start()
+    try:
+        return _outcome(lambda _: call(), None), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestLargeKShortStreams:
+    """Decoding a short stream allocates little, however large the header's
+    ``k``: a token whose arity is not its kind's is refused before any table
+    or grid row ``k*k`` wide is made for it, and a level's rule table covers
+    only the blocks that tokens are left for."""
+
+    @pytest.mark.parametrize("text", [
+        "400 400 5 0\nd:1\n",
+        "200 200 5 0\n" + " ".join(["d:1"] * 200) + "\n",
+    ], ids=["k400", "k200-200-tokens"])
+    def test_a_misfit_first_token_is_refused_in_small_memory(self, text):
+        error, peak = traced_peak(lambda: decode_graph(read_token_stream(text)))
+        assert isinstance(error, TokenMismatchError)
+        assert str(error).startswith("token 1 (level 1): arity 1 where")
+        assert peak < 2 * 2 ** 20
+
+    def test_the_builder_makes_no_root_table_for_a_misfit(self):
+        def build_and_step():
+            IncrementalBuilder(400, 400, 5).step(tok(D, 1))
+
+        error, peak = traced_peak(build_and_step)
+        assert str(error) == "token 1 (level 1): arity 1 where 80200 is pending"
+        assert peak < 2 * 2 ** 20
+
+    def test_misfits_after_the_first_token_cost_no_rows(self):
+        # A valid root token, then 300 misfits: only the first is decoded,
+        # so the grid holds two rows of 20*20 slots, not 301.
+        k, arity = 20, diagonal_arity(20)
+        text = f"{k} 400 400 0\nd:1{'0' * (arity - 1)} " + " ".join(["d:1"] * 300) + "\n"
+        s = read_token_stream(text)
+        error, peak = traced_peak(lambda: decode_graph(s))
+        assert str(error) == f"token 2 (level 2): arity 1 where {arity} is pending"
+        assert peak < 301 * k * k * 8
+        ref = _outcome(reference_decode, s)
+        assert (type(error), str(error)) == (type(ref), str(ref))
+
+    def test_a_cut_stream_makes_no_table_for_blocks_it_never_fills(self):
+        # The root token opens all 210 blocks of the next level, 400 slots
+        # each, and the stream ends there.
+        k, arity = 20, diagonal_arity(20)
+        s = read_token_stream(f"{k} 400 400 0\nd:{'1' * arity}\n")
+        error, peak = traced_peak(lambda: decode_graph(s))
+        assert str(error) == f"{arity} nodes still pending after 1 tokens"
+        assert peak < 2 * 2 ** 20
+        ref = _outcome(reference_decode, s)
+        assert (type(error), str(error)) == (type(ref), str(ref))
 
 
 class TestFrozenStreams:
