@@ -16,7 +16,6 @@ per LF-terminated line.
 from __future__ import annotations
 
 import operator
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
@@ -278,16 +277,21 @@ class Graph:
     def degree_array(self) -> np.ndarray:
         return np.bincount(self.edge_array.ravel(), minlength=self.n)
 
-    def _adjacency(self) -> tuple[np.ndarray, np.ndarray]:
-        """Row pointers and neighbours: node ``u``'s neighbours, ascending,
-        are ``nbrs[ptr[u]:ptr[u + 1]]``."""
+    def _adjacency(self, by_degree: bool = False) -> tuple[np.ndarray, np.ndarray]:
+        """Row pointers and neighbours: node ``u``'s neighbours are
+        ``nbrs[ptr[u]:ptr[u + 1]]``, ascending by id, or by (degree, id)
+        with ``by_degree``."""
         lo, hi = self.edge_array[:, 0], self.edge_array[:, 1]
         # Each node's smaller neighbours come first, ascending as the rows
-        # do, then its larger ones; a stable sort by node keeps that order.
+        # do, then its larger ones; a stable sort by node keeps that order,
+        # and within one degree when the key adds the neighbour's degree.
+        # That key stays below n**2, within int64 for any n a node list fits.
         src, nbrs = np.concatenate([hi, lo]), np.concatenate([lo, hi])
+        deg = np.bincount(src, minlength=self.n)
         ptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src, minlength=self.n), out=ptr[1:])
-        return ptr, nbrs[np.argsort(src, kind="stable")]
+        np.cumsum(deg, out=ptr[1:])
+        key = src * (int(deg.max(initial=0)) + 1) + deg[nbrs] if by_degree else src
+        return ptr, nbrs[np.argsort(key, kind="stable")]
 
     def neighbors(self) -> list[list[int]]:
         """Adjacency lists, each sorted ascending."""
@@ -486,87 +490,58 @@ def serialize_edge_list(g: Graph) -> str:
             + "e %d %d %d\n" * g.m % tuple(rows.ravel().tolist()))
 
 
-def _components(g: Graph, adj: list[list[int]]) -> list[list[int]]:
-    """Connected components, ordered by smallest contained node id.  Each
-    lists its nodes breadth-first from that id, visiting the ascending
-    adjacency lists in order: the ``bfs`` ordering of the component."""
-    seen = [False] * g.n
-    comps = []
-    for start in range(g.n):
-        if seen[start]:
-            continue
-        comp = []
-        queue = deque([start])
-        seen[start] = True
-        while queue:
-            u = queue.popleft()
-            comp.append(u)
-            for w in adj[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    queue.append(w)
-        comps.append(comp)
-    return comps
-
-
 def order_nodes(g: Graph, scheme: str, reverse: bool = False) -> Permutation:
     """Node permutation (new index -> original id) under an ordering scheme.
 
-    ``bfs`` and ``dfs`` start each component at its smallest node id and visit
-    neighbors in ascending id order.  ``cm`` is the classic Cuthill-McKee
-    ordering: each component starts at its minimum-degree node (ties broken by
-    smallest id) and neighbors are visited in increasing-degree order (same tie
-    break).  Components are processed in ascending order of their smallest node
-    id.  ``reverse=True`` reverses the final permutation.
+    Each scheme walks one connected component at a time, visiting each
+    node's neighbours in a fixed order, and lists the components by their
+    smallest node id.  ``bfs`` (breadth-first) and ``dfs`` (depth-first)
+    start each component at its smallest id and visit neighbours by
+    ascending id.  ``cm`` is the classic Cuthill-McKee ordering: a
+    breadth-first walk that visits neighbours by (degree, id).  It tries
+    start nodes by (degree, id), so the first node tried in a component,
+    its start, is its minimum-degree node with the smallest id.
+    ``reverse=True`` reverses the final permutation.
     """
     if scheme not in ORDERING_SCHEMES:
         raise ValueError(f"unknown ordering scheme {scheme!r}")
-    ptr, nbrs = g._adjacency()
-    adj = _split(ptr, nbrs)
+    ptr, nbrs = g._adjacency(by_degree=scheme == "cm")
+    adj, seen = _split(ptr, nbrs), [False] * g.n
+    starts = np.argsort(np.diff(ptr), kind="stable").tolist() if scheme == "cm" else range(g.n)
+    walk = _dfs_order if scheme == "dfs" else _breadth_first
+    walks = [walk(start, adj, seen) for start in starts if not seen[start]]
     if scheme == "cm":
-        deg = np.diff(ptr)
-        # Each node's neighbours by (degree, id): a stable sort by node, then
-        # degree, keeps the ascending ids within a degree.
-        keys = np.repeat(np.arange(g.n), deg) * (int(deg.max(initial=0)) + 1) + deg[nbrs]
-        by_degree = _split(ptr, nbrs[np.argsort(keys, kind="stable")])
-        deg, seen = deg.tolist(), [False] * g.n
-    perm: list[int] = []
-    for comp in _components(g, adj):
-        if scheme == "cm":
-            start = min(comp, key=lambda u: (deg[u], u))
-            perm.extend(_cuthill_mckee(start, by_degree, seen))
-        elif scheme == "bfs":
-            perm.extend(comp)
-        else:
-            perm.extend(_dfs_order(comp[0], adj))
+        walks.sort(key=min)
+    perm = [u for order in walks for u in order]
     if reverse:
         perm.reverse()
     return tuple(perm)
 
 
-def _dfs_order(start: int, adj: list[list[int]]) -> list[int]:
+def _dfs_order(start: int, adj: list[list[int]], seen: list[bool]) -> list[int]:
+    """Depth-first order from ``start``, each node's neighbours in the order
+    of ``adj``; marks them in ``seen``."""
     order = []
-    seen = set()
     stack = [start]
     while stack:
         u = stack.pop()
-        if u in seen:
+        if seen[u]:
             continue
-        seen.add(u)
+        seen[u] = True
         order.append(u)
         for w in reversed(adj[u]):
-            if w not in seen:
+            if not seen[w]:
                 stack.append(w)
     return order
 
 
-def _cuthill_mckee(start: int, by_degree: list[list[int]], seen: list[bool]) -> list[int]:
+def _breadth_first(start: int, adj: list[list[int]], seen: list[bool]) -> list[int]:
     """Breadth-first order from ``start``, each node's unseen neighbours in
-    the order of ``by_degree``; marks them in ``seen``."""
+    the order of ``adj``; marks them in ``seen``."""
     order = [start]
     seen[start] = True
     for u in order:  # the list grows as it is read: a FIFO queue
-        for w in by_degree[u]:
+        for w in adj[u]:
             if not seen[w]:
                 seen[w] = True
                 order.append(w)

@@ -925,33 +925,45 @@ def _level_tokens(rows: np.ndarray, cols: np.ndarray, values: np.ndarray,
     per-token diagonal flags and the tokens x ``k*k`` grid of child slots
     that :func:`_token_grid` lays out.
 
-    Each cell's key is its path from the root in base ``k*k`` digits, digit
-    ``d`` being the slot ``i*k + j`` (0-based) of its depth-``d + 1`` block
-    among its siblings.  Sorted keys list the blocks of every depth in
-    breadth-first order, so at depth ``d`` the distinct key prefixes of
-    length ``d`` are that level's tokens and digit ``d`` scatters into their
-    child slots.  A diagonal block holds no cell above the diagonal, so a
-    diagonal token's slots outside :func:`child_orders` stay 0.
+    Each cell's path from the root is one slot ``i*k + j`` (0-based) per
+    depth: ``i`` and ``j`` are the base-``k`` digits of its row and column,
+    peeled once from the bottom.  The paths read as base ``k*k`` keys,
+    sorted, list the blocks of every depth in breadth-first order, so at
+    depth ``d`` each new prefix of ``d`` slots is one of that level's
+    tokens and slot ``d`` scatters into its child slots.  A block is
+    diagonal while every slot above it has ``i == j``; it holds no cell
+    above the diagonal, so a diagonal token's slots outside
+    :func:`child_orders` stay 0.
     """
     kk = k * k
-    keys = np.zeros(len(rows), dtype=np.int64)
-    for d in range(levels):
-        scale = k ** (levels - 1 - d)
-        keys = keys * kk + (rows // scale % k) * k + cols // scale % k
+    slots, diagonal = [], []
+    # Lowest digit first, each as x - (x // k) * k: numpy's % costs about
+    # three times its //.
+    for _ in range(levels):
+        row_q, col_q = rows // k, cols // k
+        i, j = rows - row_q * k, cols - col_q * k
+        slots.append(i * k + j)
+        diagonal.append(i == j)
+        rows, cols = row_q, col_q
+    slots.reverse()
+    diagonal.reverse()
+    keys = np.zeros(len(values), dtype=np.int64)
+    for slot in slots:
+        keys = keys * kk + slot
     order = np.argsort(keys)
-    keys, rows, cols, values = keys[order], rows[order], cols[order], values[order]
+    first = np.zeros(len(order), dtype=bool)
+    first[0] = True
+    same = np.ones(len(order), dtype=bool)
     diags, grids = [], []
     for d in range(levels):
-        prefix = keys // kk ** (levels - d)
-        first = np.ones(len(keys), dtype=bool)
-        first[1:] = prefix[1:] != prefix[:-1]
+        slot = slots[d].take(order)
         parent = np.cumsum(first) - 1
-        slot = keys // kk ** (levels - 1 - d) % kk
         grid = np.zeros((int(parent[-1]) + 1, kk), dtype=np.int64)
-        grid[parent, slot] = values if d == levels - 1 else 1
-        block = k ** (levels - d)
-        diags.append(rows[first] // block == cols[first] // block)
+        grid[parent, slot] = values.take(order) if d == levels - 1 else 1
+        diags.append(same[first])
         grids.append(grid)
+        first[1:] |= slot[1:] != slot[:-1]
+        same &= diagonal[d].take(order)
     return np.concatenate(diags), np.concatenate(grids)
 
 

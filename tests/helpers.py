@@ -60,6 +60,43 @@ def reference_encode(g: Graph, k: int, ordering: str = "identity",
     return replace(flatten_tokenize(prune(t)), perm=perm)
 
 
+def reference_level_tokens(rows: np.ndarray, cols: np.ndarray, values: np.ndarray,
+                           k: int, levels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Breadth-first tokens of the pruned tree, one level at a time, as
+    per-token diagonal flags and the tokens x ``k*k`` grid of child slots:
+    the level encoder that divides each key at every level, kept as the
+    oracle of ``sequence._level_tokens``.
+
+    Each cell's key is its path from the root in base ``k*k`` digits, digit
+    ``d`` being the slot ``i*k + j`` (0-based) of its depth-``d + 1`` block
+    among its siblings.  Sorted keys list the blocks of every depth in
+    breadth-first order, so at depth ``d`` the distinct key prefixes of
+    length ``d`` are that level's tokens and digit ``d`` scatters into their
+    child slots.  A diagonal block holds no cell above the diagonal, so a
+    diagonal token's slots outside :func:`child_orders` stay 0.
+    """
+    kk = k * k
+    keys = np.zeros(len(rows), dtype=np.int64)
+    for d in range(levels):
+        scale = k ** (levels - 1 - d)
+        keys = keys * kk + (rows // scale % k) * k + cols // scale % k
+    order = np.argsort(keys)
+    keys, rows, cols, values = keys[order], rows[order], cols[order], values[order]
+    diags, grids = [], []
+    for d in range(levels):
+        prefix = keys // kk ** (levels - d)
+        first = np.ones(len(keys), dtype=bool)
+        first[1:] = prefix[1:] != prefix[:-1]
+        parent = np.cumsum(first) - 1
+        slot = keys // kk ** (levels - 1 - d) % kk
+        grid = np.zeros((int(parent[-1]) + 1, kk), dtype=np.int64)
+        grid[parent, slot] = values if d == levels - 1 else 1
+        block = k ** (levels - d)
+        diags.append(rows[first] // block == cols[first] // block)
+        grids.append(grid)
+    return np.concatenate(diags), np.concatenate(grids)
+
+
 _ZERO: Rule = (True, range(0))
 _BIT: Rule = (True, range(1, 2))
 _ONE: Rule = (False, range(1, 2))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from k2seq.generators import gen_grid
 from k2seq.graphs import (Graph, GraphError, ParseError, apply_ordering,
                           invert_permutation, order_nodes, padded_size,
                           parse_edge_list, serialize_edge_list)
@@ -277,6 +278,59 @@ class TestOrderings:
     def test_every_scheme_yields_a_bijection(self, g, scheme, reverse):
         perm = order_nodes(g, scheme, reverse=reverse)
         assert sorted(perm) == list(range(g.n))
+
+
+def _relabeled(g: Graph, seed: int) -> Graph:
+    """``g`` under a seeded random relabeling of its nodes."""
+    perm = np.random.default_rng(seed).permutation(g.n)
+    return apply_ordering(g, tuple(perm.tolist()))
+
+
+# A component whose (degree, id)-minimal node, 4, is neither its smallest
+# id nor the first node reached from it; the path 5-6-7 holds smaller
+# degrees, so Cuthill-McKee tries its start first; 8 is isolated.
+LATE_START = Graph(n=9, edges=frozenset({(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
+                                         (2, 4), (3, 4), (5, 6), (6, 7)}))
+
+
+def _islands(n: int, seed: int) -> Graph:
+    """Paths, triangles and single edges on scattered ids among ``n`` nodes,
+    most of which stay isolated."""
+    rng = np.random.default_rng(seed)
+    ids = rng.permutation(n).tolist()
+    edges = set()
+    while len(ids) > n // 2:
+        size = int(rng.integers(2, 6))
+        part, ids = ids[:size], ids[size:]
+        edges.update(zip(part, part[1:]))
+        if size == 3:
+            edges.add((part[0], part[2]))
+    return Graph(n=n, edges=edges)
+
+
+class TestOrderingsAtScale:
+    """Orderings on graphs far larger than the hypothesis strategy draws,
+    against the set-based ``reference_order_nodes``."""
+
+    GRAPHS = {
+        "path-2000": _relabeled(Graph(n=2000, edges={(u, u + 1) for u in range(1999)}), 1),
+        "star-500": Graph(n=501, edges={(250, v) for v in range(501) if v != 250}),
+        "grid-40x40": _relabeled(gen_grid(40, 40), 2),
+        "islands": _islands(600, 3),
+        "late-start": LATE_START,
+        "late-start-relabeled": _relabeled(LATE_START, 4),
+    }
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("scheme", ["bfs", "dfs", "cm"])
+    @pytest.mark.parametrize("name", list(GRAPHS))
+    def test_matches_the_reference(self, name, scheme, reverse):
+        g = self.GRAPHS[name]
+        assert order_nodes(g, scheme, reverse) == reference_order_nodes(set_graph(g), scheme,
+                                                                         reverse)
+
+    def test_cm_starts_late_and_lists_components_by_smallest_id(self):
+        assert order_nodes(LATE_START, "cm") == (4, 2, 3, 0, 1, 5, 6, 7, 8)
 
 
 class TestApplyOrdering:

@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from k2seq.cli import main
-from k2seq.graphs import Graph, GraphError, apply_ordering, serialize_edge_list
+from k2seq.generators import gen_er, gen_grid, gen_planar
+from k2seq.graphs import (Graph, GraphError, apply_ordering, order_nodes, padded_size,
+                          serialize_edge_list)
 from k2seq.sampling import GenerationConfig, sample_sequence, uniform_model
 from k2seq.sequence import (DIAGONAL, OFFDIAGONAL, EmptyGraphError,
                             IncrementalBuilder, InvalidTokenError, SequenceError,
@@ -19,12 +21,12 @@ from k2seq.sequence import (DIAGONAL, OFFDIAGONAL, EmptyGraphError,
                             flatten_tokenize, full_tree_attrs, node_position,
                             offdiagonal_arity, position_paths, prune,
                             read_token_stream, tree_levels, write_token_stream,
-                            _plain_ids, _token_grid)
+                            _level_tokens, _lower_cells, _plain_ids, _token_grid)
 from k2seq.tree import build_k2tree, tree_stats
 
 from helpers import (ReferenceBuilder, graph_strategy, random_er, random_labeled_er,
                      reference_build, reference_decode, reference_encode,
-                     reference_token_grid, reference_write)
+                     reference_level_tokens, reference_token_grid, reference_write)
 
 SINGLE_EDGE = Graph(n=4, edges=frozenset({(0, 1)}))
 K4 = Graph(n=4, edges=frozenset({(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)}))
@@ -721,6 +723,29 @@ class TestLevelEncoder:
         assert [tree_levels(n, 2) for n in (2, 4, 8, 1024)] == [1, 2, 3, 10]
         assert [tree_levels(n, 3) for n in (3, 9, 27)] == [1, 2, 3]
 
+    @staticmethod
+    def assert_levels_match_reference(g, k):
+        cells = _lower_cells(g)
+        if not len(cells[0]):
+            return
+        levels = tree_levels(padded_size(g.n, k), k)
+        diag, grid = _level_tokens(*cells, k, levels)
+        ref_diag, ref_grid = reference_level_tokens(*cells, k, levels)
+        assert np.array_equal(diag, ref_diag) and np.array_equal(grid, ref_grid)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(graph_strategy(max_n=12), graph_strategy(max_n=12, labeled=True)),
+           st.integers(2, 5))
+    def test_levels_match_the_dividing_encoder(self, g, k):
+        self.assert_levels_match_reference(g, k)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("g", [gen_er(1024, 8 / 1023, seed=3), gen_grid(32, 32),
+                                   gen_planar(1024, seed=3)], ids=["er", "grid", "planar"])
+    def test_cli_sized_levels_match_the_dividing_encoder(self, g, k):
+        self.assert_levels_match_reference(g, k)
+        self.assert_levels_match_reference(apply_ordering(g, order_nodes(g, "cm")), k)
+
 
 def _outcome(decode, s):
     try:
@@ -955,6 +980,16 @@ class TestHeaderRule:
                                  lambda: decode_graph(TokenSequence(k, n * k, n + 1)),
                                  lambda: IncrementalBuilder(k, n * k, n + 1))
         assert len(messages) == 1 and "beyond int64" in messages.pop()
+
+    @pytest.mark.parametrize("k, n", [(2, 2 ** 31), (3, 3 ** 19)])
+    def test_a_far_corner_edge_encodes_in_small_memory(self, k, n):
+        # The edge's cell paths reach the deepest level at the far corner;
+        # encode works per cell and level, never per node.
+        g = Graph(n=n, edges=frozenset({(0, n - 1)}))
+        s, peak = traced_peak(lambda: encode_graph(g, k))
+        assert peak < 2 ** 20
+        assert len(s.tokens) == tree_levels(n, k)
+        assert decode_graph(s) == g
 
     def test_label_vocab_sum_is_bounded_by_int64(self):
         nv = 2 ** 63 - 2
