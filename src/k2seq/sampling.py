@@ -90,17 +90,21 @@ _MASK_CACHE_SIZE = 32
 
 def builder_mask(builder: IncrementalBuilder, vocab: Vocabulary) -> np.ndarray:
     """Mask for the builder's pending position; all False when complete.
-    Each ``(kind, rules)`` signature's mask is built once
-    (:func:`_mask_for_rules`) and kept, read-only, on ``vocab``, since masks
-    depend on its featured tokens."""
+    Masks are kept, read-only, on ``vocab``, since they depend on its
+    featured tokens, by the pending block's rule signature: its kind and
+    its row of the level table, as bytes
+    (:meth:`~k2seq.sequence.IncrementalBuilder._mask_key`).  Blocks with
+    equal kinds and rules share a signature, so the block's rules are made
+    and its mask built (:func:`_mask_for_rules`) only on a miss."""
     if builder.complete:
         return np.zeros(vocab.size, dtype=bool)
-    key = (builder.next_kind, builder.next_rules())
+    key = builder._mask_key()
     mask = vocab._masks.get(key)
     if mask is None:
         if len(vocab._masks) >= _MASK_CACHE_SIZE:
             del vocab._masks[next(iter(vocab._masks))]
-        mask = vocab._masks[key] = _mask_for_rules(vocab, *key)
+        mask = vocab._masks[key] = _mask_for_rules(vocab, builder.next_kind,
+                                                   builder.next_rules())
         mask.flags.writeable = False
     return mask
 
@@ -128,10 +132,13 @@ class NGramModel:
     Sequences are framed as ``(n-1) * BOS, tokens..., EOS`` for counting.  An
     unseen context falls back to the smoothed unigram distribution.
 
-    Each seen context keeps the ids that followed it, one per occurrence, and
-    its count row is their ``bincount``; most contexts are followed by a few
-    ids, so a stored dense row of ``vocab.size`` int64 would mostly hold
-    zeros.  The unigram is one dense int64 count row.
+    Each seen context keeps the ids that followed it, one per occurrence.
+    Its scores are ``(count + 1) / (total + V)`` for those ids and the base
+    ``1 / (total + V)`` for every other id.  Its first call keeps them
+    sparse, as the base and the ``(ids, scores)`` arrays, and each call
+    fills one dense row from them: most contexts are followed by a few ids,
+    so a stored dense row of ``V`` floats would mostly repeat the base.
+    Unseen contexts share one read-only row of unigram scores.
     """
 
     def __init__(self, vocab: Vocabulary, n: int):
@@ -140,7 +147,9 @@ class NGramModel:
         self.vocab = vocab
         self.n = n
         self._rows: dict[tuple[int, ...], list[int]] = {}
+        self._sparse: dict[tuple[int, ...], tuple[float, np.ndarray, np.ndarray]] = {}
         self._unigram = np.zeros(vocab.size, dtype=np.int64)
+        self._unigram_scores = self._scores(self._unigram)
 
     def train(self, sequences: list[TokenSequence]) -> "NGramModel":
         for s in sequences:
@@ -148,18 +157,36 @@ class NGramModel:
             for pos in range(self.n - 1, len(ids)):
                 self._rows.setdefault(tuple(ids[pos - self.n + 1:pos]), []).append(ids[pos])
             self._unigram += np.bincount(ids[self.n - 1:], minlength=self.vocab.size)
+        self._sparse.clear()
+        self._unigram_scores = self._scores(self._unigram)
         return self
 
+    def _scores(self, counts: np.ndarray) -> np.ndarray:
+        scores = (counts + 1) / (counts.sum() + self.vocab.size)
+        scores.flags.writeable = False
+        return scores
+
     def _context(self, prefix: Sequence[int]) -> tuple[int, ...]:
+        """The last ``n-1`` ids of ``prefix``, BOS-padded on the left."""
         if self.n == 1:
             return ()
-        padded = [BOS] * (self.n - 1) + list(prefix)
-        return tuple(padded[-(self.n - 1):])
+        tail = tuple(prefix[-(self.n - 1):])
+        return (BOS,) * (self.n - 1 - len(tail)) + tail
 
     def __call__(self, prefix, kind, path) -> np.ndarray:
-        row = self._rows.get(self._context(prefix))
-        counts = self._unigram if row is None else np.bincount(row, minlength=self.vocab.size)
-        return (counts + 1) / (counts.sum() + self.vocab.size)
+        context = self._context(prefix)
+        sparse = self._sparse.get(context)
+        if sparse is None:
+            followers = self._rows.get(context)
+            if followers is None:
+                return self._unigram_scores
+            ids, counts = np.unique(followers, return_counts=True)
+            total = len(followers) + self.vocab.size
+            sparse = self._sparse[context] = 1 / total, ids, (counts + 1) / total
+        base, ids, scores = sparse
+        row = np.full(self.vocab.size, base)
+        row[ids] = scores
+        return row
 
 
 def ngram_model(corpus: list[TokenSequence], n: int,

@@ -200,7 +200,7 @@ class TokenSequence:
         else:
             return self
         if i == 0:  # the root is a diagonal block
-            raise _row_error(token, 1, 1, True, self.k, tuple)  # a misfit needs no rules
+            raise _row_error(token, 1, 1, True, self.k, tuple)  # a misfit reads no table
         return replace(self, tokens=self.tokens[:i + 1])
 
     def _malformed(self) -> list[int]:
@@ -441,7 +441,9 @@ def _level_rules(origins: np.ndarray, block: int, k: int, original_n: int, featu
     original_n``) and, in a plain tree, on a diagonal block with fewer than
     two real ids.  In a featured tree a diagonal child in the real region is
     nonzero, as every node carries a label, and a cell admits its kind's
-    label range.  Any other child admits 0 and 1.
+    label range.  Any other child admits 0 and 1.  A child that admits only
+    0 is written ``zero_ok``, ``lo=1``, ``hi=0`` whatever its position, so
+    children with equal rules have equal rows (:func:`_rule_keys`).
     """
     step = block // k
     r, c = rc = origins[:, :, None] + _slot_digits(k)[:, None, :] * step
@@ -458,7 +460,7 @@ def _level_rules(origins: np.ndarray, block: int, k: int, original_n: int, featu
         zero_only = (c > r) | (r >= original_n)
         zero_ok = ~on_diag | zero_only
         if step == 1:
-            lo = np.where(on_diag, 1, node_vocab + 1)
+            lo = np.where(on_diag | zero_only, 1, node_vocab + 1)
             hi = np.where(on_diag, node_vocab, node_vocab + edge_vocab)
     return origins[0] == origins[1], rc, zero_ok, lo, np.where(zero_only, 0, hi)
 
@@ -469,12 +471,26 @@ def _row_rules(zero_ok: list[bool], lo: list[int], hi: list[int], diag: bool,
     return tuple([(zero_ok[s], range(lo[s], hi[s] + 1)) for s in _held_slots(k, diag)])
 
 
+def _rule_keys(diag: np.ndarray, zero_ok: np.ndarray, lo: np.ndarray,
+               hi: np.ndarray) -> list[bytes]:
+    """One key per block of a level's rule table (:func:`_level_rules`):
+    the bytes of its diagonal flag and its ``zero_ok``, ``lo`` and ``hi``
+    rows.  The table writes each rule one way, so two blocks get equal keys
+    exactly when their kinds and :func:`_row_rules` are equal: a diagonal
+    block's slots above the diagonal admit only 0 at any origin, so they add
+    nothing to tell keys apart."""
+    rows = np.concatenate([diag[:, None], zero_ok, lo, hi], axis=1, dtype=np.int64)
+    return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel().tolist()
+
+
 def _row_error(token: Token, number: int, depth: int, diag: bool, k: int,
-               rules: Callable[[], tuple[Rule, ...]]) -> SequenceError | None:
+               row: Callable[[], tuple[list, list, list]]) -> SequenceError | None:
     """Why token ``number`` (1-based) cannot fill a pending block of level
-    ``depth`` with diagonal flag ``diag`` and the rules ``rules()`` gives, or
-    None when it can.  Kind and arity come first, then values, then the
-    all-zero group: the order in which the builder meets them.  ``rules`` is
+    ``depth`` with diagonal flag ``diag``, whose ``zero_ok``, ``lo`` and
+    ``hi`` rows of the level's table ``row()`` gives, or None when it can:
+    each slot the token holds (:func:`_held_slots`) admits 0 if ``zero_ok``
+    and ``lo..hi``.  Kind and arity come first, then values, then the
+    all-zero group: the order in which the builder meets them.  ``row`` is
     called only for a token of the block's kind and arity, so a malformed
     token is refused before any ``k*k``-wide rule table is made."""
     expected, values = DIAGONAL if diag else OFFDIAGONAL, token.values
@@ -485,8 +501,9 @@ def _row_error(token: Token, number: int, depth: int, diag: bool, k: int,
         cls, why = TokenMismatchError, f"arity {len(values)} where {arity} is pending"
     else:
         cls, why = InvalidTokenError, "all-zero sibling group under a nonzero node"
-        for slot, (value, (zero_ok, nonzero)) in enumerate(zip(values, rules())):
-            if value not in nonzero and not (zero_ok and value == 0):
+        zero_ok, lo, hi = row()
+        for slot, (held, value) in enumerate(zip(_held_slots(k, diag), values)):
+            if not (lo[held] <= value <= hi[held] or value == 0 and zero_ok[held]):
                 why = f"value {value} not allowed at slot {slot}"
                 break
         else:
@@ -536,10 +553,10 @@ class IncrementalBuilder:
         self._origins = origins
         self._diag = (origins[0] == origins[1]).tolist()
         self._table: list[list] | None = None  # made by _level_table
+        self._keys: list[bytes] | None = None  # made by _mask_key
         self._r0, self._c0 = origins.tolist()
         self._sizes = [self.padded_n // self.k ** d for d in range(1, depth)]  # along a path
         self._cursor = 0
-        self._rules: tuple[Rule, ...] | None = None  # the cursor's, once asked
 
     @property
     def complete(self) -> bool:
@@ -569,38 +586,49 @@ class IncrementalBuilder:
     def _level_table(self) -> list[list]:
         """The level's ``zero_ok``, ``lo`` and ``hi`` rows as lists, made the
         first time a block's rules are asked for, with the child origins
-        ``_rc``: a builder whose first token is malformed never makes the
-        ``k*k``-wide root table."""
+        ``_rc`` and the rows as arrays, ``_rule_arrays``: a builder whose
+        first token is malformed never makes the ``k*k``-wide root table."""
         if self._table is None:
-            _, self._rc, *table = _level_rules(
+            _, self._rc, *self._rule_arrays = _level_rules(
                 self._origins, self.padded_n // self.k ** (self._depth - 1), self.k,
                 self.original_n, self.featured, self.node_vocab, self.edge_vocab)
-            self._table = [rows.tolist() for rows in table]
+            self._table = [rows.tolist() for rows in self._rule_arrays]
         return self._table
 
+    def _block_row(self) -> tuple[list, list, list]:
+        """The pending block's ``zero_ok``, ``lo`` and ``hi`` rows."""
+        zero_ok, lo, hi = self._level_table()
+        return zero_ok[self._cursor], lo[self._cursor], hi[self._cursor]
+
+    def _mask_key(self) -> bytes:
+        """The pending block's rule signature (:func:`_rule_keys`), by which
+        the sampler keeps its masks; the level's keys are made the first
+        time one is asked for, so a replay that only steps never makes
+        them."""
+        if self._keys is None:
+            self._level_table()
+            self._keys = _rule_keys(np.array(self._diag), *self._rule_arrays)
+        return self._keys[self._cursor]
+
     def next_rules(self) -> tuple[Rule, ...]:
-        """Admissible values per slot of the pending block, read once per
-        block off the level's table: the sampler's mask and :meth:`step`
-        both read them."""
+        """Admissible values per slot of the pending block, read off the
+        level's table."""
         if self._cursor == len(self._diag):
             raise _trailing_error(self.steps + 1)
-        if self._rules is None:
-            (zero_ok, lo, hi), b = self._level_table(), self._cursor
-            self._rules = _row_rules(zero_ok[b], lo[b], hi[b], self._diag[b], self.k)
-        return self._rules
+        return _row_rules(*self._block_row(), self._diag[self._cursor], self.k)
 
     def step(self, token: Token) -> None:
-        """Check one token against the pending block and move on; raises a
-        :class:`SequenceError` subclass on misuse."""
+        """Check one token against the pending block's row of the level's
+        table and move on; raises a :class:`SequenceError` subclass on
+        misuse."""
         if self._cursor == len(self._diag):
             raise _trailing_error(len(self._tokens) + 1)
         error = _row_error(token, len(self._tokens) + 1, self._depth, self._diag[self._cursor],
-                           self.k, self.next_rules)
+                           self.k, self._block_row)
         if error is not None:
             raise error
         self._tokens.append(token)
         self._cursor += 1
-        self._rules = None
         if self._cursor < len(self._diag) or self._depth == self._levels:
             return
         # The level's accepted values, laid out as its table: a diagonal
@@ -685,8 +713,9 @@ class Vocabulary:
     id order, read off the structural table of ``k`` that the codec shares,
     then the featured tokens of that kind and arity (those with a negative
     value are left out, as no position admits them).  Masks read it, and
-    ``_masks`` keeps the sampler's masks by rule signature
-    (:func:`~k2seq.sampling.builder_mask`).
+    ``_masks`` keeps the sampler's masks by the rule signature of the
+    pending block's row of the level table (:func:`_rule_keys`,
+    :func:`~k2seq.sampling.builder_mask`).
 
     :meth:`decode` makes a structural id's one :class:`Token` when the id
     is first asked for (``k=4`` has 66,563 ids; a sampler meets few).
@@ -717,7 +746,7 @@ class Vocabulary:
                         OFFDIAGONAL: self._value_table(OFFDIAGONAL, self._off_base, self._ext_base)}
         self._featured_rows = _token_grid(self.featured_tokens, k)[:2]
         self._decoded: dict[int, Token] = {}
-        self._masks: dict[tuple[str, tuple[Rule, ...]], np.ndarray] = {}
+        self._masks: dict[bytes, np.ndarray] = {}
 
     def _value_table(self, kind: str, base: int, end: int) -> tuple[np.ndarray, np.ndarray]:
         arity = self.diag_arity if kind == DIAGONAL else self.off_arity
@@ -1079,8 +1108,7 @@ def _level_cells(s: TokenSequence) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if bad.any():
             b = int(bad.argmax())
             raise _row_error(s._token(start + b), start + b + 1, depth, bool(pending[b]), k,
-                             lambda: _row_rules(zero_ok[b].tolist(), lo[b].tolist(),
-                                                hi[b].tolist(), bool(pending[b]), k))
+                             lambda: (zero_ok[b].tolist(), lo[b].tolist(), hi[b].tolist()))
         if end < start + blocks:
             children = len(flat) if depth < levels else 0
             raise _truncated_error(start + blocks - end + children, total)

@@ -19,10 +19,11 @@ from k2seq import Graph
 from k2seq.generators import gen_community, gen_er, gen_grid, gen_planar
 from k2seq.graphs import (GraphError, ParseError, apply_ordering, invert_permutation,
                           order_nodes, padded_size)
-from k2seq.sequence import (DIAGONAL, OFFDIAGONAL, InvalidTokenError, Rule, SequenceError,
-                            Token, TokenMismatchError, TokenSequence, TrailingTokensError,
-                            TruncatedSequenceError, _check_header, child_orders,
-                            diagonal_arity, flatten_tokenize, offdiagonal_arity, prune)
+from k2seq.sequence import (BOS, DIAGONAL, EOS, OFFDIAGONAL, InvalidTokenError, Rule,
+                            SequenceError, Token, TokenMismatchError, TokenSequence,
+                            TrailingTokensError, TruncatedSequenceError, Vocabulary,
+                            _check_header, child_orders, diagonal_arity, encode_ids,
+                            flatten_tokenize, offdiagonal_arity, prune)
 from k2seq.tree import K2Tree, TreeNode, _build_nodes, build_k2tree, rebuild_graph, tree_levels
 
 
@@ -288,6 +289,25 @@ def reference_write(s: TokenSequence) -> str:
     if s.perm is not None:
         lines.append("perm " + " ".join(str(p) for p in s.perm))
     return "\n".join(lines) + "\n"
+
+
+def reference_ngram_scores(sequences: list[TokenSequence], vocab: Vocabulary, n: int,
+                           prefix) -> np.ndarray:
+    """Add-one-smoothed order-``n`` scores after ``prefix``, counted from
+    scratch: the sequences framed as ``(n-1) * BOS, tokens..., EOS``, the
+    ids that followed the last ``n-1`` ids of the BOS-padded prefix, or, if
+    none did, every id past the frame's BOS (the unigram), and their
+    ``bincount``.  The reference :class:`~k2seq.sampling.NGramModel` must
+    match exactly."""
+    framed = [[BOS] * (n - 1) + encode_ids(s, vocab) + [EOS] for s in sequences]
+    padded = [BOS] * (n - 1) + list(prefix)
+    context = padded[len(padded) - (n - 1):]
+    followers = [ids[pos] for ids in framed for pos in range(n - 1, len(ids))
+                 if ids[pos - (n - 1):pos] == context]
+    if not followers:
+        followers = [i for ids in framed for i in ids[n - 1:]]
+    counts = np.bincount(followers, minlength=vocab.size)
+    return (counts + 1) / (counts.sum() + vocab.size)
 
 
 def reference_token_grid(tokens: tuple[Token, ...],

@@ -1,4 +1,5 @@
 import copy
+from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -12,9 +13,11 @@ from k2seq.sampling import (GenerationConfig, GenerationError,
                             _draw, _mask_for_rules)
 from k2seq.sequence import (DIAGONAL, OFFDIAGONAL, IncrementalBuilder,
                             SequenceError, Token, Vocabulary, decode_graph,
-                            encode_graph, read_token_stream, write_token_stream)
+                            encode_graph, read_token_stream, write_token_stream,
+                            _rule_keys)
 
-from helpers import mixed_family_graphs, random_er, random_labeled_er
+from helpers import (mixed_family_graphs, random_er, random_labeled_er,
+                     reference_ngram_scores)
 
 SINGLE_EDGE = Graph(n=4, edges=frozenset({(0, 1)}))
 K4 = Graph(n=4, edges=frozenset({(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)}))
@@ -160,10 +163,65 @@ def golden_corpus(k):
     return [encode_graph(g, k, ordering="cm") for g in mixed_family_graphs(5, 8, max_n=16)]
 
 
+def signatures_along(s):
+    """Each step's mask key, ``(next_kind, next_rules())`` and path, as a
+    builder replays ``s``."""
+    builder = IncrementalBuilder(s.k, s.padded_n, s.original_n, s.featured,
+                                 s.node_vocab, s.edge_vocab)
+    for token in s.tokens:
+        yield builder._mask_key(), (builder.next_kind, builder.next_rules()), builder.next_path
+        builder.step(token)
+
+
 class TestMaskCache:
-    """``builder_mask`` keeps one read-only mask per ``(kind, rules)``
-    signature on the vocabulary; ``assert_masks_agree_along`` checks each
+    """``builder_mask`` keeps one read-only mask per rule signature on the
+    vocabulary: the pending block's kind and its row of the level table, as
+    bytes (``IncrementalBuilder._mask_key``).  Blocks of one kind with equal
+    rules share a signature at any depth or origin, and blocks with other
+    kinds or rules never do.  ``assert_masks_agree_along`` checks each mask
     against a fresh build at every step of ``TestMaskMatchesBuilder``."""
+
+    # A plain graph, and a padded featured one with one node label, whose
+    # last diagonal block at depths 2 and 3 has the rules (node, zero, zero):
+    # at cell level the zero-only off-diagonal slot has lo = node_vocab + 1.
+    @pytest.mark.parametrize("g", [random_er(3, 30, 0.3), random_labeled_er(2, 5, 0.6, 1, 2)])
+    def test_equal_rules_share_one_entry_across_depths_and_origins(self, g):
+        s = encode_graph(g, 2, ordering="cm")
+        vocab = Vocabulary.from_corpus(2, [s])
+        builder = IncrementalBuilder(s.k, s.padded_n, s.original_n, s.featured,
+                                     s.node_vocab, s.edge_vocab)
+        paths = defaultdict(set)
+        for token in s.tokens:
+            builder_mask(builder, vocab)
+            paths[builder.next_kind, builder.next_rules()].add(builder.next_path)
+            builder.step(token)
+        assert len(vocab._masks) == len(paths)
+        assert any(len({len(path) for path in met}) > 1 for met in paths.values())
+
+    def test_diagonal_and_off_diagonal_blocks_never_share_an_entry(self):
+        # Equal zero_ok, lo and hi rows under either kind.
+        zero_ok, lo = np.ones((2, 4), dtype=bool), np.ones((2, 4), dtype=np.int64)
+        diag_key, off_key = _rule_keys(np.array([True, False]), zero_ok, lo, lo)
+        assert diag_key != off_key
+        for k in (2, 3):
+            kinds = defaultdict(set)
+            for s in golden_corpus(k):
+                for key, (kind, _), _ in signatures_along(s):
+                    kinds[key].add(kind)
+            assert {len(met) for met in kinds.values()} == {1}
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_sampling_the_golden_corpus_meets_one_key_per_kind_and_rules(self, k):
+        corpus = golden_corpus(k)
+        model = ngram_model(corpus, 3)
+        sizes, rules, keys = empirical_sizes(corpus), defaultdict(set), defaultdict(set)
+        for seed in range(20):
+            s = sample_sequence(model, GenerationConfig(k=k, seed=seed, sizes=sizes))
+            for key, signature, _ in signatures_along(s):
+                rules[key].add(signature)
+                keys[signature].add(key)
+        assert {len(met) for met in rules.values()} == {len(met) for met in keys.values()} == {1}
+        assert len(rules) == len(keys) == len(model.vocab._masks)
 
     def test_masks_are_read_only(self):
         mask = builder_mask(IncrementalBuilder(2, 4), Vocabulary(2))
@@ -367,6 +425,58 @@ class TestNGram:
         corpus = [encode_graph(SINGLE_EDGE, 2), encode_graph(Graph(n=5), 2),
                   encode_graph(TRIANGLE_LABELED, 2)]
         assert empirical_sizes(corpus) == ((4, 4), (8, 5), (4, 3))
+
+
+def ngram_corpora():
+    """Corpora and their vocabularies: the golden corpus at K=2 and K=3, and
+    labeled graphs at K=2, whose vocabulary holds featured tokens."""
+    labeled = [encode_graph(random_labeled_er(seed, 6, 0.5, 2, 2), 2) for seed in range(4)]
+    for corpus in (golden_corpus(2), golden_corpus(3), labeled):
+        yield corpus, Vocabulary.from_corpus(corpus[0].k, corpus)
+
+
+class TestNGramMatchesReference:
+    """``NGramModel`` gives ``reference_ngram_scores``' row bit for bit, in
+    a context's first call, which keeps its scores sparse, and in later
+    calls, which read them."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_every_trained_context_and_unseen_ones(self, n):
+        for corpus, vocab in ngram_corpora():
+            model = NGramModel(vocab, n).train(corpus)
+            # PAD never occurs and nothing follows EOS; a short prefix is BOS-padded.
+            unseen = [(vocab.PAD,) * (n - 1), (vocab.BOS,) * (n - 2) + (vocab.EOS,)]
+            prefixes = list(model._rows) + unseen + [(), (vocab.BOS,)]
+            assert n == 1 or not set(unseen) & model._rows.keys()
+            for prefix in prefixes:
+                want = reference_ngram_scores(corpus, vocab, n, prefix)
+                for _ in range(2):
+                    assert np.array_equal(model(prefix, D, ()), want)
+
+    def test_a_long_prefix_reads_only_its_last_ids(self):
+        corpus = golden_corpus(3)
+        vocab = Vocabulary(3)
+        rng = np.random.default_rng(0)
+        for n in (1, 2, 3):
+            model = NGramModel(vocab, n).train(corpus)
+            for context in list(model._rows)[:5] + [(vocab.PAD,) * (n - 1)]:
+                head = rng.integers(3, vocab.size, 10_000 - len(context)).tolist()
+                prefix = tuple(head) + context
+                want = reference_ngram_scores(corpus, vocab, n, prefix)
+                assert np.array_equal(model(prefix, D, ()), want)
+                assert np.array_equal(model(context, D, ()), want)
+
+    def test_training_again_counts_both_corpora(self):
+        first, second = golden_corpus(2)[:4], golden_corpus(2)[4:]
+        vocab = Vocabulary(2)
+        model = NGramModel(vocab, 2).train(first)
+        prefixes = list(model._rows) + [(vocab.PAD,)]
+        for prefix in prefixes:
+            model(prefix, D, ())
+        model.train(second)
+        for prefix in prefixes + list(model._rows):
+            assert np.array_equal(model(prefix, D, ()),
+                                  reference_ngram_scores(first + second, vocab, 2, prefix))
 
 
 class TestGoldenSamples:

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import tracemalloc
 from dataclasses import replace
@@ -930,6 +931,41 @@ class TestBuilderMatchesReference:
     @pytest.mark.parametrize("text", HAND_STREAMS)
     def test_hand_made_streams_agree_with_the_reference(self, text):
         self.assert_agrees(read_token_stream(text))
+
+    @staticmethod
+    def token_mutants(token):
+        """``token`` with one slot set to another of 0, 1, 2, -1 and 2**63,
+        with the other kind, and with one slot more and one fewer."""
+        values = token.values
+        for slot, value in enumerate(values):
+            for new in (0, 1, 2, -1, 2 ** 63):
+                if new != value:
+                    yield Token(token.kind, values[:slot] + (new,) + values[slot + 1:])
+        yield Token(O if token.kind == D else D, values)
+        yield Token(token.kind, values + (1,))
+        yield Token(token.kind, values[:-1])
+
+    def test_single_slot_mutants_agree_with_the_reference(self):
+        # Each mutant is stepped in place of its token: both builders refuse
+        # it alike and stay as they were, or both take it and are restored.
+        outcomes = set()
+        for g in (random_er(11, 20, 0.3), gen_grid(4, 5), random_labeled_er(12, 11, 0.4, 3, 2)):
+            for k in (2, 3, 4):
+                s = encode_graph(g, k, ordering="cm")
+                args = (s.k, s.padded_n, s.original_n, s.featured, s.node_vocab, s.edge_vocab)
+                b, ref = IncrementalBuilder(*args), ReferenceBuilder(*args)
+                for token in s.tokens:
+                    saved = copy.deepcopy((b, ref))
+                    for mutant in self.token_mutants(token):
+                        got, want = _outcome(b.step, mutant), _outcome(ref.step, mutant)
+                        assert (type(got), str(got)) == (type(want), str(want))
+                        outcomes.add(type(want))
+                        if want is None:
+                            b, ref = copy.deepcopy(saved)
+                    b.step(token)
+                    ref.step(token)
+                assert b.tree() == ref.tree()
+        assert outcomes == {type(None), TokenMismatchError, InvalidTokenError}
 
     def test_next_rules_match_the_reference_at_every_step(self):
         for g, k in ((random_er(4, 23, 0.3), 2), (random_er(5, 20, 0.4), 3),
