@@ -17,11 +17,13 @@ of Brisaboa, Ladra & Navarro, SPIRE 2009).  :func:`prune` and
 :func:`flatten_tokenize` over :func:`~k2seq.tree.build_k2tree` remain as the
 reference it is tested against.  :func:`decode_graph` is its inverse over
 arrays: level ``d``'s tokens are one contiguous run, one per pending block,
-and their nonzero slots are the next level's blocks.  One rule table per
-level (:func:`_level_rules`) says which values each slot admits, and one row
-check (:func:`_row_error`) names the first token that breaks it.  The decoder
-checks whole runs against the table and the :class:`IncrementalBuilder`,
-which drives the samplers, one token at a time, so both reject alike.
+and their nonzero slots are the next level's blocks.  One predicate
+(:func:`_child_rules`) says which values a child admits at its origin, and
+one row check (:func:`_row_error`) names the first token that breaks it.
+The :class:`IncrementalBuilder`, which drives the samplers, reads the
+predicate as one rule table per level (:func:`_level_rules`), one token at a
+time; the decoder evaluates it once over every nonzero child of the stream
+and makes a table row only for the token it refuses, so both reject alike.
 
 Every :class:`TokenSequence` holds its tokens as two arrays: ``diag``,
 one bool per token, and ``grid``, one row per token of ``k*k`` int64 child
@@ -205,8 +207,10 @@ class TokenSequence:
 
     def _malformed(self) -> list[int]:
         """Indices of the rows that hold -1 in every slot: the malformed
-        tokens, and any token built by hand with only -1s."""
-        return np.flatnonzero((self.grid == _MALFORMED).all(axis=1)).tolist()
+        tokens, and any token built by hand with only -1s.  Only the rows
+        with -1 in slot 0 are read whole."""
+        rows = np.flatnonzero(self.grid[:, 0] == _MALFORMED)
+        return rows[(self.grid[rows] == _MALFORMED).all(axis=1)].tolist()
 
     @property
     def total_values(self) -> int:
@@ -424,18 +428,16 @@ def _slot_digits(k: int) -> np.ndarray:
     return digits
 
 
-def _level_rules(origins: np.ndarray, block: int, k: int, original_n: int, featured: bool,
-                 node_vocab: int, edge_vocab: int) -> tuple[np.ndarray, ...]:
-    """The rule table of one level's pending ``block``-sized blocks, whose
-    row and column origins are the two rows of ``origins``, shared by the
-    builder and the decoder: ``(diag, rc, zero_ok, lo, hi)``.  ``diag``
-    flags the blocks on the diagonal; ``rc`` stacks each child's row and
-    column origin ``(r, c)`` as two blocks x ``k*k`` arrays over the child
-    slots ``i*k + j`` (0-based), and the rest are such arrays of the values
-    each child admits: 0 if ``zero_ok`` and ``lo..hi`` (inclusive, so a
-    range may end at int64's maximum).  Pending blocks are aligned and on
-    or below the diagonal, so a child is on it when ``r == c`` and above it
-    when ``c > r``.
+def _child_rules(r: np.ndarray, c: np.ndarray, last: np.ndarray | bool, original_n: int,
+                 featured: bool, node_vocab: int, edge_vocab: int) -> tuple[np.ndarray, ...]:
+    """The values each child admits, from its row and column origin ``r``
+    and ``c`` and whether it is a cell (``last``, the last level's child),
+    all broadcast together: ``(zero_ok, lo, hi)``, 0 if ``zero_ok`` and
+    ``lo..hi`` (inclusive, so a range may end at int64's maximum).  The one
+    copy of the slot rules, which the builder's tables
+    (:func:`_level_rules`) and the decoder (:func:`_level_cells`) read.
+    Pending blocks are aligned and on or below the diagonal, so a child is
+    on it when ``r == c`` and above it when ``c > r``.
 
     A child admits only 0 above the diagonal, in the padding (``r >=
     original_n``) and, in a plain tree, on a diagonal block with fewer than
@@ -445,24 +447,34 @@ def _level_rules(origins: np.ndarray, block: int, k: int, original_n: int, featu
     0 is written ``zero_ok``, ``lo=1``, ``hi=0`` whatever its position, so
     children with equal rules have equal rows (:func:`_rule_keys`).
     """
-    step = block // k
-    r, c = rc = origins[:, :, None] + _slot_digits(k)[:, None, :] * step
     on_diag = r == c
-    lo = hi = np.ones(r.shape, dtype=np.int64)
     if not featured:
         # Padding, or a diagonal block whose first id is the last real one;
         # a single diagonal cell holds no edge either.
-        zero_only = (c > r) | (r + on_diag >= original_n)
-        if step == 1:
-            zero_only |= on_diag
-        zero_ok = np.ones(r.shape, dtype=bool)
-    else:
-        zero_only = (c > r) | (r >= original_n)
-        zero_ok = ~on_diag | zero_only
-        if step == 1:
-            lo = np.where(on_diag | zero_only, 1, node_vocab + 1)
-            hi = np.where(on_diag, node_vocab, node_vocab + edge_vocab)
-    return origins[0] == origins[1], rc, zero_ok, lo, np.where(zero_only, 0, hi)
+        zero_only = (c > r) | (r + on_diag >= original_n) | (on_diag & last)
+        ones = np.ones(zero_only.shape, dtype=np.int64)
+        return ones.astype(bool), ones, np.where(zero_only, 0, 1)
+    zero_only = (c > r) | (r >= original_n)
+    cell = last & ~zero_only
+    lo = np.where(cell & ~on_diag, node_vocab + 1, 1)
+    hi = np.where(cell, np.where(on_diag, node_vocab, node_vocab + edge_vocab), 1)
+    return ~on_diag | zero_only, lo, np.where(zero_only, 0, hi)
+
+
+def _level_rules(origins: np.ndarray, block: int, k: int, original_n: int, featured: bool,
+                 node_vocab: int, edge_vocab: int) -> tuple[np.ndarray, ...]:
+    """The rule table of one level's pending ``block``-sized blocks, whose
+    row and column origins are the two rows of ``origins``:
+    ``(diag, rc, zero_ok, lo, hi)``.  ``diag`` flags the blocks on the
+    diagonal; ``rc`` stacks each child's row and column origin ``(r, c)`` as
+    two blocks x ``k*k`` arrays over the child slots ``i*k + j`` (0-based),
+    and the rest are such arrays of :func:`_child_rules`.  The builder reads
+    a level's rows off it; the decoder makes one only for the block it
+    refuses, to name the refused value."""
+    step = block // k
+    r, c = rc = origins[:, :, None] + _slot_digits(k)[:, None, :] * step
+    return (origins[0] == origins[1], rc,
+            *_child_rules(r, c, step == 1, original_n, featured, node_vocab, edge_vocab))
 
 
 def _row_rules(zero_ok: list[bool], lo: list[int], hi: list[int], diag: bool,
@@ -1078,59 +1090,95 @@ def _token_grid(tokens: tuple[Token, ...],
 
 def _level_cells(s: TokenSequence) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rows, columns and values of the nonzero full-depth cells that the
-    tokens of ``s`` encode, all lower-triangle.  Each level takes the next
-    run of tokens, one per pending block, and checks it as a whole against
-    the level's rule table; the first bad row is the first token the builder
-    refuses, and :func:`_row_error` names it.  The nonzero slots are the next
-    level's blocks or, at the last level, the cells."""
-    # A malformed token's row holds -1s, which every rule refuses.
+    tokens of ``s`` encode, all lower-triangle.
+
+    Breadth-first, the child of the ``f``-th nonzero slot (0-based, over
+    the whole stream) is token ``f + 1`` or, past the last level's tokens,
+    a cell, so one pass over the grid's nonzero slots gives every level's
+    token range, and each level's child origins are one gather: the
+    parent's origin plus the slot's digits times the child block size.
+    The rules (:func:`_child_rules`) are then checked once, over every
+    nonzero child and, in a featured tree, the diagonal slots of diagonal
+    blocks, the only slots where a 0 can be refused.  A token's checks read
+    only the tokens before it, so the first bad token is the first the
+    builder refuses, whatever follows it; :func:`_row_error` names it from
+    its block's row of :func:`_level_rules`.  Memory is bounded by the
+    nonzero slots of the tokens, never by the blocks a cut stream leaves
+    pending."""
     diag, grid = s.diag, s.grid
-    k, kk, total = s.k, s.k * s.k, len(grid)
-    levels = tree_levels(s.padded_n, k)
-    origins, start = np.zeros((2, 1), dtype=np.int64), 0
+    k, kk, size, total, n = s.k, s.k * s.k, s.padded_n, len(grid), s.original_n
+    levels = tree_levels(size, k)
+    # A malformed token's row holds -1s: nonzero, and every rule refuses them.
+    flat = np.flatnonzero(grid != 0)
+    owner = flat // kk
+    # A cell or block origin (r, c) is the key r * size + c; a slot's
+    # offset from its block's origin is its digits' key times the step.
+    i, j = _slot_digits(k)
+    offsets = (i * size + j).take(flat - owner * kk)
+    # Column p: token p's block origin, then, from the last level's end, the cells.
+    keys = np.zeros(len(flat) + 1, dtype=np.int64)
+    end, a, ends, pending, cells = 1, 0, [], 0, len(flat) + 1
     for depth in range(1, levels + 1):
-        # A table only for the blocks that tokens are left for, so a stream
-        # cut short pays nothing for the blocks it never fills.
-        blocks = origins.shape[1]
-        pending, rc, zero_ok, lo, hi = _level_rules(
-            origins[:, :total - start], s.padded_n // k ** (depth - 1), k, s.original_n,
-            s.featured, s.node_vocab, s.edge_vocab)
-        end = start + len(pending)
-        run = grid[start:end]
-        nonzero = run != 0
-        flat = np.flatnonzero(nonzero)
-        # Bad rows: another kind than the block's, no nonzero value, or a
-        # value the rule refuses (reduced by row only then, as that is slow).
-        bad = (diag[start:end] != pending) | (np.bincount(flat // kk, minlength=len(run)) == 0)
-        refused = np.where(nonzero, (run < lo) | (run > hi), ~zero_ok)
-        if refused.any():
-            bad |= refused.any(axis=1)
-        if bad.any():
-            b = int(bad.argmax())
-            raise _row_error(s._token(start + b), start + b + 1, depth, bool(pending[b]), k,
-                             lambda: (zero_ok[b].tolist(), lo[b].tolist(), hi[b].tolist()))
-        if end < start + blocks:
-            children = len(flat) if depth < levels else 0
-            raise _truncated_error(start + blocks - end + children, total)
-        start = end
-        origins = rc.reshape(2, -1).take(flat, axis=1)
-    if start < total:
-        raise _trailing_error(start + 1)
-    return origins[0], origins[1], run.ravel()[flat]
+        if depth == levels:
+            cells = end
+        stop = min(end, total)
+        b = int(owner.searchsorted(stop))  # nonzero slots before token ``stop``
+        np.add(keys.take(owner[a:b]), offsets[a:b] * (size // k ** depth),
+               out=keys[a + 1:b + 1])
+        ends.append(stop)
+        if stop < end:  # the stream ends inside this level
+            pending = end - stop + (b - a if depth < levels else 0)
+            break
+        end, a = b + 1, b
+    r = keys[:b + 1] // size
+    c = keys[:b + 1] - r * size
+    on_diag = r[:stop] == c[:stop]
+    values = grid.reshape(-1).take(flat[:b])
+    last = np.zeros(b, dtype=bool)
+    last[cells - 1:] = True
+    _, lo, hi = _child_rules(r[1:], c[1:], last, n, s.featured, s.node_vocab, s.edge_vocab)
+    # The first bad token of each check: a kind other than its block's or
+    # no nonzero slot; a nonzero value refused; in a featured tree, a 0 refused.
+    empty = np.bincount(owner[:b], minlength=stop) == 0
+    refused = (values < lo) | (values > hi)
+    bad = [np.flatnonzero((on_diag != diag[:stop]) | empty)[:1],
+           owner[np.flatnonzero(refused)[:1]]]
+    if s.featured:
+        on = np.flatnonzero(diag[:stop])
+        step = size // k ** (np.searchsorted(ends, on, side="right") + 1)
+        rd = r[on][:, None] + np.arange(k) * step[:, None]
+        zero_ok = _child_rules(rd, rd, step[:, None] == 1, n, True, s.node_vocab, s.edge_vocab)[0]
+        missing = (grid[on[:, None], np.arange(0, kk, k + 1)] == 0) & ~zero_ok
+        bad.append(on[np.flatnonzero(missing)[:1] // k])
+    bad = [int(first[0]) for first in bad if len(first)]
+    if bad:
+        t = min(bad)
+        depth = int(np.searchsorted(ends, t, side="right")) + 1
+        _, _, zero_ok, lo, hi = _level_rules(np.array([[r[t]], [c[t]]]),
+                                             size // k ** (depth - 1), k, n, s.featured,
+                                             s.node_vocab, s.edge_vocab)
+        raise _row_error(s._token(t), t + 1, depth, bool(on_diag[t]), k,
+                         lambda: (zero_ok[0].tolist(), lo[0].tolist(), hi[0].tolist()))
+    if pending:
+        raise _truncated_error(pending, total)
+    if cells < total:
+        raise _trailing_error(cells + 1)
+    return r[cells:], c[cells:], values[cells - 1:]
 
 
 def decode_graph(s: TokenSequence) -> Graph:
     """Inverse of :func:`encode_graph`, undoing any stored node ordering.
 
-    Decodes level by level over arrays (:func:`_level_cells`), with no tree
-    and no builder, and raises the builder's error for a stream it rejects;
-    the stored ``perm`` relabels the cells by indexing.  A header that
-    :func:`_check_header` refuses is refused before any token, so every
-    accepted stream is one :func:`encode_graph` writes.  Memory is bounded by
-    the token count and ``perm``, never by ``padded_n`` or ``original_n``: a
-    header-only stream decodes to an edgeless graph without per-node work.
-    A token whose arity is not its kind's costs no ``k*k``-wide row for the
-    tokens after it, nor a root table when it is the first
+    Decodes over arrays (:func:`_level_cells`: one gather per level, then
+    one check of the slot rules over the whole stream), with no tree, no
+    builder and no rule table, and raises the builder's error for a stream
+    it rejects; the stored ``perm`` relabels the cells by indexing.  A
+    header that :func:`_check_header` refuses is refused before any token,
+    so every accepted stream is one :func:`encode_graph` writes.  Memory is
+    bounded by the token count and ``perm``, never by ``padded_n`` or
+    ``original_n``: a header-only stream decodes to an edgeless graph
+    without per-node work.  A token whose arity is not its kind's costs no
+    ``k*k``-wide row for the tokens after it
     (:meth:`TokenSequence._through_first_misfit`).
     """
     _check_header(s.k, s.padded_n, s.original_n, s.featured, s.node_vocab, s.edge_vocab)

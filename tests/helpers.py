@@ -22,7 +22,8 @@ from k2seq.graphs import (GraphError, ParseError, apply_ordering, invert_permuta
 from k2seq.sequence import (BOS, DIAGONAL, EOS, OFFDIAGONAL, InvalidTokenError, Rule,
                             SequenceError, Token, TokenMismatchError, TokenSequence,
                             TrailingTokensError, TruncatedSequenceError, Vocabulary,
-                            _check_header, child_orders, diagonal_arity, encode_ids,
+                            _check_header, _level_rules, _row_error, _trailing_error,
+                            _truncated_error, child_orders, diagonal_arity, encode_ids,
                             flatten_tokenize, offdiagonal_arity, prune)
 from k2seq.tree import K2Tree, TreeNode, _build_nodes, build_k2tree, rebuild_graph, tree_levels
 
@@ -261,6 +262,44 @@ def reference_build(s: TokenSequence) -> tuple[K2Tree, list[tuple[tuple[int, int
         paths.append(builder.next_path)
         builder.step(token)
     return builder.tree(), paths
+
+
+def reference_level_cells(s: TokenSequence) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows, columns and values of the nonzero full-depth cells that the
+    tokens of ``s`` encode, by the walk that checks each level's run of
+    tokens against the level's whole rule table: the oracle of
+    ``sequence._level_cells``, which must return the same arrays or raise
+    the same error.  The first bad row is the first token the builder
+    refuses; the nonzero slots are the next level's blocks or, at the last
+    level, the cells."""
+    # A malformed token's row holds -1s, which every rule refuses.
+    diag, grid = s.diag, s.grid
+    k, kk, total = s.k, s.k * s.k, len(grid)
+    levels = tree_levels(s.padded_n, k)
+    origins, start = np.zeros((2, 1), dtype=np.int64), 0
+    for depth in range(1, levels + 1):
+        blocks = origins.shape[1]
+        pending, rc, zero_ok, lo, hi = _level_rules(
+            origins[:, :total - start], s.padded_n // k ** (depth - 1), k, s.original_n,
+            s.featured, s.node_vocab, s.edge_vocab)
+        end = start + len(pending)
+        run = grid[start:end]
+        nonzero = run != 0
+        flat = np.flatnonzero(nonzero)
+        bad = (diag[start:end] != pending) | (np.bincount(flat // kk, minlength=len(run)) == 0)
+        bad |= np.where(nonzero, (run < lo) | (run > hi), ~zero_ok).any(axis=1)
+        if bad.any():
+            b = int(bad.argmax())
+            raise _row_error(s._token(start + b), start + b + 1, depth, bool(pending[b]), k,
+                             lambda: (zero_ok[b].tolist(), lo[b].tolist(), hi[b].tolist()))
+        if end < start + blocks:
+            children = len(flat) if depth < levels else 0
+            raise _truncated_error(start + blocks - end + children, total)
+        start = end
+        origins = rc.reshape(2, -1).take(flat, axis=1)
+    if start < total:
+        raise _trailing_error(start + 1)
+    return origins[0], origins[1], run.ravel()[flat]
 
 
 def reference_decode(s: TokenSequence) -> Graph:

@@ -25,6 +25,11 @@ def write(path, text):
     return str(path)
 
 
+def checkout_env():
+    """The environment for a child Python that imports this checkout's k2seq."""
+    return {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+
+
 class TestEncodeDecode:
     def test_round_trip_with_ordering(self, tmp_path, capsys):
         src = write(tmp_path / "g.txt", serialize_edge_list(STAR4))
@@ -214,7 +219,7 @@ class TestExitCodes:
         proc = subprocess.run(
             [sys.executable, "-m", "k2seq.cli", "decode", "--in", bad,
              "--out", str(tmp_path / "o.txt")],
-            capture_output=True, text=True, timeout=60)
+            capture_output=True, text=True, timeout=60, env=checkout_env())
         assert proc.returncode == 2
         assert "k must be >= 2" in proc.stderr
 
@@ -302,19 +307,18 @@ class TestConsoleScript:
         proc = subprocess.run(
             [sys.executable, "-m", "k2seq.cli", "encode", "--k", "2",
              "--in", src, "--out", str(out)],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=checkout_env())
         assert proc.returncode == 0
         assert out.read_text().startswith("2 4 4 0\n")
 
 
 class TestImports:
     def test_package_and_cli_import_without_scipy(self):
-        src = str(Path(__file__).resolve().parents[1] / "src")
         proc = subprocess.run(
             [sys.executable, "-c",
              "import k2seq, k2seq.cli, sys; "
              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
-            capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
+            capture_output=True, text=True, timeout=60, env=checkout_env())
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import k2seq.sequence as sq
 from k2seq.cli import main
 from k2seq.generators import gen_er, gen_grid, gen_planar
 from k2seq.graphs import (Graph, GraphError, apply_ordering, order_nodes, padded_size,
@@ -22,12 +23,14 @@ from k2seq.sequence import (DIAGONAL, OFFDIAGONAL, EmptyGraphError,
                             flatten_tokenize, full_tree_attrs, node_position,
                             offdiagonal_arity, position_paths, prune,
                             read_token_stream, tree_levels, write_token_stream,
-                            _level_tokens, _lower_cells, _plain_ids, _token_grid)
+                            _check_header, _level_cells, _level_tokens, _lower_cells,
+                            _plain_ids, _token_grid)
 from k2seq.tree import build_k2tree, tree_stats
 
 from helpers import (ReferenceBuilder, graph_strategy, random_er, random_labeled_er,
                      reference_build, reference_decode, reference_encode,
-                     reference_level_tokens, reference_token_grid, reference_write)
+                     reference_level_cells, reference_level_tokens, reference_token_grid,
+                     reference_write)
 
 SINGLE_EDGE = Graph(n=4, edges=frozenset({(0, 1)}))
 K4 = Graph(n=4, edges=frozenset({(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)}))
@@ -567,6 +570,15 @@ class TestPackedForm:
         assert r == s and (_plain_ids(r) is not None) == packed
         assert decode_graph(r) == g
 
+    def test_malformed_rows_are_the_rows_of_minus_ones(self):
+        # A malformed token, a row with -1 in slot 0 only, and plain rows.
+        s = TokenSequence(k=2, padded_n=4, original_n=4, featured=True, node_vocab=2,
+                          edge_vocab=2, tokens=(tok(D, 1, 1, 1), tok(O, -1, 0, 0, 1),
+                                                tok(D, 1, 2), tok(O, 0, 3, 0, 0)))
+        assert s._malformed() == [2]
+        assert s._malformed() == np.flatnonzero((s.grid == -1).all(axis=1)).tolist()
+        assert s.total_values == 3 + 4 + 2 + 4
+
     def test_samples_carry_the_ids_they_drew(self):
         vocab = Vocabulary(2)
         s = sample_sequence(uniform_model(vocab), GenerationConfig(k=2, padded_n=8, seed=3))
@@ -623,6 +635,43 @@ class TestHotPathsBuildNoToken:
             assert main(["decode", "--in", str(stream), "--out", str(tmp_path / "b.txt")]) == 0
             assert main(["stats", "--k", k, "--order", "cm", "--in", str(src)]) == 0
         assert made == []
+
+
+class TestDecodeMakesNoRuleTable:
+    """``decode_graph`` checks an accepted stream's slot rules without a
+    level's rule table; a rejection makes the row of the refused block
+    alone, to name the refused value."""
+
+    @pytest.mark.parametrize("g, k", [
+        (random_er(5, 60, 0.1), 2), (random_er(5, 60, 0.1), 3), (random_er(7, 40, 0.2), 5),
+        (random_labeled_er(6, 40, 0.2, node_vocab=3, edge_vocab=2), 2),
+        (random_labeled_er(6, 40, 0.2, node_vocab=3, edge_vocab=2), 3),
+        (random_labeled_er(6, 20, 0.3, node_vocab=3, edge_vocab=2), 5)],
+        ids=["plain-k2", "plain-k3", "plain-k5", "featured-k2", "featured-k3", "featured-k5"])
+    def test_accepted_streams(self, monkeypatch, g, k):
+        def refuse(*args):
+            raise RuntimeError("a rule table was made")
+
+        monkeypatch.setattr("k2seq.sequence._level_rules", refuse)
+        s = encode_graph(g, k, ordering="cm")
+        assert decode_graph(s) == g
+        assert decode_graph(read_token_stream(write_token_stream(s))) == g
+
+    @pytest.mark.parametrize("text", [
+        "2 8 8 0\nd:111 d:110 o:1000 d:100 d:011 d:010 o:0001 d:010\n",
+        "2 4 3 1\n2 2\nd:1,1,1 d:1,4,2 o:4,3,0,0 d:1,0,1\n",
+    ])
+    def test_a_rejection_makes_one_row(self, monkeypatch, text):
+        shapes, level_rules = [], sq._level_rules
+
+        def recording(origins, *args):
+            shapes.append(origins.shape)
+            return level_rules(origins, *args)
+
+        monkeypatch.setattr(sq, "_level_rules", recording)
+        with pytest.raises(InvalidTokenError):
+            decode_graph(read_token_stream(text))
+        assert shapes == [(2, 1)]
 
 
 class TestGraphPipeline:
@@ -756,14 +805,14 @@ def _outcome(decode, s):
 
 
 @st.composite
-def mutated_streams(draw, labeled):
-    """A valid stream of a random graph with one random mutation: a value
-    changed, a token deleted, duplicated, inserted or given the other kind,
-    the tokens truncated, the ``perm`` corrupted or replaced, or one header
-    size moved: ``padded_n`` times or over ``k``, ``original_n`` or a label
-    vocab size by one."""
+def mutated_streams(draw, labeled, ks=(2, 3)):
+    """A valid stream of a random graph, at a ``k`` drawn from ``ks``, with
+    one random mutation: a value changed, a token deleted, duplicated,
+    inserted or given the other kind, the tokens truncated, the ``perm``
+    corrupted or replaced, or one header size moved: ``padded_n`` times or
+    over ``k``, ``original_n`` or a label vocab size by one."""
     g = draw(graph_strategy(max_n=12, labeled=labeled))
-    k = draw(st.sampled_from([2, 3]))
+    k = draw(st.sampled_from(ks))
     s = encode_graph(g, k, ordering=draw(st.sampled_from(["identity", "cm"])))
     tokens = list(s.tokens)
     top = s.node_vocab + s.edge_vocab + 1 if s.featured else 1
@@ -843,7 +892,7 @@ HAND_STREAMS = [
 
 
 class TestArrayDecoder:
-    """``decode_graph`` walks level arrays against each level's rule table;
+    """``decode_graph`` walks level arrays and checks the slot rules once;
     ``reference_decode`` replays every token through the frozen reference
     builder of ``tests/helpers.py`` (one pending node at a time, with its
     own per-group slot rules) and rebuilds from the tree.  On any stream
@@ -908,6 +957,70 @@ class TestArrayDecoder:
         s = read_token_stream("2 8 8 0\nd:100 d:100 d:110\n")
         with pytest.raises(InvalidTokenError, match=r"token 3 \(level 3\): value 1 not allowed"):
             decode_graph(s)
+
+
+def _walk_outcome(walk, s):
+    """``walk(s)`` on a stream whose header decodes, as ``decode_graph``
+    calls it, or the error it raises."""
+    try:
+        _check_header(s.k, s.padded_n, s.original_n, s.featured, s.node_vocab, s.edge_vocab)
+        return walk(s) if len(s.diag) else None
+    except SequenceError as exc:
+        return exc
+
+
+class TestLevelWalkMatchesReference:
+    """``_level_cells`` finds every level's tokens from the stream's nonzero
+    slots and checks the rules once, over all children; the reference walk
+    checks each level's run against the level's whole rule table.  Both give
+    the same cell arrays, or the same error class and message."""
+
+    @staticmethod
+    def assert_agrees(s):
+        got, ref = _walk_outcome(_level_cells, s), _walk_outcome(reference_level_cells, s)
+        if ref is None or isinstance(ref, Exception):
+            assert (type(got), str(got)) == (type(ref), str(ref))
+            return
+        assert len(got) == len(ref) == 3
+        for a, b in zip(got, ref):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(mutated_streams(labeled=False, ks=(2, 3, 4)))
+    def test_plain_mutants(self, s):
+        self.assert_agrees(s)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(mutated_streams(labeled=True, ks=(2, 3, 4)))
+    def test_labeled_mutants(self, s):
+        self.assert_agrees(s)
+
+    @pytest.mark.parametrize("text", HAND_STREAMS + [
+        # Cut in the middle of the second and of the last level.
+        "2 8 8 0\nd:111 d:110 o:1000\n",
+        "2 8 8 0\nd:111 d:110 o:1000 d:100 d:011\n",
+        "2 4 3 1\n2 2\nd:1,1,1 d:1,4,2\n",
+        # Trailing tokens after a complete tree.
+        "2 4 4 0\nd:110 d:010 o:0101 o:0001 d:000\n",
+        "2 4 3 1\n2 2\nd:1,1,1 d:1,4,2 o:4,3,0,0 d:1,0,0 d:1,1,1\n",
+        # An all-zero row, first in its level and last.
+        "2 8 8 0\nd:111 d:000 o:1000 d:100\n",
+        "3 9 9 0\nd:100000 d:000000\n",
+        "2 4 3 1\n2 2\nd:1,1,1 d:1,4,2 o:0,0,0,0 d:1,0,0\n",
+        # A malformed row, in a level and after the tree is complete.
+        "2 8 8 0\nd:111 d:110 o:10001 d:100\n",
+        "3 9 9 0\nd:110000 d:1 o:000000001\n",
+        "2 4 3 1\n2 2\nd:1,1,1 d:1,4,2 o:4,3,0,0 d:1,0,0 o:1\n",
+    ])
+    def test_hand_made_streams(self, text):
+        self.assert_agrees(read_token_stream(text))
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_every_cut_of_a_stream(self, k):
+        for g in (random_er(3, 30, 0.2), random_labeled_er(4, 20, 0.3, 3, 2)):
+            s = encode_graph(g, k, ordering="cm")
+            for end in range(len(s.tokens) + 1):
+                self.assert_agrees(replace(s, tokens=s.tokens[:end]))
 
 
 class TestBuilderMatchesReference:
@@ -1052,8 +1165,8 @@ def traced_peak(call):
 class TestLargeKShortStreams:
     """Decoding a short stream allocates little, however large the header's
     ``k``: a token whose arity is not its kind's is refused before any table
-    or grid row ``k*k`` wide is made for it, and a level's rule table covers
-    only the blocks that tokens are left for."""
+    or grid row ``k*k`` wide is made for it, and the level walk's arrays
+    cover only the nonzero slots of the tokens the stream holds."""
 
     @pytest.mark.parametrize("text", [
         "400 400 5 0\nd:1\n",
