@@ -170,6 +170,29 @@ class Graph:
                  node_vocab, edge_vocab)
         return g
 
+    @classmethod
+    def _from_cells(cls, n: int, a: np.ndarray, b: np.ndarray,
+                    node_labels: np.ndarray | None = None, edge_labels: np.ndarray | None = None,
+                    node_vocab: int = 0, edge_vocab: int = 0) -> Graph:
+        """The graph of the edges ``(a[i], b[i])`` (int64, either
+        orientation) with ``edge_labels[i]``, sorted once and not checked.
+        The caller has proved what :meth:`from_arrays` checks: endpoints
+        distinct and in ``[0, n)``, no edge twice, labels in their vocabs
+        and on every node, and ``n * n`` within int64.  The decoder's level
+        walk proves it for each stream it accepts."""
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        order = np.argsort(lo * n + hi)
+        edges = np.empty((len(lo), 2), dtype=np.int64)
+        edges[:, 0], edges[:, 1] = lo.take(order), hi.take(order)
+        g = cls.__new__(cls)
+        vars(g).update(n=operator.index(n), edge_array=_read_only(edges),
+                       node_label_array=_read_only(node_labels),
+                       edge_label_array=_read_only(None if edge_labels is None
+                                                   else edge_labels.take(order)),
+                       node_vocab=operator.index(node_vocab),
+                       edge_vocab=operator.index(edge_vocab))
+        return g
+
     def _store(self, n: int, pairs: np.ndarray, node_labels: np.ndarray | None,
                label_keys: np.ndarray | None, edge_labels: np.ndarray | None,
                node_vocab: int, edge_vocab: int) -> None:
@@ -317,85 +340,141 @@ def _parse_int(tok: str, line: int, what: str) -> int:
 def parse_edge_list(text: str) -> Graph:
     """Parse plain or labeled edge-list text into a :class:`Graph`.
 
-    The records are read and checked as whole arrays; text that fails is
-    read again line by line, only to name the first offending line."""
-    g = _parse_arrays(text)
-    if g is None:
-        _raise_first_error(text)
-    return g
+    An ASCII text of tags and numbers of at most 18 digits is read by one
+    byte scan (:func:`_scan_edge_list`); any other text, or one the scan
+    refuses, is read line by line, which names the first offending line."""
+    g = _scan_edge_list(text)
+    return _parse_lines(text) if g is None else g
 
 
-def _ints(words: list[str]) -> np.ndarray | None:
-    """The int64 values ``int`` reads from ``words``, or None."""
-    try:
-        return np.fromiter(map(int, words), dtype=np.int64, count=len(words))
-    except (ValueError, OverflowError):
-        return None
+# The bytes ``str.split()`` splits on in ASCII text, but for ``\n``.
+_SPACES = b"\t\x0b\x0c\r\x1c\x1d\x1e\x1f "
+_DIGITS = b"0123456789"
+# 10**18 - 1 < 2**63: a number of at most this many digits fits int64.
+_MAX_DIGITS = 18
+_POWERS = 10 ** np.arange(_MAX_DIGITS, dtype=np.int64)
 
 
-def _parse_arrays(text: str) -> Graph | None:
-    """The graph of a well-formed text, or None.
+def _fields(gaps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start and end offsets of the runs of False in ``gaps``."""
+    bounds = np.flatnonzero(np.diff(gaps, prepend=True, append=True))
+    return bounds[0::2], bounds[1::2]
 
-    Each line break becomes a ``|`` word, so a text with the expected line
-    count has the expected layout exactly when every line-end position holds
-    ``|`` and every tag position its tag: the other positions must read as
-    integers, which ``|`` does not.  Whitespace is what ``str.split`` takes,
-    and the values are what ``int`` reads, as line by line."""
-    head, _, body = text.rstrip("\n").partition("\n")
-    try:
-        header = list(map(int, head.split()))
-    except ValueError:
+
+def _field_values(data: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray | None:
+    """The decimal values of the digit fields ``data[starts[i]:ends[i]]``,
+    or None if one is longer than 18 digits.  The byte before each field
+    is a separator, or the field starts the data.
+
+    The values are summed one digit column at a time from the right, a
+    column's offsets clamped to the byte before the field; separators, and
+    offset -1, read as ``0``.  A field that is not all digits gets a
+    meaningless value."""
+    width = int((ends - starts).max(initial=0))
+    if width > _MAX_DIGITS:
         return None
-    if len(header) not in (2, 4):
+    held = np.empty(len(data) + 1, dtype=np.uint8)
+    np.maximum(data, ord("0"), out=held[:-1])
+    held[-1] = ord("0")
+    offsets, before = ends - 1, starts - 1
+    values = held.take(offsets).astype(np.int64)
+    for column in range(1, width):
+        offsets -= 1
+        values += held.take(np.maximum(offsets, before)) * _POWERS[column]
+    return values - ord("0") * int(_POWERS[:width].sum())
+
+
+def _breaks_fit(breaks: np.ndarray, starts: np.ndarray, ends: np.ndarray,
+                first: int, step: int) -> bool:
+    """Whether line break ``i`` lies between fields ``first + i * step - 1``
+    and ``first + i * step``, for every ``i``."""
+    stop = first + step * len(breaks)
+    return bool((breaks >= ends[first - 1:stop - 1:step]).all()
+                and (breaks < starts[first:stop:step]).all())
+
+
+def _scan_edge_list(text: str) -> Graph | None:
+    """The graph of a well-formed ASCII text whose fields are all tags or
+    numbers of at most 18 digits, read as one byte array; None for any other
+    text, which the line reader then reads.
+
+    Fields are the runs of bytes that are not ASCII whitespace, as
+    ``str.split`` takes them, and the values those ``int`` reads.  The
+    header's field count gives the layout, and with it where each line break
+    must fall: a text with as many breaks as lines, each in its gap, has the
+    layout exactly.  Tags are the only bytes that are neither whitespace nor
+    digits; in a labeled text they must be ``n`` then ``e``, one per record,
+    each a field of its own at the start of its line."""
+    body = text.rstrip("\n")
+    if not body or not body.isascii():
         return None
-    n, m, *vocabs = header
-    labeled = bool(vocabs)
-    lines = n + m if labeled else m
-    if n < 1 or m < 0 or min(vocabs, default=1) < 1:
+    raw = body.encode("ascii")
+    data = np.frombuffer(raw, dtype=np.uint8)
+    starts, ends = _fields(data <= ord(" "))
+    breaks = np.flatnonzero(data == ord("\n"))
+    values = _field_values(data, starts, ends)
+    if values is None:
         return None
-    if (body.count("\n") + 1 if body else 0) != lines:
-        return None
-    words = (body + "\n").replace("\n", " | ").split() if lines else []
-    if not labeled:
-        if len(words) != 3 * m or words[2::3].count("|") != m:
+    head = int(starts.searchsorted(breaks[0])) if len(breaks) else len(starts)
+    tags = raw.translate(None, _SPACES + b"\n" + _DIGITS)
+    if head == 2:
+        n, m = values[:2].tolist()
+        if (n < 1 or tags or len(starts) != 2 + 2 * m or len(breaks) != m
+                or not _breaks_fit(breaks, starts, ends, 2, 2)):
             return None
-        del words[2::3]
-        pairs = _ints(words)
-        if pairs is None:
-            return None
-        pairs = pairs.reshape(-1, 2)
+        pairs = values[2:].reshape(m, 2)
         if not (pairs[:, 0] < pairs[:, 1]).all():
             return None
         try:
             return Graph.from_arrays(n, pairs)
         except GraphError:
             return None
-    node_words, edge_words = words[:4 * n], words[4 * n:]
-    if (len(edge_words) != 5 * m or node_words[0::4].count("n") != n
-            or node_words[3::4].count("|") != n or edge_words[0::5].count("e") != m
-            or edge_words[4::5].count("|") != m):
+    if head != 4:
         return None
-    nodes = _ints(node_words[1::4] + node_words[2::4])
-    edges = _ints(edge_words[1::5] + edge_words[2::5] + edge_words[3::5])
-    if nodes is None or edges is None:
+    n, m, *vocabs = values[:4].tolist()
+    edges_at = 4 + 3 * n
+    if (n < 1 or min(vocabs) < 1 or len(starts) != edges_at + 4 * m
+            or len(breaks) != n + m or not _breaks_fit(breaks[:n], starts, ends, 4, 3)
+            or not _breaks_fit(breaks[n:], starts, ends, edges_at, 4)
+            or tags != b"n" * n + b"e" * m):
         return None
-    ids, node_labels = nodes[:n], nodes[n:]
-    u, v, edge_labels = edges[:m], edges[m:2 * m], edges[2 * m:]
+    at = np.flatnonzero(data > ord("9"))
+    if not (np.array_equal(at, np.concatenate([starts[4:edges_at:3], starts[edges_at::4]]))
+            and (data.take(at + 1) <= ord(" ")).all()):
+        return None
+    nodes = values[4:edges_at].reshape(n, 3)
+    edges = values[edges_at:].reshape(m, 4)
+    ids, u, v = nodes[:, 1], edges[:, 1], edges[:, 2]
     if not (np.array_equal(np.sort(ids), np.arange(n)) and (u < v).all()):
         return None
     by_node = np.empty(n, dtype=np.int64)
-    by_node[ids] = node_labels
+    by_node[ids] = nodes[:, 2]
     try:
-        return Graph.from_arrays(n, np.stack([u, v], axis=1), by_node, edge_labels, *vocabs)
+        return Graph.from_arrays(n, edges[:, 1:3], by_node, edges[:, 3], *vocabs)
     except GraphError:
         return None
 
 
-def _raise_first_error(text: str) -> None:
-    """Raise the :class:`ParseError` of the first offending line of a text
-    that :func:`_parse_arrays` refuses, reading it line by line.  A graph
-    needs its ids and labels in int64, so a value beyond it is refused even
-    where a node count or vocab size beyond int64 would admit it."""
+def canonical_ints(line: str) -> np.ndarray | None:
+    """The int64 values of a line of numbers written as ``str`` writes
+    non-negative ints, with no sign or leading zero and at most 18 digits,
+    separated by single spaces; None for any other line."""
+    if not line.isascii():
+        return None
+    raw = line.encode("ascii")
+    data = np.frombuffer(raw, dtype=np.uint8)
+    starts, ends = _fields(data == ord(" "))
+    if (raw.translate(None, b" " + _DIGITS) or len(starts) != raw.count(b" ") + 1
+            or ((data.take(starts) == ord("0")) & (ends - starts > 1)).any()):
+        return None
+    return _field_values(data, starts, ends)
+
+
+def _parse_lines(text: str) -> Graph:
+    """Read a text line by line: the graph, or the :class:`ParseError` of
+    its first offending line.  A graph needs its ids and labels in int64,
+    so a value beyond it is refused even where a node count or vocab size
+    beyond int64 would admit it."""
     raw = text.split("\n")
     while raw and raw[-1] == "":
         raw.pop()
@@ -429,7 +508,7 @@ def _raise_first_error(text: str) -> None:
                              f"expected {n} node lines and {m} edge lines, found {len(body)}")
     elif len(body) != m:
         raise ParseError(head_no + 1 + min(len(body), m), f"expected {m} edge lines, found {len(body)}")
-    labeled_nodes: set[int] = set()
+    node_labels: dict[int, int] = {}
     for line_no, line in body[:node_lines]:
         fields = line.split()
         if len(fields) != 3 or fields[0] != "n":
@@ -438,14 +517,14 @@ def _raise_first_error(text: str) -> None:
         lab = _parse_int(fields[2], line_no, "node label")
         if not 0 <= node < n:
             raise ParseError(line_no, f"node id {node} out of range")
-        if node in labeled_nodes:
+        if node in node_labels:
             raise ParseError(line_no, f"duplicate label for node {node}")
         if not 0 <= lab < lnode:
             raise ParseError(line_no, f"node label {lab} outside [0, {lnode})")
         if lab > _INT64_MAX:
             raise ParseError(line_no, "value beyond int64")
-        labeled_nodes.add(node)
-    seen: set[Edge] = set()
+        node_labels[node] = lab
+    edge_labels: dict[Edge, int] = {}
     for line_no, line in body[node_lines:]:
         fields = line.split()
         if labeled and (len(fields) != 4 or fields[0] != "e"):
@@ -462,14 +541,16 @@ def _raise_first_error(text: str) -> None:
             raise ParseError(line_no, f"edge endpoints must satisfy u < v, got {u} {v}")
         if v >= n or u < 0:
             raise ParseError(line_no, f"endpoint out of range in edge ({u}, {v})")
-        if (u, v) in seen:
+        if (u, v) in edge_labels:
             raise ParseError(line_no, f"duplicate edge {(u, v)}")
         if labeled and not 0 <= lab < ledge:
             raise ParseError(line_no, f"edge label {lab} outside [0, {ledge})")
         if max(v, lab) > _INT64_MAX:
             raise ParseError(line_no, "value beyond int64")
-        seen.add((u, v))
-    raise AssertionError("text refused by the array parse has no offending line")
+        edge_labels[(u, v)] = lab
+    if not labeled:
+        return Graph(n, edge_labels)
+    return Graph(n, edge_labels, node_labels, edge_labels, lnode, ledge)
 
 
 def serialize_edge_list(g: Graph) -> str:

@@ -61,8 +61,8 @@ from typing import Callable
 
 import numpy as np
 
-from .graphs import (Graph, GraphError, apply_ordering, order_nodes, padded_size,
-                     permutation_array)
+from .graphs import (Graph, GraphError, apply_ordering, canonical_ints, order_nodes,
+                     padded_size, permutation_array)
 from .tree import K2Tree, TreeNode, edge_label_token, node_label_token, tree_levels
 
 DIAGONAL = "d"
@@ -877,6 +877,18 @@ def _ints(fields: list[str], error: str) -> tuple[int, ...]:
     return values
 
 
+def _perm_entries(line: str) -> tuple[int, ...]:
+    """The entries of a ``perm`` line, as Python ints: read by one byte
+    scan (:func:`canonical_ints`) when written as the writer writes them,
+    else by :func:`_ints`, which names the fault."""
+    if line == "perm":
+        return ()
+    values = canonical_ints(line[5:])
+    if values is None:
+        return _ints(line[5:].split(" "), "perm entry is not a canonical integer")
+    return tuple(values.tolist())
+
+
 def read_token_stream(text: str) -> TokenSequence:
     """Inverse of :func:`write_token_stream`, accepting only what it writes:
     lines that each end in ``\n``, nothing after the last, fields separated
@@ -888,24 +900,27 @@ def read_token_stream(text: str) -> TokenSequence:
     rows are gathered by id; any other stream is parsed token by token."""
     if not text.endswith("\n"):
         raise SequenceError("stream must end with a newline")
-    lines = [line.split(" ") if line else [] for line in text[:-1].split("\n")]
-    if len(lines[0]) != 4:
+    lines = text[:-1].split("\n")
+    fields = lines[0].split(" ")
+    if len(fields) != 4:
         raise SequenceError("header must be 'K PADDED_N ORIGINAL_N FEATURED'")
-    k, padded_n, original_n, featured = _ints(lines[0], "header field is not a canonical integer")
+    k, padded_n, original_n, featured = _ints(fields, "header field is not a canonical integer")
     if featured not in (0, 1):
         raise SequenceError(f"featured flag must be 0 or 1, got {featured}")
     node_vocab = edge_vocab = 0
     if featured:
-        if len(lines) < 2 or len(lines[1]) != 2:
+        fields = lines[1].split(" ") if len(lines) > 1 else []
+        if len(fields) != 2:
             raise SequenceError("label vocab line must be 'NODE_VOCAB EDGE_VOCAB'")
-        node_vocab, edge_vocab = _ints(lines[1], "label vocab size is not a canonical integer")
+        node_vocab, edge_vocab = _ints(fields, "label vocab size is not a canonical integer")
     if len(lines) == 1 + featured:
         raise SequenceError("stream is missing its token line")
-    words, *rest = lines[1 + featured:]
+    line, *rest = lines[1 + featured:]
+    words = line.split(" ") if line else []
     for number, line in enumerate(rest, start=featured + 3):
-        if number > featured + 3 or line[:1] != ["perm"]:
+        if number > featured + 3 or line.split(" ", 1)[0] != "perm":
             raise SequenceError(f"unexpected trailing line {number}")
-    perm = _ints(rest[0][1:], "perm entry is not a canonical integer") if rest else None
+    perm = _perm_entries(rest[0]) if rest else None
     if not featured and 2 <= k <= _MAX_TABLE_K:
         table = _structural(k)
         try:
@@ -1172,14 +1187,16 @@ def decode_graph(s: TokenSequence) -> Graph:
     Decodes over arrays (:func:`_level_cells`: one gather per level, then
     one check of the slot rules over the whole stream), with no tree, no
     builder and no rule table, and raises the builder's error for a stream
-    it rejects; the stored ``perm`` relabels the cells by indexing.  A
-    header that :func:`_check_header` refuses is refused before any token,
-    so every accepted stream is one :func:`encode_graph` writes.  Memory is
-    bounded by the token count and ``perm``, never by ``padded_n`` or
-    ``original_n``: a header-only stream decodes to an edgeless graph
-    without per-node work.  A token whose arity is not its kind's costs no
-    ``k*k``-wide row for the tokens after it
-    (:meth:`TokenSequence._through_first_misfit`).
+    it rejects; the stored ``perm`` relabels the cells by indexing, and the
+    graph is built from them with one sort (:meth:`Graph._from_cells`), as
+    the walk has already proved them distinct, in range and, in a plain
+    tree, off the diagonal.  A header that :func:`_check_header` refuses is
+    refused before any token, so every accepted stream is one
+    :func:`encode_graph` writes.  Memory is bounded by the token count and
+    ``perm``, never by ``padded_n`` or ``original_n``: a header-only stream
+    decodes to an edgeless graph without per-node work.  A token whose
+    arity is not its kind's costs no ``k*k``-wide row for the tokens after
+    it (:meth:`TokenSequence._through_first_misfit`).
     """
     _check_header(s.k, s.padded_n, s.original_n, s.featured, s.node_vocab, s.edge_vocab)
     n = s.original_n
@@ -1195,12 +1212,12 @@ def decode_graph(s: TokenSequence) -> Graph:
     if perm is not None:
         rows, cols = perm[rows], perm[cols]
     if not s.featured:
-        return Graph.from_arrays(n, np.stack([rows, cols], axis=1))
+        return Graph._from_cells(n, rows, cols)
     on_diag = rows == cols
     if np.count_nonzero(on_diag) != n:
         raise GraphError("featured tree does not label every node")
     node_labels = np.empty(n, dtype=np.int64)
     node_labels[rows[on_diag]] = values[on_diag] - 1
     off = ~on_diag
-    return Graph.from_arrays(n, np.stack([rows[off], cols[off]], axis=1), node_labels,
+    return Graph._from_cells(n, rows[off], cols[off], node_labels,
                              values[off] - s.node_vocab - 1, s.node_vocab, s.edge_vocab)

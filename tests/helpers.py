@@ -18,13 +18,13 @@ from hypothesis import strategies as st
 from k2seq import Graph
 from k2seq.generators import gen_community, gen_er, gen_grid, gen_planar
 from k2seq.graphs import (GraphError, ParseError, apply_ordering, invert_permutation,
-                          order_nodes, padded_size)
+                          order_nodes, padded_size, permutation_array)
 from k2seq.sequence import (BOS, DIAGONAL, EOS, OFFDIAGONAL, InvalidTokenError, Rule,
                             SequenceError, Token, TokenMismatchError, TokenSequence,
                             TrailingTokensError, TruncatedSequenceError, Vocabulary,
-                            _check_header, _level_rules, _row_error, _trailing_error,
-                            _truncated_error, child_orders, diagonal_arity, encode_ids,
-                            flatten_tokenize, offdiagonal_arity, prune)
+                            _check_header, _level_cells, _level_rules, _row_error,
+                            _trailing_error, _truncated_error, child_orders, diagonal_arity,
+                            encode_ids, flatten_tokenize, offdiagonal_arity, prune)
 from k2seq.tree import K2Tree, TreeNode, _build_nodes, build_k2tree, rebuild_graph, tree_levels
 
 
@@ -315,6 +315,35 @@ def reference_decode(s: TokenSequence) -> Graph:
     if s.perm is not None:
         g = apply_ordering(g, invert_permutation(s.perm))
     return g
+
+
+def reference_checked_decode(s: TokenSequence) -> Graph:
+    """:func:`decode_graph` as it was before it trusted its level walk: the
+    walk's cells through :meth:`Graph.from_arrays`, which checks and sorts
+    them again."""
+    _check_header(s.k, s.padded_n, s.original_n, s.featured, s.node_vocab, s.edge_vocab)
+    n = s.original_n
+    perm = None if s.perm is None else permutation_array(s.perm, n)
+    if s.perm is not None and perm is None:
+        raise SequenceError(f"perm is not a permutation of 0..{n - 1}")
+    s = s._through_first_misfit()
+    if not len(s.diag):
+        if s.featured:
+            raise GraphError("featured tree does not label every node")
+        return Graph(n=n)
+    rows, cols, values = _level_cells(s)
+    if perm is not None:
+        rows, cols = perm[rows], perm[cols]
+    if not s.featured:
+        return Graph.from_arrays(n, np.stack([rows, cols], axis=1))
+    on_diag = rows == cols
+    if np.count_nonzero(on_diag) != n:
+        raise GraphError("featured tree does not label every node")
+    node_labels = np.empty(n, dtype=np.int64)
+    node_labels[rows[on_diag]] = values[on_diag] - 1
+    off = ~on_diag
+    return Graph.from_arrays(n, np.stack([rows[off], cols[off]], axis=1), node_labels,
+                             values[off] - s.node_vocab - 1, s.node_vocab, s.edge_vocab)
 
 
 def reference_write(s: TokenSequence) -> str:
@@ -643,6 +672,73 @@ def reference_parse(text: str) -> SetGraph:
         edges.add(e)
         edge_labels[e] = lab
     return reference_graph(n, frozenset(edges), node_labels, edge_labels, lnode, ledge)
+
+
+def _reference_ints(words: list[str]) -> np.ndarray | None:
+    """The int64 values ``int`` reads from ``words``, or None."""
+    try:
+        return np.fromiter(map(int, words), dtype=np.int64, count=len(words))
+    except (ValueError, OverflowError):
+        return None
+
+
+def reference_parse_arrays(text: str) -> Graph | None:
+    """The word-split array parse that the byte scan replaced: the graph of
+    a well-formed text, or None.
+
+    Each line break becomes a ``|`` word, so a text with the expected line
+    count has the expected layout exactly when every line-end position holds
+    ``|`` and every tag position its tag: the other positions must read as
+    integers, which ``|`` does not.  Whitespace is what ``str.split`` takes,
+    and the values are what ``int`` reads, as line by line."""
+    head, _, body = text.rstrip("\n").partition("\n")
+    try:
+        header = list(map(int, head.split()))
+    except ValueError:
+        return None
+    if len(header) not in (2, 4):
+        return None
+    n, m, *vocabs = header
+    labeled = bool(vocabs)
+    lines = n + m if labeled else m
+    if n < 1 or m < 0 or min(vocabs, default=1) < 1:
+        return None
+    if (body.count("\n") + 1 if body else 0) != lines:
+        return None
+    words = (body + "\n").replace("\n", " | ").split() if lines else []
+    if not labeled:
+        if len(words) != 3 * m or words[2::3].count("|") != m:
+            return None
+        del words[2::3]
+        pairs = _reference_ints(words)
+        if pairs is None:
+            return None
+        pairs = pairs.reshape(-1, 2)
+        if not (pairs[:, 0] < pairs[:, 1]).all():
+            return None
+        try:
+            return Graph.from_arrays(n, pairs)
+        except GraphError:
+            return None
+    node_words, edge_words = words[:4 * n], words[4 * n:]
+    if (len(edge_words) != 5 * m or node_words[0::4].count("n") != n
+            or node_words[3::4].count("|") != n or edge_words[0::5].count("e") != m
+            or edge_words[4::5].count("|") != m):
+        return None
+    nodes = _reference_ints(node_words[1::4] + node_words[2::4])
+    edges = _reference_ints(edge_words[1::5] + edge_words[2::5] + edge_words[3::5])
+    if nodes is None or edges is None:
+        return None
+    ids, node_labels = nodes[:n], nodes[n:]
+    u, v, edge_labels = edges[:m], edges[m:2 * m], edges[2 * m:]
+    if not (np.array_equal(np.sort(ids), np.arange(n)) and (u < v).all()):
+        return None
+    by_node = np.empty(n, dtype=np.int64)
+    by_node[ids] = node_labels
+    try:
+        return Graph.from_arrays(n, np.stack([u, v], axis=1), by_node, edge_labels, *vocabs)
+    except GraphError:
+        return None
 
 
 def reference_serialize(sg: SetGraph) -> str:

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from k2seq.generators import gen_grid
-from k2seq.graphs import (Graph, GraphError, ParseError, apply_ordering,
+from k2seq.generators import Dataset, gen_grid, read_dataset, write_dataset
+from k2seq.graphs import (Graph, GraphError, ParseError, _scan_edge_list, apply_ordering,
                           invert_permutation, order_nodes, padded_size,
                           parse_edge_list, serialize_edge_list)
 from k2seq.sequence import _lower_cells, decode_graph, encode_graph
@@ -14,7 +14,8 @@ from k2seq.sequence import _lower_cells, decode_graph, encode_graph
 from helpers import (array_graph, bandwidth, connected_er, graph_strategy,
                      reference_apply_ordering, reference_degrees, reference_graph,
                      reference_lower_cells, reference_neighbors, reference_order_nodes,
-                     reference_parse, reference_serialize, set_graph)
+                     reference_parse, reference_parse_arrays, reference_serialize,
+                     set_graph)
 
 STAR4 = Graph(n=4, edges=frozenset({(0, 1), (0, 2), (0, 3)}))
 PATH4 = Graph(n=4, edges=frozenset({(0, 1), (1, 2), (2, 3)}))
@@ -556,3 +557,61 @@ class TestArrayGraphMatchesReference:
         # The mutants reach acceptance and a spread of refusals.
         assert {"graph", "duplicate", "self-loop", "endpoint", "edge", "node", "blank",
                 "header", "expected"} <= outcomes
+
+
+def _respellings(text: str) -> list[str]:
+    """``text``, and with CRLF line ends, tabs for spaces, and runs of
+    spaces with trailing spaces on every line."""
+    return [text, text.replace("\n", "\r\n"), text.replace(" ", "\t"),
+            text.replace(" ", "   ").replace("\n", " \n")]
+
+
+LABELED3 = Graph(n=3, edges={(0, 1), (1, 2)}, node_labels={0: 1, 1: 0, 2: 1},
+                 edge_labels={(0, 1): 2, (1, 2): 0}, node_vocab=2, edge_vocab=3)
+
+
+class TestByteScan:
+    """``parse_edge_list`` reads an ASCII text of tags and numbers of at
+    most 18 digits by one byte scan; any other text is read line by line,
+    and both read the language the line reader defines."""
+
+    @staticmethod
+    def refuse_line_reader(monkeypatch):
+        def refuse(text):
+            raise RuntimeError("the line reader ran")
+
+        monkeypatch.setattr("k2seq.graphs._parse_lines", refuse)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(graph_strategy(), graph_strategy(labeled=True)))
+    def test_scan_matches_the_word_split_parse(self, g):
+        for text in _respellings(serialize_edge_list(g)):
+            assert parse_edge_list(text) == reference_parse_arrays(text) == g
+
+    def test_well_formed_texts_need_no_line_reader(self, monkeypatch):
+        grid = gen_grid(4, 5)
+        cases = [(text, g) for g in (grid, LABELED3)
+                 for text in _respellings(serialize_edge_list(g))]
+        cases.append(("0004 3\n000 01\n0 002\n00 3\n", STAR4))
+        cases.append(("3 2 02 003\nn 0 1\nn 01 0\nn 2 01\ne 0 001 2\ne 1 2 0\n", LABELED3))
+        dataset = write_dataset(Dataset("mixed", 7, (grid, LABELED3, STAR4)))
+        self.refuse_line_reader(monkeypatch)
+        for text, g in cases:
+            assert parse_edge_list(text) == g, repr(text)
+        assert read_dataset(dataset).graphs == (grid, LABELED3, STAR4)
+
+    @pytest.mark.parametrize("text", [
+        "3 1\n+1 2\n", "11 1\n1 1_0\n", "4 1\n0 \u0663\n", "4 1\n0\u20033\n",
+        "3 1\n0 0000000000000000002\n",
+        "9223372036854775808 1\n0 9223372036854775807\n",
+        f"3 1\n0 {2 ** 63}\n", f"2 1 2 2\nn 0 0\nn 1 {2 ** 63}\ne 0 1 0\n",
+        "3 1\n+1 1\n", "2 1 1 1\nn 0 0\nn 1 \u0663\ne 0 1 0\n",
+        # The right field and line counts, with a field moved to another line.
+        "3 2\n0 1 0\n2\n", "2 1 1 1\nn 0 0 n\n1 0\ne 0 1 0\n",
+        # A tag run into the next field.
+        "2 1 1 1\nn0 0 0\nn 1 0\ne 0 1 0\n",
+    ])
+    def test_other_spellings_are_read_line_by_line(self, text):
+        assert _scan_edge_list(text) is None
+        assert _parse_outcome(parse_edge_list, text) == \
+            _parse_outcome(lambda t: array_graph(reference_parse(t)), text)

@@ -28,9 +28,9 @@ from k2seq.sequence import (DIAGONAL, OFFDIAGONAL, EmptyGraphError,
 from k2seq.tree import build_k2tree, tree_stats
 
 from helpers import (ReferenceBuilder, graph_strategy, random_er, random_labeled_er,
-                     reference_build, reference_decode, reference_encode,
-                     reference_level_cells, reference_level_tokens, reference_token_grid,
-                     reference_write)
+                     reference_build, reference_checked_decode, reference_decode,
+                     reference_encode, reference_level_cells, reference_level_tokens,
+                     reference_token_grid, reference_write)
 
 SINGLE_EDGE = Graph(n=4, edges=frozenset({(0, 1)}))
 K4 = Graph(n=4, edges=frozenset({(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)}))
@@ -497,6 +497,47 @@ class TestWireFormat:
         assert read_token_stream(write_token_stream(s)) == s
 
 
+class TestPermLine:
+    """A perm line as the writer writes it is read by one byte scan into a
+    tuple of Python ints; any other spelling goes to ``_ints``, which
+    accepts or names it as before the scan."""
+
+    STREAM = "2 4 4 0\nd:110 d:010 o:0101\n"
+
+    def test_entries_are_python_ints(self):
+        s = read_token_stream(self.STREAM + "perm 1 0 2 3\n")
+        want = encode_graph(STAR4, 2, ordering="cm")
+        assert s.perm == (1, 0, 2, 3) and all(type(p) is int for p in s.perm)
+        assert s == want and hash(s) == hash(want)
+
+    def test_writer_output_needs_no_word_parse(self, monkeypatch):
+        errors = []
+        ints = sq._ints
+        monkeypatch.setattr(sq, "_ints", lambda fields, error: errors.append(error)
+                            or ints(fields, error))
+        s = encode_graph(random_er(3, 300, 0.03), 2, ordering="cm")
+        assert read_token_stream(write_token_stream(s)) == s
+        assert not any("perm" in error for error in errors)
+
+    @pytest.mark.parametrize("entries", [
+        "01 0 2 3", "1 0 2 +3", "1  0 2 3", "1 0 2 3 ", " 1 0 2 3", "1 0 2 3\t", "1 0 2 3_0",
+        "1 0 2 \uff13", "1 0 2 00000000000000000003", ""])
+    def test_other_spellings_are_named_as_before(self, entries):
+        with pytest.raises(SequenceError) as exc:
+            read_token_stream(self.STREAM + "perm " + entries + "\n")
+        assert str(exc.value) == "perm entry is not a canonical integer"
+
+    @pytest.mark.parametrize("line, perm", [
+        ("perm 1 0 2 12345678901234567890", (1, 0, 2, 12345678901234567890)),
+        ("perm", ())])
+    def test_long_or_no_entries_read_then_fail_at_decode(self, line, perm):
+        s = read_token_stream(self.STREAM + line + "\n")
+        assert s.perm == perm
+        with pytest.raises(SequenceError) as exc:
+            decode_graph(s)
+        assert str(exc.value) == "perm is not a permutation of 0..3"
+
+
 class TestPackedForm:
     """Every sequence holds its tokens as ``diag``/``grid`` arrays, and a
     plain one with ``k <= 4`` derives its tokens' vocabulary ids from the
@@ -906,7 +947,7 @@ class TestArrayDecoder:
         if isinstance(ref, Exception):
             assert (type(got), str(got)) == (type(ref), str(ref))
             return
-        assert got == ref
+        assert got == ref == reference_checked_decode(s)
         # Accepted streams are canonical: the graph re-encodes to them.
         h = got if s.perm is None else apply_ordering(got, s.perm)
         again = replace(encode_graph(h, s.k), perm=s.perm)
@@ -984,6 +1025,11 @@ class TestLevelWalkMatchesReference:
         assert len(got) == len(ref) == 3
         for a, b in zip(got, ref):
             assert a.dtype == b.dtype and np.array_equal(a, b)
+        graph, checked = _outcome(decode_graph, s), _outcome(reference_checked_decode, s)
+        if isinstance(checked, Exception):
+            assert (type(graph), str(graph)) == (type(checked), str(checked))
+        else:
+            assert graph == checked
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(mutated_streams(labeled=False, ks=(2, 3, 4)))
@@ -1021,6 +1067,38 @@ class TestLevelWalkMatchesReference:
             s = encode_graph(g, k, ordering="cm")
             for end in range(len(s.tokens) + 1):
                 self.assert_agrees(replace(s, tokens=s.tokens[:end]))
+
+
+class TestDecodeTrustsTheWalk:
+    """``decode_graph`` builds its graph from the walk's cells with one sort
+    and no second check: the walk itself refuses a plain tree's diagonal
+    and out-of-range leaves, so ``Graph._store`` never runs."""
+
+    @staticmethod
+    def refuse_store(monkeypatch):
+        def refuse(*args):
+            raise RuntimeError("Graph._store ran")
+
+        monkeypatch.setattr(Graph, "_store", refuse)
+
+    @pytest.mark.parametrize("text, message", [
+        ("2 4 4 0\nd:100 d:100\n", "token 2 (level 2): value 1 not allowed at slot 0"),
+        ("2 4 3 0\nd:010 o:0001\n", "token 2 (level 2): value 1 not allowed at slot 3"),
+    ], ids=["diagonal", "out-of-range"])
+    def test_plain_leaves_the_walk_refuses(self, monkeypatch, text, message):
+        s = read_token_stream(text)
+        self.refuse_store(monkeypatch)
+        with pytest.raises(SequenceError) as exc:
+            decode_graph(s)
+        assert str(exc.value) == message
+
+    def test_accepted_streams_decode_without_a_check(self, monkeypatch):
+        graphs = [(random_er(3, 40, 0.2), "cm"), (TRIANGLE_LABELED, "identity"),
+                  (random_labeled_er(5, 30, 0.3, 3, 2), "bfs")]
+        streams = [(g, encode_graph(g, 2, ordering=ordering)) for g, ordering in graphs]
+        self.refuse_store(monkeypatch)
+        for g, s in streams:
+            assert decode_graph(s) == g
 
 
 class TestBuilderMatchesReference:
