@@ -179,7 +179,9 @@ class Graph:
         The caller has proved what :meth:`from_arrays` checks: endpoints
         distinct and in ``[0, n)``, no edge twice, labels in their vocabs
         and on every node, and ``n * n`` within int64.  The decoder's level
-        walk proves it for each stream it accepts."""
+        walk proves it for each stream it accepts, and :func:`apply_ordering`
+        for each permutation of a checked graph (``n * n`` fits int64 for
+        any ``n`` whose permutation a Python sequence holds)."""
         lo, hi = np.minimum(a, b), np.maximum(a, b)
         order = np.argsort(lo * n + hi)
         edges = np.empty((len(lo), 2), dtype=np.int64)
@@ -300,25 +302,30 @@ class Graph:
     def degree_array(self) -> np.ndarray:
         return np.bincount(self.edge_array.ravel(), minlength=self.n)
 
-    def _adjacency(self, by_degree: bool = False) -> tuple[np.ndarray, np.ndarray]:
-        """Row pointers and neighbours: node ``u``'s neighbours are
-        ``nbrs[ptr[u]:ptr[u + 1]]``, ascending by id, or by (degree, id)
-        with ``by_degree``."""
-        lo, hi = self.edge_array[:, 0], self.edge_array[:, 1]
-        # Each node's smaller neighbours come first, ascending as the rows
-        # do, then its larger ones; a stable sort by node keeps that order,
-        # and within one degree when the key adds the neighbour's degree.
-        # That key stays below n**2, within int64 for any n a node list fits.
+    def _adjacency(self, by_degree: bool = False) -> tuple[np.ndarray, np.ndarray,
+                                                          np.ndarray | None]:
+        """Row pointers, neighbours and, with ``by_degree``, the nodes by
+        (degree, id): node ``u``'s neighbours are ``nbrs[ptr[u]:ptr[u + 1]]``,
+        ascending by id, or by (degree, id) with ``by_degree``."""
+        n, lo, hi = self.n, self.edge_array[:, 0], self.edge_array[:, 1]
         src, nbrs = np.concatenate([hi, lo]), np.concatenate([lo, hi])
-        deg = np.bincount(src, minlength=self.n)
-        ptr = np.zeros(self.n + 1, dtype=np.int64)
+        deg = np.bincount(src, minlength=n)
+        ptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(deg, out=ptr[1:])
-        key = src * (int(deg.max(initial=0)) + 1) + deg[nbrs] if by_degree else src
-        return ptr, nbrs[np.argsort(key, kind="stable")]
+        by_rank, rank = None, nbrs
+        if by_degree:
+            by_rank = np.argsort(deg, kind="stable")
+            place = np.empty(n, dtype=np.int64)
+            place[by_rank] = np.arange(n)
+            rank = place.take(nbrs)
+        # One key per half-edge, all distinct, so one unstable sort; they
+        # stay below n**2, within int64 for any n a node list fits.
+        return ptr, nbrs.take(np.argsort(src * n + rank)), by_rank
 
     def neighbors(self) -> list[list[int]]:
         """Adjacency lists, each sorted ascending."""
-        return _split(*self._adjacency())
+        ptr, nbrs, _ = self._adjacency()
+        return _split(ptr, nbrs)
 
     def degrees(self) -> list[int]:
         return self.degree_array().tolist()
@@ -586,9 +593,9 @@ def order_nodes(g: Graph, scheme: str, reverse: bool = False) -> Permutation:
     """
     if scheme not in ORDERING_SCHEMES:
         raise ValueError(f"unknown ordering scheme {scheme!r}")
-    ptr, nbrs = g._adjacency(by_degree=scheme == "cm")
+    ptr, nbrs, by_degree = g._adjacency(by_degree=scheme == "cm")
     adj, seen = _split(ptr, nbrs), [False] * g.n
-    starts = np.argsort(np.diff(ptr), kind="stable").tolist() if scheme == "cm" else range(g.n)
+    starts = range(g.n) if by_degree is None else by_degree.tolist()
     walk = _dfs_order if scheme == "dfs" else _breadth_first
     walks = [walk(start, adj, seen) for start in starts if not seen[start]]
     if scheme == "cm":
@@ -650,7 +657,9 @@ def apply_ordering(g: Graph, perm: Permutation) -> Graph:
 
     An edge ``(u, v)`` is present in the result iff ``(perm[u], perm[v])`` is an
     edge of ``g``.  Labels follow their nodes and edges.  The edges map
-    through the inverse permutation and are sorted once.
+    through the inverse permutation and are sorted once, with no second
+    check (:meth:`Graph._from_cells`): a permutation of a checked graph's
+    edges is still distinct, in range and free of self-loops.
     """
     array = permutation_array(perm, g.n)
     if array is None:
@@ -658,8 +667,8 @@ def apply_ordering(g: Graph, perm: Permutation) -> Graph:
     inv = np.empty(g.n, dtype=np.int64)
     inv[array] = np.arange(g.n)
     node_labels = None if g.node_label_array is None else g.node_label_array[array]
-    return Graph.from_arrays(g.n, inv[g.edge_array], node_labels, g.edge_label_array,
-                             g.node_vocab, g.edge_vocab)
+    return Graph._from_cells(g.n, inv.take(g.edge_array[:, 0]), inv.take(g.edge_array[:, 1]),
+                             node_labels, g.edge_label_array, g.node_vocab, g.edge_vocab)
 
 
 def padded_size(n: int, k: int) -> int:

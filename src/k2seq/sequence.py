@@ -11,11 +11,13 @@ Reconstruction fills the pending nodes level by level, in that order, and is
 complete when the last level is filled.
 
 :func:`encode_graph` produces the same tokens without building a tree: it
-sorts the lower-triangle cells once by their root-to-cell path and reads each
-level's tokens off the distinct path prefixes (the level-bitmap construction
-of Brisaboa, Ladra & Navarro, SPIRE 2009).  :func:`prune` and
-:func:`flatten_tokenize` over :func:`~k2seq.tree.build_k2tree` remain as the
-reference it is tested against.  :func:`decode_graph` is its inverse over
+sorts the lower-triangle cells once by their root-to-cell path and reads the
+levels from the deepest up, each level's tokens the distinct parents of the
+blocks below it, so every pass covers only the distinct blocks of one level
+(the level-wise construction of Brisaboa, Ladra & Navarro, SPIRE 2009).
+:func:`prune` and :func:`flatten_tokenize` over
+:func:`~k2seq.tree.build_k2tree` remain as the reference it is tested
+against.  :func:`decode_graph` is its inverse over
 arrays: level ``d``'s tokens are one contiguous run, one per pending block,
 and their nonzero slots are the next level's blocks.  One predicate
 (:func:`_child_rules`) says which values a child admits at its origin, and
@@ -208,8 +210,9 @@ class TokenSequence:
     def _malformed(self) -> list[int]:
         """Indices of the rows that hold -1 in every slot: the malformed
         tokens, and any token built by hand with only -1s.  Only the rows
-        with -1 in slot 0 are read whole."""
-        rows = np.flatnonzero(self.grid[:, 0] == _MALFORMED)
+        with -1 in slot 0 are read whole.  A ``k`` with no slots
+        (``k*k == 0``) leaves every row empty, so every token is listed."""
+        rows = np.flatnonzero((self.grid[:, :1] == _MALFORMED).all(axis=1))
         return rows[(self.grid[rows] == _MALFORMED).all(axis=1)].tolist()
 
     @property
@@ -982,44 +985,49 @@ def _level_tokens(rows: np.ndarray, cols: np.ndarray, values: np.ndarray,
     that :func:`_token_grid` lays out.
 
     Each cell's path from the root is one slot ``i*k + j`` (0-based) per
-    depth: ``i`` and ``j`` are the base-``k`` digits of its row and column,
-    peeled once from the bottom.  The paths read as base ``k*k`` keys,
-    sorted, list the blocks of every depth in breadth-first order, so at
-    depth ``d`` each new prefix of ``d`` slots is one of that level's
-    tokens and slot ``d`` scatters into its child slots.  A block is
-    diagonal while every slot above it has ``i == j``; it holds no cell
-    above the diagonal, so a diagonal token's slots outside
+    depth, ``i`` and ``j`` the base-``k`` digits of its row and column; read
+    as a base ``k*k`` key it is ``k * spread(row) + spread(col)``, where
+    ``spread`` rewrites a base-``k`` number's digits in base ``k*k``.  The
+    sorted keys list the blocks of every depth in breadth-first order.  The
+    levels are then read from the deepest up: a key's parent block is
+    ``key // k**2`` and its slot the remainder, each run of equal parents
+    is one token, and the next pass reads only the distinct parents, so a
+    level costs its own blocks, not the cells.  Each token carries the
+    row and column of one of its cells, divided by ``k`` per level: the
+    block is diagonal when the two are equal.  A diagonal block holds no
+    cell above the diagonal, so a diagonal token's slots outside
     :func:`child_orders` stay 0.
     """
     kk = k * k
-    slots, diagonal = [], []
-    # Lowest digit first, each as x - (x // k) * k: numpy's % costs about
-    # three times its //.
-    for _ in range(levels):
-        row_q, col_q = rows // k, cols // k
-        i, j = rows - row_q * k, cols - col_q * k
-        slots.append(i * k + j)
-        diagonal.append(i == j)
-        rows, cols = row_q, col_q
-    slots.reverse()
-    diagonal.reverse()
-    keys = np.zeros(len(values), dtype=np.int64)
-    for slot in slots:
-        keys = keys * kk + slot
+    cells = np.stack([rows, cols])
+    # spread(x) = x + (k*k - k) * (sum over 1 <= d < levels of
+    # (x // k**d) * (k*k)**(d - 1)): a digit a at place e of x is counted
+    # in x // k**d for 1 <= d <= e, and those terms sum to
+    # a * ((k*k)**e - k**e).  Horner's rule takes the sum with one // per
+    # level and no remainder.
+    high = np.zeros_like(cells)
+    for d in range(levels - 1, 0, -1):
+        high *= kk
+        high += cells // k ** d
+    spread = cells + (kk - k) * high
+    keys = spread[0] * k + spread[1]
     order = np.argsort(keys)
-    first = np.zeros(len(order), dtype=bool)
-    first[0] = True
-    same = np.ones(len(order), dtype=bool)
+    keys, cells, slot_values = keys.take(order), cells.take(order, axis=1), values.take(order)
     diags, grids = [], []
-    for d in range(levels):
-        slot = slots[d].take(order)
-        parent = np.cumsum(first) - 1
-        grid = np.zeros((int(parent[-1]) + 1, kk), dtype=np.int64)
-        grid[parent, slot] = values.take(order) if d == levels - 1 else 1
-        diags.append(same[first])
+    for _ in range(levels):
+        parent = keys // kk
+        first = np.empty(len(keys), dtype=bool)
+        first[0] = True
+        np.not_equal(parent[1:], parent[:-1], out=first[1:])
+        token = np.cumsum(first) - 1
+        grid = np.zeros((int(token[-1]) + 1, kk), dtype=np.int64)
+        grid[token, keys - parent * kk] = slot_values
+        at = np.flatnonzero(first)
+        keys, cells, slot_values = parent.take(at), cells.take(at, axis=1) // k, 1
+        diags.append(cells[0] == cells[1])
         grids.append(grid)
-        first[1:] |= slot[1:] != slot[:-1]
-        same &= diagonal[d].take(order)
+    diags.reverse()
+    grids.reverse()
     return np.concatenate(diags), np.concatenate(grids)
 
 
@@ -1046,11 +1054,14 @@ def encode_graph(g: Graph, k: int, ordering: str = "identity",
     lower-triangle cells (:func:`_level_tokens`).
 
     Produces the same tokens as ``flatten_tokenize(prune(build_k2tree(g, k)))``
-    in O(m * levels) memory, without the padded ``n x n`` matrix or the full
-    tree.  The all-zero case (a plain graph with no edges) becomes a
-    header-only sequence.  The header must pass :func:`_check_header`, edges
-    or not: a graph whose cell paths or label vocab sizes do not fit int64
-    raises :class:`SequenceError` before any per-node work.  With a
+    without the padded ``n x n`` matrix or the full tree.  Past the ordering
+    it makes one division per level over the cells, for their path keys,
+    and one sort; each level's tokens then cost only that level's blocks,
+    and memory is O(cells + tokens * k*k).  The all-zero case (a plain
+    graph with no edges) becomes a header-only sequence.  The header must
+    pass :func:`_check_header`, edges or not: a graph whose cell paths or
+    label vocab sizes do not fit int64 raises :class:`SequenceError` before
+    any per-node work.  With a
     non-identity ordering the permutation is stored on the sequence so
     :func:`decode_graph` can restore original node ids.  The sequence
     keeps the level grids as its arrays.

@@ -99,6 +99,47 @@ def reference_level_tokens(rows: np.ndarray, cols: np.ndarray, values: np.ndarra
     return np.concatenate(diags), np.concatenate(grids)
 
 
+def reference_peeled_level_tokens(rows: np.ndarray, cols: np.ndarray, values: np.ndarray,
+                                  k: int, levels: int) -> tuple[np.ndarray, np.ndarray]:
+    """The level encoder that peels each cell's digits once and then makes
+    one pass per level over every cell, top down, kept as the second oracle
+    of ``sequence._level_tokens``.
+
+    The peeled slots ``i*k + j`` read as base ``k*k`` keys, sorted, list the
+    blocks of every depth in breadth-first order; at depth ``d`` each new
+    prefix of ``d`` slots is a token and slot ``d`` scatters into its child
+    slots.  A block is diagonal while every slot above it has ``i == j``.
+    """
+    kk = k * k
+    slots, diagonal = [], []
+    for _ in range(levels):
+        row_q, col_q = rows // k, cols // k
+        i, j = rows - row_q * k, cols - col_q * k
+        slots.append(i * k + j)
+        diagonal.append(i == j)
+        rows, cols = row_q, col_q
+    slots.reverse()
+    diagonal.reverse()
+    keys = np.zeros(len(values), dtype=np.int64)
+    for slot in slots:
+        keys = keys * kk + slot
+    order = np.argsort(keys)
+    first = np.zeros(len(order), dtype=bool)
+    first[0] = True
+    same = np.ones(len(order), dtype=bool)
+    diags, grids = [], []
+    for d in range(levels):
+        slot = slots[d].take(order)
+        parent = np.cumsum(first) - 1
+        grid = np.zeros((int(parent[-1]) + 1, kk), dtype=np.int64)
+        grid[parent, slot] = values.take(order) if d == levels - 1 else 1
+        diags.append(same[first])
+        grids.append(grid)
+        first[1:] |= slot[1:] != slot[:-1]
+        same &= diagonal[d].take(order)
+    return np.concatenate(diags), np.concatenate(grids)
+
+
 _ZERO: Rule = (True, range(0))
 _BIT: Rule = (True, range(1, 2))
 _ONE: Rule = (False, range(1, 2))
@@ -568,6 +609,24 @@ def reference_neighbors(sg: SetGraph) -> list[list[int]]:
     for lst in adj:
         lst.sort()
     return adj
+
+
+def reference_adjacency(g: Graph, by_degree: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Row pointers and neighbours from one stable sort of the two edge
+    halves, kept as the oracle of ``Graph._adjacency``: node ``u``'s
+    neighbours are ``nbrs[ptr[u]:ptr[u + 1]]``, ascending by id, or by
+    (degree, id) with ``by_degree``.
+
+    Each node's smaller neighbours come first, ascending as the edge rows
+    do, then its larger ones; a stable sort by node keeps that order, and
+    within one degree when the key adds the neighbour's degree."""
+    lo, hi = g.edge_array[:, 0], g.edge_array[:, 1]
+    src, nbrs = np.concatenate([hi, lo]), np.concatenate([lo, hi])
+    deg = np.bincount(src, minlength=g.n)
+    ptr = np.zeros(g.n + 1, dtype=np.int64)
+    np.cumsum(deg, out=ptr[1:])
+    key = src * (int(deg.max(initial=0)) + 1) + deg[nbrs] if by_degree else src
+    return ptr, nbrs[np.argsort(key, kind="stable")]
 
 
 def reference_degrees(sg: SetGraph) -> list[int]:

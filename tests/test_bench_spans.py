@@ -29,3 +29,29 @@ def test_every_wrapped_method_exists():
     missing = [f"k2seq.{module}.{cls}.{attr}" for _, module, cls, attr in spans.METHODS
                if attr not in vars(getattr(importlib.import_module(f"k2seq.{module}"), cls))]
     assert missing == []
+
+
+def test_encode_calls_the_ordering_functions_by_name(monkeypatch):
+    """The traced ``graphs.order_ms`` and ``graphs.relabel_ms`` time
+    ``order_nodes`` and ``apply_ordering`` where ``encode_graph`` looks them
+    up, in ``k2seq.sequence``; an encode that stopped calling them there
+    would read 0 in both."""
+    import k2seq.sequence as sq
+    from k2seq.generators import gen_grid
+
+    calls = {"order_nodes": 0, "apply_ordering": 0}
+
+    def counted(name):
+        inner = getattr(sq, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(sq, name, counted(name))
+    g = gen_grid(6, 6)
+    s = sq.encode_graph(g, 2, ordering="cm")
+    assert calls == {"order_nodes": 1, "apply_ordering": 1}
+    assert s.perm is not None and sq.decode_graph(s) == g

@@ -11,7 +11,7 @@ from k2seq.graphs import (Graph, GraphError, ParseError, _scan_edge_list, apply_
                           parse_edge_list, serialize_edge_list)
 from k2seq.sequence import _lower_cells, decode_graph, encode_graph
 
-from helpers import (array_graph, bandwidth, connected_er, graph_strategy,
+from helpers import (array_graph, bandwidth, connected_er, graph_strategy, reference_adjacency,
                      reference_apply_ordering, reference_degrees, reference_graph,
                      reference_lower_cells, reference_neighbors, reference_order_nodes,
                      reference_parse, reference_parse_arrays, reference_serialize,
@@ -371,6 +371,58 @@ class TestApplyOrdering:
         out = apply_ordering(g, order_nodes(g, scheme))
         assert out.n == g.n and out.m == g.m
         assert sorted(out.degrees()) == sorted(g.degrees())
+
+
+class TestAdjacency:
+    """``Graph._adjacency``'s one sort of unique keys against the stable
+    sort of the edge halves it replaced (``reference_adjacency``)."""
+
+    @staticmethod
+    def assert_matches_reference(g):
+        for by_degree in (False, True):
+            ptr, nbrs, by_rank = g._adjacency(by_degree)
+            ref_ptr, ref_nbrs = reference_adjacency(g, by_degree)
+            assert ptr.dtype == ref_ptr.dtype and nbrs.dtype == ref_nbrs.dtype
+            assert np.array_equal(ptr, ref_ptr) and np.array_equal(nbrs, ref_nbrs)
+            if by_degree:
+                assert np.array_equal(by_rank, np.argsort(g.degree_array(), kind="stable"))
+            else:
+                assert by_rank is None
+
+    @settings(max_examples=100, deadline=None)
+    @given(graph_strategy(max_n=16), st.integers(0, 4))
+    def test_matches_the_stable_sort(self, g, isolated):
+        # Small graphs tie in degree often; the extra nodes are isolated.
+        self.assert_matches_reference(replace(g, n=g.n + isolated))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 8), st.integers(1, 6), st.randoms())
+    def test_matches_on_disjoint_regular_pieces(self, count, size, random):
+        """Cycles and cliques, every node of a piece tying with the others,
+        relabeled at random so ties are not listed by id."""
+        edges, n = set(), 0
+        for piece in range(count):
+            nodes = range(n, n + size + 2)
+            if piece % 2:
+                edges |= {(u, v) for u in nodes for v in nodes if u < v}
+            else:
+                edges |= {(u, u + 1) for u in nodes[:-1]} | {(nodes[0], nodes[-1])}
+            n += size + 2
+        shuffled = list(range(n))
+        random.shuffle(shuffled)
+        self.assert_matches_reference(apply_ordering(Graph(n=n, edges=edges),
+                                                     tuple(shuffled)))
+
+    @pytest.mark.parametrize("g", [
+        Graph(n=1),
+        Graph(n=5),
+        Graph(n=6, edges={(u, (u + 1) % 6) for u in range(6)}),
+        STAR4,
+        Graph(n=501, edges={(250, v) for v in range(501) if v != 250}),
+        PATH4,
+    ], ids=["n1", "edgeless", "cycle", "star4", "star-500", "path4"])
+    def test_matches_on_named_graphs(self, g):
+        self.assert_matches_reference(g)
 
 
 class TestPaddingAndBandwidth:

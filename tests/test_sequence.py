@@ -30,7 +30,7 @@ from k2seq.tree import build_k2tree, tree_stats
 from helpers import (ReferenceBuilder, graph_strategy, random_er, random_labeled_er,
                      reference_build, reference_checked_decode, reference_decode,
                      reference_encode, reference_level_cells, reference_level_tokens,
-                     reference_token_grid, reference_write)
+                     reference_peeled_level_tokens, reference_token_grid, reference_write)
 
 SINGLE_EDGE = Graph(n=4, edges=frozenset({(0, 1)}))
 K4 = Graph(n=4, edges=frozenset({(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)}))
@@ -816,19 +816,35 @@ class TestLevelEncoder:
 
     @staticmethod
     def assert_levels_match_reference(g, k):
+        """The bottom-up level pass against both earlier level encoders,
+        the dividing one and the one that peels every cell's digits, on the
+        same cells: equal flags and grids, of equal dtypes."""
         cells = _lower_cells(g)
         if not len(cells[0]):
             return
         levels = tree_levels(padded_size(g.n, k), k)
         diag, grid = _level_tokens(*cells, k, levels)
-        ref_diag, ref_grid = reference_level_tokens(*cells, k, levels)
-        assert np.array_equal(diag, ref_diag) and np.array_equal(grid, ref_grid)
+        for oracle in (reference_level_tokens, reference_peeled_level_tokens):
+            ref_diag, ref_grid = oracle(*cells, k, levels)
+            assert diag.dtype == ref_diag.dtype and grid.dtype == ref_grid.dtype
+            assert np.array_equal(diag, ref_diag) and np.array_equal(grid, ref_grid)
 
     @settings(max_examples=80, deadline=None)
     @given(st.one_of(graph_strategy(max_n=12), graph_strategy(max_n=12, labeled=True)),
            st.integers(2, 5))
     def test_levels_match_the_dividing_encoder(self, g, k):
         self.assert_levels_match_reference(g, k)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    @pytest.mark.parametrize("g", [
+        Graph(n=1, node_labels={0: 1}, edge_labels={}, node_vocab=2, edge_vocab=1),
+        Graph(n=2, edges={(0, 1)}),
+        Graph(n=2000, edges={(u, u + 1) for u in range(1999)}),
+        Graph(n=2000, edges={(0, u) for u in range(1, 2000)}),
+    ], ids=["n1-featured", "n2", "path-2000", "star-2000"])
+    def test_edge_case_levels_match_the_earlier_encoders(self, g, k):
+        self.assert_levels_match_reference(g, k)
+        self.assert_levels_match_reference(apply_ordering(g, order_nodes(g, "cm")), k)
 
     @pytest.mark.parametrize("k", [2, 3])
     @pytest.mark.parametrize("g", [gen_er(1024, 8 / 1023, seed=3), gen_grid(32, 32),
@@ -1229,6 +1245,22 @@ class TestHeaderRule:
         messages = self.refusals(lambda: encode_graph(replace(g, node_vocab=nv + 1), 2),
                                  lambda: decode_graph(replace(s, node_vocab=nv + 1)))
         assert len(messages) == 1 and "beyond int64" in messages.pop()
+
+    @pytest.mark.parametrize("text", [
+        "0 4 3 1\n2 2\n\n",
+        "0 4 3 1\n2 2\nd:1 o:2,3\n",
+        "0 4 3 0\nd:1 o:01\n",
+        "1 4 3 0\nd:1 o:01\n",
+    ], ids=["k0-header-only", "k0-featured", "k0-plain", "k1-plain"])
+    def test_a_read_k_below_two_compares_and_hashes(self, text):
+        # k*k is 0 or 1: rows too narrow to hold a token's values.  The
+        # reader takes such a header; only decode refuses it.
+        s, again = read_token_stream(text), read_token_stream(text)
+        assert s == again and hash(s) == hash(again)
+        assert write_token_stream(s) == text
+        assert s != replace(s, tokens=s.tokens + (Token(DIAGONAL, (1, 1)),))
+        with pytest.raises(SequenceError, match="k must be >= 2"):
+            decode_graph(s)
 
 
 def traced_peak(call):
