@@ -10,16 +10,14 @@ its children's attributes, typed by whether that node touches the diagonal.
 Reconstruction fills the pending nodes level by level, in that order, and is
 complete when the last level is filled.
 
-:func:`encode_graph` produces the same tokens without building a tree: it
-sorts the lower-triangle cells once by their root-to-cell path and reads the
-levels from the deepest up, each level's tokens the distinct parents of the
-blocks below it, so every pass covers only the distinct blocks of one level
-(the level-wise construction of Brisaboa, Ladra & Navarro, SPIRE 2009).
-:func:`prune` and :func:`flatten_tokenize` over
-:func:`~k2seq.tree.build_k2tree` remain as the reference it is tested
-against.  :func:`decode_graph` is its inverse over
-arrays: level ``d``'s tokens are one contiguous run, one per pending block,
-and their nonzero slots are the next level's blocks.  One predicate
+:func:`encode_graph` and :func:`flatten_tokenize` make the tokens from
+lower-triangle cells with one level pass (:func:`~k2seq.tree._level_tokens`,
+the level-wise construction of Brisaboa, Ladra & Navarro, SPIRE 2009), and
+:func:`prune` keeps a tree's cells with ``row >= col``.
+:func:`decode_graph` is its inverse over arrays: level ``d``'s tokens are
+one contiguous run, one per pending block, and their nonzero slots are the
+next level's blocks; :func:`detokenize_build` takes its tree's cells from
+the same walk (:func:`_level_cells`).  One predicate
 (:func:`_child_rules`) says which values a child admits at its origin, and
 one row check (:func:`_row_error`) names the first token that breaks it.
 The :class:`IncrementalBuilder`, which drives the samplers, reads the
@@ -55,7 +53,6 @@ exactly the encoder's image and all array work is over int64.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from itertools import chain
@@ -65,7 +62,7 @@ import numpy as np
 
 from .graphs import (Graph, GraphError, apply_ordering, canonical_ints, order_nodes,
                      padded_size, permutation_array)
-from .tree import K2Tree, TreeNode, edge_label_token, node_label_token, tree_levels
+from .tree import K2Tree, _level_tokens, _lower_cells, child_orders, tree_levels
 
 DIAGONAL = "d"
 OFFDIAGONAL = "o"
@@ -248,14 +245,6 @@ def offdiagonal_arity(k: int) -> int:
 
 
 @lru_cache(maxsize=16)
-def child_orders(k: int, diagonal: bool) -> tuple[tuple[int, int], ...]:
-    """Sibling orders kept under a node, ascending in rank ``k*(i-1)+j``."""
-    if diagonal:
-        return tuple((i, j) for i in range(1, k + 1) for j in range(1, i + 1))
-    return tuple((i, j) for i in range(1, k + 1) for j in range(1, k + 1))
-
-
-@lru_cache(maxsize=16)
 def _held_slots(k: int, diagonal: bool) -> tuple[int, ...]:
     """The slots ``i*k + j`` (0-based) of :func:`child_orders`, in order."""
     return tuple((i - 1) * k + (j - 1) for i, j in child_orders(k, diagonal))
@@ -337,58 +326,28 @@ def node_position(path: tuple[tuple[int, int], ...], k: int) -> tuple[int, int]:
 
 
 def prune(t: K2Tree) -> K2Tree:
-    """Drop every subtree strictly above the diagonal.
+    """Drop every subtree strictly above the diagonal: keep the cells with
+    ``row >= col``.
 
     A node survives iff its block position satisfies ``p >= q``; under a
     diagonal node only children with ``i >= j`` remain.
     """
     if t.pruned:
         raise ValueError("tree is already pruned")
-    old = t.nodes
-    new_nodes = [TreeNode(attr=old[0].attr, depth=0, order=None, parent=None)]
-    if not old[0].children:
-        return replace(t, nodes=new_nodes, pruned=True)
-    queue = deque([(0, 0, True)])  # (old id, new id, diagonal flag)
-    while queue:
-        ouid, nuid, diag = queue.popleft()
-        kept = []
-        for cid in old[ouid].children:
-            child = old[cid]
-            i, j = child.order
-            if diag and i < j:
-                continue
-            nid = len(new_nodes)
-            new_nodes.append(TreeNode(attr=child.attr, depth=child.depth,
-                                      order=child.order, parent=nuid))
-            kept.append(nid)
-            if child.children:
-                queue.append((cid, nid, diag and i == j))
-        new_nodes[nuid].children = tuple(kept)
-    return replace(t, nodes=new_nodes, pruned=True)
+    keep = t.rows >= t.cols
+    return replace(t, rows=t.rows[keep], cols=t.cols[keep], values=t.values[keep], pruned=True)
 
 
 def flatten_tokenize(t: K2Tree) -> TokenSequence:
-    """Breadth-first token sequence of a pruned tree, one token per internal node."""
+    """Breadth-first token sequence of a pruned tree, one token per internal
+    node: the rows of :func:`~k2seq.tree._level_tokens` over its cells, as
+    :func:`encode_graph` makes them."""
     if not t.pruned:
         raise ValueError("flatten_tokenize expects a pruned tree")
-    root = t.nodes[t.root]
-    if not root.children:
+    if not len(t.rows):
         raise EmptyGraphError("all-zero matrix has no token sequence")
-    tokens = []
-    queue = deque([(t.root, True)])
-    while queue:
-        uid, diag = queue.popleft()
-        node = t.nodes[uid]
-        values = tuple(t.nodes[cid].attr for cid in node.children)
-        tokens.append(Token(kind=DIAGONAL if diag else OFFDIAGONAL, values=values))
-        for cid in node.children:
-            child = t.nodes[cid]
-            if child.children:
-                i, j = child.order
-                queue.append((cid, diag and i == j))
-    return TokenSequence(k=t.k, padded_n=t.padded_n, original_n=t.original_n,
-                         featured=t.featured, node_vocab=t.node_vocab,
-                         edge_vocab=t.edge_vocab, tokens=tuple(tokens))
+    return TokenSequence._from_arrays(t.k, t.padded_n, t.original_n, *t._tokens(), t.featured,
+                                      t.node_vocab, t.edge_vocab)
 
 
 _INT64_MIN, _INT64_MAX = np.iinfo(np.int64).min, np.iinfo(np.int64).max
@@ -544,8 +503,9 @@ class IncrementalBuilder:
     (:func:`_row_error`) and moves the cursor; when a level is full, the
     nonzero slots of its tokens give the next level's blocks, as in
     :func:`decode_graph`.  The tree is complete when the last
-    level is full.  Steps only record their tokens; :meth:`tree` builds the
-    nodes once, at the end.  A step that raises leaves the builder as it was.
+    level is full.  The builder keeps a step count and the current level's
+    accepted values, not its tokens; :meth:`tree` takes the last level's
+    nonzero cells.  A step that raises leaves the builder as it was.
     """
 
     def __init__(self, k: int, padded_n: int, original_n: int | None = None,
@@ -559,8 +519,7 @@ class IncrementalBuilder:
         self.node_vocab = node_vocab
         self.edge_vocab = edge_vocab
         self._levels = tree_levels(padded_n, k)
-        self._tokens: list[Token] = []
-        self._start = 0  # tokens of the levels before the current one
+        self._steps = 0
         self._enter(1, np.zeros((2, 1), dtype=np.int64))  # the root
 
     def _enter(self, depth: int, origins: np.ndarray) -> None:
@@ -572,6 +531,7 @@ class IncrementalBuilder:
         self._r0, self._c0 = origins.tolist()
         self._sizes = [self.padded_n // self.k ** d for d in range(1, depth)]  # along a path
         self._cursor = 0
+        self._values: list[tuple[int, ...]] = []  # of the level's accepted tokens
 
     @property
     def complete(self) -> bool:
@@ -581,7 +541,7 @@ class IncrementalBuilder:
     @property
     def steps(self) -> int:
         """Tokens accepted so far."""
-        return len(self._tokens)
+        return self._steps
 
     @property
     def next_kind(self) -> str | None:
@@ -637,80 +597,67 @@ class IncrementalBuilder:
         table and move on; raises a :class:`SequenceError` subclass on
         misuse."""
         if self._cursor == len(self._diag):
-            raise _trailing_error(len(self._tokens) + 1)
-        error = _row_error(token, len(self._tokens) + 1, self._depth, self._diag[self._cursor],
+            raise _trailing_error(self._steps + 1)
+        error = _row_error(token, self._steps + 1, self._depth, self._diag[self._cursor],
                            self.k, self._block_row)
         if error is not None:
             raise error
-        self._tokens.append(token)
+        self._steps += 1
+        self._values.append(token.values)
         self._cursor += 1
         if self._cursor < len(self._diag) or self._depth == self._levels:
             return
-        # The level's accepted values, laid out as its table: a diagonal
-        # token holds no slot above the diagonal.
+        self._enter(self._depth + 1,
+                    self._rc.reshape(2, -1).take(np.flatnonzero(self._level_values()), axis=1))
+
+    def _level_values(self) -> np.ndarray:
+        """The full level's accepted values, laid out as its table: a
+        diagonal token holds no slot above the diagonal."""
         r, c = self._rc
         values = np.zeros(r.shape, dtype=np.int64)
-        values[c <= r] = np.fromiter(
-            chain.from_iterable(t.values for t in self._tokens[self._start:]), dtype=np.int64)
-        self._start = len(self._tokens)
-        self._enter(self._depth + 1, self._rc.reshape(2, -1).take(np.flatnonzero(values), axis=1))
+        values[c <= r] = np.fromiter(chain.from_iterable(self._values), dtype=np.int64)
+        return values
 
     def tree(self) -> K2Tree:
-        """The pruned tree of the accepted tokens, built breadth-first: each
-        token gives the children of the next internal node in the FIFO."""
+        """The pruned tree of the accepted tokens: the nonzero children of
+        the last level's blocks are its cells."""
         if not self.complete:
             pending = len(self._diag) - self._cursor
             if self._depth < self._levels:
-                pending += sum(v != 0 for t in self._tokens[self._start:] for v in t.values)
-            raise _truncated_error(pending, self.steps)
-        nodes = [TreeNode(attr=1, depth=0, order=None, parent=None)]
-        internal = deque([(0, True)])
-        for token in self._tokens:
-            uid, diag = internal.popleft()
-            depth = nodes[uid].depth + 1
-            nodes[uid].children = tuple(range(len(nodes), len(nodes) + len(token.values)))
-            for (i, j), value in zip(child_orders(self.k, diag), token.values):
-                if value == 1 and depth < self._levels:
-                    internal.append((len(nodes), diag and i == j))
-                nodes.append(TreeNode(attr=value, depth=depth, order=(i, j), parent=uid))
-        return K2Tree(k=self.k, padded_n=self.padded_n, original_n=self.original_n,
-                      nodes=nodes, featured=self.featured,
-                      node_vocab=self.node_vocab, edge_vocab=self.edge_vocab, pruned=True)
-
-
-def _replay(s: TokenSequence) -> tuple[K2Tree, list[tuple[tuple[int, int], ...]]]:
-    """The pruned tree of ``s`` and each token's root-to-parent path, by
-    stepping an :class:`IncrementalBuilder` through every token."""
-    builder = IncrementalBuilder(s.k, s.padded_n, s.original_n, s.featured,
-                                 s.node_vocab, s.edge_vocab)
-    if not s.tokens:
-        return K2Tree(k=s.k, padded_n=s.padded_n, original_n=s.original_n,
-                      nodes=[TreeNode(attr=0, depth=0, order=None, parent=None)],
-                      featured=s.featured, node_vocab=s.node_vocab,
-                      edge_vocab=s.edge_vocab, pruned=True), []
-    paths = []
-    for token in s.tokens:
-        paths.append(builder.next_path)
-        builder.step(token)
-    return builder.tree(), paths
+                pending += sum(v != 0 for values in self._values for v in values)
+            raise _truncated_error(pending, self._steps)
+        values = self._level_values()
+        (r, c), cells = self._rc, values != 0
+        return K2Tree(self.k, self.padded_n, self.original_n, r[cells], c[cells], values[cells],
+                      self.featured, self.node_vocab, self.edge_vocab, pruned=True)
 
 
 def detokenize_build(s: TokenSequence) -> K2Tree:
     """Rebuild the pruned tree from a token sequence; inverse of flatten_tokenize.
 
-    A header-only sequence (zero tokens) denotes the all-zero matrix and yields
-    a root-leaf tree; its header is checked like any other.
+    Its cells are those of the decoder's own walk (:func:`_level_cells`), so
+    a stream is refused as :func:`decode_graph` refuses it, in memory
+    bounded by the tokens, and the ``perm`` line is not read.  A header-only
+    sequence (zero tokens) denotes the all-zero matrix and yields a
+    root-leaf tree; its header is checked like any other.
     """
-    return _replay(s)[0]
+    _check_header(s.k, s.padded_n, s.original_n, s.featured, s.node_vocab, s.edge_vocab)
+    s = s._through_first_misfit()
+    cells = _level_cells(s) if len(s.diag) else (np.zeros(0, dtype=np.int64),) * 3
+    return K2Tree(s.k, s.padded_n, s.original_n, *cells, s.featured, s.node_vocab,
+                  s.edge_vocab, pruned=True)
 
 
 def position_paths(s: TokenSequence) -> list[tuple[tuple[int, int], ...]]:
-    """Per-token root-to-parent paths in unpruned ``(i, j)`` coordinates.
+    """Per-token root-to-parent paths in unpruned ``(i, j)`` coordinates:
+    the paths of the internal nodes of :func:`detokenize_build`'s tree,
+    breadth-first.
 
     The first token expands the root, so its path is empty.  The sequence is
     validated as a side effect.
     """
-    return _replay(s)[1]
+    t = detokenize_build(s)
+    return [t.path(uid) for uid, node in enumerate(t.nodes) if node.children]
 
 
 class Vocabulary:
@@ -962,75 +909,6 @@ def full_tree_attrs(s: TokenSequence) -> int:
     return s.k * s.k * (2 * len(s.diag) - int(np.count_nonzero(s.diag)))
 
 
-def _lower_cells(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows, columns and values of the nonzero cells on and below the diagonal:
-    ``(v, u)`` for each edge ``u < v``, plus the node-label cells of a labeled
-    graph, valued as :func:`build_k2tree` values them."""
-    edges = g.edge_array
-    if not g.labeled:
-        return edges[:, 1], edges[:, 0], np.ones(len(edges), dtype=np.int64)
-    if g.node_label_array is None or g.edge_label_array is None:
-        raise GraphError("featured build requires node and edge labels")
-    nodes = np.arange(g.n, dtype=np.int64)
-    values = [node_label_token(g.node_label_array),
-              edge_label_token(g.edge_label_array, g.node_vocab)]
-    return (np.concatenate([nodes, edges[:, 1]]), np.concatenate([nodes, edges[:, 0]]),
-            np.concatenate(values))
-
-
-def _level_tokens(rows: np.ndarray, cols: np.ndarray, values: np.ndarray,
-                  k: int, levels: int) -> tuple[np.ndarray, np.ndarray]:
-    """Breadth-first tokens of the pruned tree, one level at a time, as
-    per-token diagonal flags and the tokens x ``k*k`` grid of child slots
-    that :func:`_token_grid` lays out.
-
-    Each cell's path from the root is one slot ``i*k + j`` (0-based) per
-    depth, ``i`` and ``j`` the base-``k`` digits of its row and column; read
-    as a base ``k*k`` key it is ``k * spread(row) + spread(col)``, where
-    ``spread`` rewrites a base-``k`` number's digits in base ``k*k``.  The
-    sorted keys list the blocks of every depth in breadth-first order.  The
-    levels are then read from the deepest up: a key's parent block is
-    ``key // k**2`` and its slot the remainder, each run of equal parents
-    is one token, and the next pass reads only the distinct parents, so a
-    level costs its own blocks, not the cells.  Each token carries the
-    row and column of one of its cells, divided by ``k`` per level: the
-    block is diagonal when the two are equal.  A diagonal block holds no
-    cell above the diagonal, so a diagonal token's slots outside
-    :func:`child_orders` stay 0.
-    """
-    kk = k * k
-    cells = np.stack([rows, cols])
-    # spread(x) = x + (k*k - k) * (sum over 1 <= d < levels of
-    # (x // k**d) * (k*k)**(d - 1)): a digit a at place e of x is counted
-    # in x // k**d for 1 <= d <= e, and those terms sum to
-    # a * ((k*k)**e - k**e).  Horner's rule takes the sum with one // per
-    # level and no remainder.
-    high = np.zeros_like(cells)
-    for d in range(levels - 1, 0, -1):
-        high *= kk
-        high += cells // k ** d
-    spread = cells + (kk - k) * high
-    keys = spread[0] * k + spread[1]
-    order = np.argsort(keys)
-    keys, cells, slot_values = keys.take(order), cells.take(order, axis=1), values.take(order)
-    diags, grids = [], []
-    for _ in range(levels):
-        parent = keys // kk
-        first = np.empty(len(keys), dtype=bool)
-        first[0] = True
-        np.not_equal(parent[1:], parent[:-1], out=first[1:])
-        token = np.cumsum(first) - 1
-        grid = np.zeros((int(token[-1]) + 1, kk), dtype=np.int64)
-        grid[token, keys - parent * kk] = slot_values
-        at = np.flatnonzero(first)
-        keys, cells, slot_values = parent.take(at), cells.take(at, axis=1) // k, 1
-        diags.append(cells[0] == cells[1])
-        grids.append(grid)
-    diags.reverse()
-    grids.reverse()
-    return np.concatenate(diags), np.concatenate(grids)
-
-
 def _row_tokens(diag: np.ndarray, grid: np.ndarray, k: int) -> tuple[Token, ...]:
     """The tokens of the rows of ``diag`` and ``grid``, laid out as
     :func:`_level_tokens` lays them out."""
@@ -1053,8 +931,8 @@ def encode_graph(g: Graph, k: int, ordering: str = "identity",
     """Full encode pipeline: order, then encode level by level from the
     lower-triangle cells (:func:`_level_tokens`).
 
-    Produces the same tokens as ``flatten_tokenize(prune(build_k2tree(g, k)))``
-    without the padded ``n x n`` matrix or the full tree.  Past the ordering
+    Produces the tokens of ``flatten_tokenize(prune(build_k2tree(g, k)))``
+    from the lower-triangle cells alone, with no tree.  Past the ordering
     it makes one division per level over the cells, for their path keys,
     and one sort; each level's tokens then cost only that level's blocks,
     and memory is O(cells + tokens * k*k).  The all-zero case (a plain

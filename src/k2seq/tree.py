@@ -7,12 +7,18 @@ have exactly ``k*k`` children in row-major ``(i, j)`` order of the ``k x k``
 block partition.  A labeled graph is encoded through a modified matrix whose
 diagonal holds node-label tokens and whose off-diagonal cells hold edge-label
 tokens, in disjoint value ranges (0 means absent).
+
+A :class:`K2Tree` holds its header and its nonzero full-depth cells, and
+every other view is derived from them: the tokens are the rows of
+:func:`_level_tokens`, which :func:`~k2seq.sequence.encode_graph` also
+writes, ``nodes`` is built breadth-first from those rows, and the matrix,
+the graph and the counts are read off the cells or the rows.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -28,6 +34,14 @@ def tree_levels(padded_n: int, k: int) -> int:
     return levels
 
 
+@lru_cache(maxsize=16)
+def child_orders(k: int, diagonal: bool) -> tuple[tuple[int, int], ...]:
+    """Sibling orders kept under a node, ascending in rank ``k*(i-1)+j``."""
+    if diagonal:
+        return tuple((i, j) for i in range(1, k + 1) for j in range(1, i + 1))
+    return tuple((i, j) for i in range(1, k + 1) for j in range(1, k + 1))
+
+
 @dataclass
 class TreeNode:
     attr: int
@@ -37,18 +51,33 @@ class TreeNode:
     children: tuple[int, ...] = ()
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class K2Tree:
-    """Arena-backed tree; node 0 is the root.  Treated as immutable after build."""
+    """The tree of the nonzero full-depth cells ``(rows[i], cols[i])``,
+    valued ``values[i]``: int64 arrays, read-only, which the constructor
+    sorts by row, then column.  A full tree holds the cells of both
+    triangles; a pruned one those with ``row >= col``.  Equality compares
+    the header, ``pruned`` and the cells."""
 
     k: int
     padded_n: int
     original_n: int
-    nodes: list[TreeNode]
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
     featured: bool = False
     node_vocab: int = 0
     edge_vocab: int = 0
     pruned: bool = False
+
+    def __post_init__(self):
+        rows, cols, values = (np.asarray(a, dtype=np.int64)
+                              for a in (self.rows, self.cols, self.values))
+        order = np.lexsort((cols, rows))
+        for name, array in (("rows", rows), ("cols", cols), ("values", values)):
+            array = array.take(order)
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
     @property
     def root(self) -> int:
@@ -62,6 +91,33 @@ class K2Tree:
             raise GraphError(f"padded size {self.padded_n} is not a power of {self.k}")
         return d
 
+    def _tokens(self) -> tuple[np.ndarray, np.ndarray]:
+        """Diagonal flags and child slots of the internal nodes, breadth-first."""
+        return _level_tokens(self.rows, self.cols, self.values, self.k, self.levels)
+
+    @cached_property
+    def nodes(self) -> list[TreeNode]:
+        """The nodes, breadth-first, node 0 the root; built on first read.
+        Token ``t`` of :meth:`_tokens` holds the children of the ``t``-th
+        internal node: all ``k*k`` slots, or under a diagonal node of a
+        pruned tree those of :func:`child_orders`."""
+        nodes = [TreeNode(attr=int(len(self.rows) > 0), depth=0, order=None, parent=None)]
+        if not len(self.rows):
+            return nodes
+        k, levels = self.k, self.levels
+        internal = [0]  # ids of the internal nodes; grows as the loop reads it
+        diag, grid = self._tokens()
+        for uid, on_diag, values in zip(internal, diag.tolist(), grid.tolist()):
+            depth = nodes[uid].depth + 1
+            first = len(nodes)
+            for i, j in child_orders(k, self.pruned and on_diag):
+                value = values[(i - 1) * k + j - 1]
+                if value and depth < levels:
+                    internal.append(len(nodes))
+                nodes.append(TreeNode(attr=value, depth=depth, order=(i, j), parent=uid))
+            nodes[uid].children = tuple(range(first, len(nodes)))
+        return nodes
+
     def path(self, u: int) -> tuple[tuple[int, int], ...]:
         """Root-to-node sibling orders ``((i_1, j_1), ..., (i_L, j_L))``."""
         rev = []
@@ -73,13 +129,17 @@ class K2Tree:
 
     def is_diagonal(self, u: int) -> bool:
         """Whether the node's submatrix touches the matrix diagonal."""
-        while u != self.root:
-            node = self.nodes[u]
-            i, j = node.order
-            if i != j:
-                return False
-            u = node.parent
-        return True
+        return all(i == j for i, j in self.path(u))
+
+    def _key(self) -> tuple:
+        return (self.k, self.padded_n, self.original_n, self.featured, self.node_vocab,
+                self.edge_vocab, self.pruned, self.rows.tobytes(), self.cols.tobytes(),
+                self.values.tobytes())
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
 
 
 @dataclass(frozen=True)
@@ -107,58 +167,79 @@ def adjacency_matrix(g: Graph, size: int | None = None) -> np.ndarray:
     return mat
 
 
-def label_matrix(g: Graph, size: int | None = None) -> np.ndarray:
-    """Token matrix of a labeled graph: node tokens on the diagonal, edge
-    tokens off it, zero elsewhere and in the padding region."""
+def _lower_cells(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows, columns and values of the nonzero cells on and below the diagonal:
+    ``(v, u)`` for each edge ``u < v``, plus the node-label cells of a labeled
+    graph: node tokens on the diagonal, edge tokens below it."""
+    edges = g.edge_array
+    if not g.labeled:
+        return edges[:, 1], edges[:, 0], np.ones(len(edges), dtype=np.int64)
     if g.node_label_array is None or g.edge_label_array is None:
-        raise GraphError("label matrix requires node and edge labels")
-    size = g.n if size is None else size
-    mat = np.zeros((size, size), dtype=np.int64)
-    nodes = np.arange(g.n)
-    mat[nodes, nodes] = node_label_token(g.node_label_array)
-    u, v = g.edge_array[:, 0], g.edge_array[:, 1]
-    mat[u, v] = mat[v, u] = edge_label_token(g.edge_label_array, g.node_vocab)
-    return mat
+        raise GraphError("featured build requires node and edge labels")
+    nodes = np.arange(g.n, dtype=np.int64)
+    values = [node_label_token(g.node_label_array),
+              edge_label_token(g.edge_label_array, g.node_vocab)]
+    return (np.concatenate([nodes, edges[:, 1]]), np.concatenate([nodes, edges[:, 0]]),
+            np.concatenate(values))
 
 
-def _build_nodes(mat: np.ndarray, k: int) -> list[TreeNode]:
-    """Breadth-first construction over a padded square matrix."""
-    size = mat.shape[0]
-    nz = (mat != 0).astype(np.int64)
-    summed = np.zeros((size + 1, size + 1), dtype=np.int64)
-    summed[1:, 1:] = nz.cumsum(axis=0).cumsum(axis=1)
+def _level_tokens(rows: np.ndarray, cols: np.ndarray, values: np.ndarray,
+                  k: int, levels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Breadth-first tokens of the tree of these nonzero cells, one per
+    internal node, one level at a time, as per-token diagonal flags and the
+    tokens x ``k*k`` grid of child slots that a
+    :class:`~k2seq.sequence.TokenSequence` holds.
 
-    def count(r: int, c: int, s: int) -> int:
-        return int(summed[r + s, c + s] - summed[r, c + s] - summed[r + s, c] + summed[r, c])
-
-    nodes = [TreeNode(attr=1 if count(0, 0, size) else 0, depth=0, order=None, parent=None)]
-    if nodes[0].attr == 0:
-        return nodes
-    queue: deque[tuple[int, int, int, int]] = deque([(0, 0, 0, size)])
-    while queue:
-        uid, r, c, s = queue.popleft()
-        step = s // k
-        child_ids = []
-        depth = nodes[uid].depth + 1
-        for i in range(1, k + 1):
-            for j in range(1, k + 1):
-                r2 = r + (i - 1) * step
-                c2 = c + (j - 1) * step
-                if step == 1:
-                    attr = int(mat[r2, c2])
-                else:
-                    attr = 1 if count(r2, c2, step) else 0
-                vid = len(nodes)
-                nodes.append(TreeNode(attr=attr, depth=depth, order=(i, j), parent=uid))
-                child_ids.append(vid)
-                if step > 1 and attr:
-                    queue.append((vid, r2, c2, step))
-        nodes[uid].children = tuple(child_ids)
-    return nodes
+    Each cell's path from the root is one slot ``i*k + j`` (0-based) per
+    depth, ``i`` and ``j`` the base-``k`` digits of its row and column; read
+    as a base ``k*k`` key it is ``k * spread(row) + spread(col)``, where
+    ``spread`` rewrites a base-``k`` number's digits in base ``k*k``.  The
+    sorted keys list the blocks of every depth in breadth-first order.  The
+    levels are then read from the deepest up: a key's parent block is
+    ``key // k**2`` and its slot the remainder, each run of equal parents
+    is one token, and the next pass reads only the distinct parents, so a
+    level costs its own blocks, not the cells.  Each token carries the
+    row and column of one of its cells, divided by ``k`` per level: the
+    block is diagonal when the two are equal.  When the cells are a pruned
+    tree's, a diagonal block holds no cell above the diagonal, so a diagonal
+    token's slots outside :func:`child_orders` stay 0.
+    """
+    kk = k * k
+    cells = np.stack([rows, cols])
+    # spread(x) = x + (k*k - k) * (sum over 1 <= d < levels of
+    # (x // k**d) * (k*k)**(d - 1)): a digit a at place e of x is counted
+    # in x // k**d for 1 <= d <= e, and those terms sum to
+    # a * ((k*k)**e - k**e).  Horner's rule takes the sum with one // per
+    # level and no remainder.
+    high = np.zeros_like(cells)
+    for d in range(levels - 1, 0, -1):
+        high *= kk
+        high += cells // k ** d
+    spread = cells + (kk - k) * high
+    keys = spread[0] * k + spread[1]
+    order = np.argsort(keys)
+    keys, cells, slot_values = keys.take(order), cells.take(order, axis=1), values.take(order)
+    diags, grids = [], []
+    for _ in range(levels):
+        parent = keys // kk
+        first = np.empty(len(keys), dtype=bool)
+        first[0] = True
+        np.not_equal(parent[1:], parent[:-1], out=first[1:])
+        token = np.cumsum(first) - 1
+        grid = np.zeros((int(token[-1]) + 1, kk), dtype=np.int64)
+        grid[token, keys - parent * kk] = slot_values
+        at = np.flatnonzero(first)
+        keys, cells, slot_values = parent.take(at), cells.take(at, axis=1) // k, 1
+        diags.append(cells[0] == cells[1])
+        grids.append(grid)
+    diags.reverse()
+    grids.reverse()
+    return np.concatenate(diags), np.concatenate(grids)
 
 
 def build_k2tree(g: Graph, k: int, featured: bool | None = None) -> K2Tree:
-    """Build the partition tree of ``g`` padded to the next power of ``k``.
+    """Build the partition tree of ``g`` padded to the next power of ``k``:
+    the cells of :func:`_lower_cells` and their mirror images.
 
     ``featured`` selects the labeled (token-matrix) encoding; by default it
     follows whether ``g`` carries labels.  A labeled graph cannot be encoded
@@ -166,33 +247,32 @@ def build_k2tree(g: Graph, k: int, featured: bool | None = None) -> K2Tree:
     """
     if k < 2:
         raise ValueError("k must be >= 2")
-    if featured is None:
-        featured = g.labeled
-    if featured:
-        if g.node_label_array is None or g.edge_label_array is None:
-            raise GraphError("featured build requires node and edge labels")
-    elif g.labeled:
-        raise GraphError("labeled input cannot be encoded with featured=False")
-
-    size = padded_size(g.n, k)
-    mat = label_matrix(g, size) if featured else adjacency_matrix(g, size)
-    nodes = _build_nodes(mat, k)
-    return K2Tree(k=k, padded_n=size, original_n=g.n, nodes=nodes, featured=featured,
+    if featured is not None and featured != g.labeled:
+        raise GraphError("featured build requires node and edge labels" if featured
+                         else "labeled input cannot be encoded with featured=False")
+    rows, cols, values = _lower_cells(g)
+    off = rows != cols
+    return K2Tree(k=k, padded_n=padded_size(g.n, k), original_n=g.n,
+                  rows=np.concatenate([rows, cols[off]]), cols=np.concatenate([cols, rows[off]]),
+                  values=np.concatenate([values, values[off]]), featured=g.labeled,
                   node_vocab=g.node_vocab, edge_vocab=g.edge_vocab)
 
 
-def _maxdepth_cells(t: K2Tree) -> list[tuple[int, int, int]]:
-    """0-based ``(row, col, attr)`` for every nonzero leaf at full depth."""
-    levels = t.levels
-    out = []
-    for uid, node in enumerate(t.nodes):
-        if node.depth == levels and node.attr != 0:
-            p = q = 0
-            for i, j in t.path(uid):
-                p = p * t.k + (i - 1)
-                q = q * t.k + (j - 1)
-            out.append((p, q, node.attr))
-    return out
+def _symmetric_cells(t: K2Tree) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The tree's cells and their mirror images, each cell once, sorted by
+    row, then column; :class:`GraphError` where a cell and its mirror image
+    hold different values."""
+    rows, cols = np.concatenate([t.rows, t.cols]), np.concatenate([t.cols, t.rows])
+    values = np.concatenate([t.values, t.values])
+    order = np.lexsort((values, cols, rows))
+    rows, cols, values = rows.take(order), cols.take(order), values.take(order)
+    same = (rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])
+    clash = np.flatnonzero(same & (values[1:] != values[:-1]))
+    if len(clash):
+        raise GraphError(f"conflicting leaf values at cell ({rows[clash[0]]}, {cols[clash[0]]})")
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = ~same
+    return rows[first], cols[first], values[first]
 
 
 def rebuild_matrix(t: K2Tree) -> np.ndarray:
@@ -201,59 +281,60 @@ def rebuild_matrix(t: K2Tree) -> np.ndarray:
     Works for both full and pruned trees; for pruned trees the upper triangle
     is filled by mirroring.
     """
+    rows, cols, values = _symmetric_cells(t)
     mat = np.zeros((t.padded_n, t.padded_n), dtype=np.int64)
-    for r, c, attr in _maxdepth_cells(t):
-        if mat[r, c] and mat[r, c] != attr:
-            raise GraphError(f"conflicting leaf values at cell ({r}, {c})")
-        if mat[c, r] and mat[c, r] != attr:
-            raise GraphError(f"conflicting leaf values at cell ({c}, {r})")
-        mat[r, c] = attr
-        mat[c, r] = attr
+    mat[rows, cols] = values
     return mat
 
 
 def rebuild_graph(t: K2Tree) -> Graph:
     """Decode a tree back into a graph, dropping the padding region.
 
-    Raises :class:`GraphError` for nonzero leaves inside the padding region,
-    self-loop cells in a plain tree, or featured leaf tokens outside the label
+    Raises :class:`GraphError` for a cell and its mirror image with
+    different values, nonzero leaves inside the padding region, self-loop
+    cells in a plain tree, or featured leaf tokens outside the label
     vocabulary of their cell kind.
     """
     n = t.original_n
-    cells = _maxdepth_cells(t)
-    for r, c, attr in cells:
-        if r >= n or c >= n:
-            raise GraphError(f"nonzero leaf at ({r}, {c}) inside the padding region")
-        if not t.featured and r == c:
-            raise GraphError(f"self-loop cell ({r}, {c}) in a plain tree")
-    if not t.featured:
-        edges = set()
-        for r, c, _ in cells:
-            edges.add((min(r, c), max(r, c)))
-        return Graph(n=n, edges=frozenset(edges))
-
-    node_labels: dict[int, int] = {}
-    edge_labels: dict[tuple[int, int], int] = {}
+    rows, cols, values = _symmetric_cells(t)
+    lower = rows >= cols
+    rows, cols, values = rows[lower], cols[lower], values[lower]
+    on_diag = rows == cols
     nv, ev = t.node_vocab, t.edge_vocab
-    for r, c, attr in cells:
-        if r == c:
-            if not 1 <= attr <= nv:
-                raise GraphError(f"leaf token {attr} at diagonal cell ({r}, {c}) outside the node label vocab")
-            node_labels[r] = attr - 1
-        else:
-            if not nv + 1 <= attr <= nv + ev:
-                raise GraphError(f"leaf token {attr} at cell ({r}, {c}) outside the edge label vocab")
-            edge_labels[(min(r, c), max(r, c))] = attr - nv - 1
-    if set(node_labels) != set(range(n)):
+    faults = [(rows >= n, "nonzero leaf at ({r}, {c}) inside the padding region")]
+    if not t.featured:
+        faults.append((on_diag, "self-loop cell ({r}, {c}) in a plain tree"))
+    else:
+        faults += [(on_diag & ((values < 1) | (values > nv)),
+                    "leaf token {v} at diagonal cell ({r}, {c}) outside the node label vocab"),
+                   (~on_diag & ((values < nv + 1) | (values > nv + ev)),
+                    "leaf token {v} at cell ({r}, {c}) outside the edge label vocab")]
+    for fault, message in faults:
+        if fault.any():
+            i = int(fault.argmax())
+            raise GraphError(message.format(r=rows[i], c=cols[i], v=values[i]))
+    if not t.featured:
+        return Graph.from_arrays(n, np.stack([cols, rows], axis=1))
+    if np.count_nonzero(on_diag) != n:
         raise GraphError("featured tree does not label every node")
-    return Graph(n=n, edges=frozenset(edge_labels), node_labels=node_labels,
-                 edge_labels=edge_labels, node_vocab=nv, edge_vocab=ev)
+    node_labels = np.empty(n, dtype=np.int64)
+    node_labels[rows[on_diag]] = values[on_diag] - 1
+    off = ~on_diag
+    return Graph.from_arrays(n, np.stack([cols[off], rows[off]], axis=1), node_labels,
+                             values[off] - nv - 1, nv, ev)
 
 
 def tree_stats(t: K2Tree) -> TreeStats:
-    """Node and attribute counts, actual depth, and nonzero full-depth leaves."""
+    """Node and attribute counts, actual depth, and nonzero full-depth
+    leaves: each internal node (a row of :meth:`K2Tree._tokens`) has ``k*k``
+    children, or ``k*(k+1)/2`` when it is diagonal in a pruned tree."""
     levels = t.levels
-    depth = max(node.depth for node in t.nodes)
-    nonzero = sum(1 for node in t.nodes if node.depth == levels and node.attr != 0)
-    return TreeStats(node_count=len(t.nodes), attr_count=len(t.nodes) - 1,
-                     depth=depth, nonzero_maxdepth_leaves=nonzero)
+    if not len(t.rows):
+        return TreeStats(node_count=1, attr_count=0, depth=0, nonzero_maxdepth_leaves=0)
+    diag, _ = t._tokens()
+    kk = t.k * t.k
+    attrs = kk * len(diag)
+    if t.pruned:
+        attrs -= (kk - t.k * (t.k + 1) // 2) * int(np.count_nonzero(diag))
+    return TreeStats(node_count=attrs + 1, attr_count=attrs, depth=levels,
+                     nonzero_maxdepth_leaves=len(t.rows))

@@ -9,7 +9,6 @@ contraction-based complete-minor search.
 from __future__ import annotations
 
 from collections import deque, namedtuple
-from dataclasses import replace
 from itertools import chain, combinations, permutations
 
 import numpy as np
@@ -24,8 +23,9 @@ from k2seq.sequence import (BOS, DIAGONAL, EOS, OFFDIAGONAL, InvalidTokenError, 
                             TrailingTokensError, TruncatedSequenceError, Vocabulary,
                             _check_header, _level_cells, _level_rules, _row_error,
                             _trailing_error, _truncated_error, child_orders, diagonal_arity,
-                            encode_ids, flatten_tokenize, offdiagonal_arity, prune)
-from k2seq.tree import K2Tree, TreeNode, _build_nodes, build_k2tree, rebuild_graph, tree_levels
+                            encode_ids, offdiagonal_arity)
+from k2seq.tree import (K2Tree, TreeNode, TreeStats, adjacency_matrix, edge_label_token,
+                        node_label_token, rebuild_graph, tree_levels)
 
 
 @st.composite
@@ -46,20 +46,137 @@ def graph_strategy(draw, max_n=12, labeled=False):
                  node_vocab=nv, edge_vocab=ev)
 
 
+def reference_nodes(mat: np.ndarray, k: int) -> list[TreeNode]:
+    """The nodes of the full tree of a padded square matrix, by a
+    breadth-first walk over its blocks with a 2-D prefix sum of its
+    nonzeros: the dense build, kept as the oracle of ``K2Tree.nodes``."""
+    size = mat.shape[0]
+    nz = (mat != 0).astype(np.int64)
+    summed = np.zeros((size + 1, size + 1), dtype=np.int64)
+    summed[1:, 1:] = nz.cumsum(axis=0).cumsum(axis=1)
+
+    def count(r: int, c: int, s: int) -> int:
+        return int(summed[r + s, c + s] - summed[r, c + s] - summed[r + s, c] + summed[r, c])
+
+    nodes = [TreeNode(attr=1 if count(0, 0, size) else 0, depth=0, order=None, parent=None)]
+    if nodes[0].attr == 0:
+        return nodes
+    queue: deque[tuple[int, int, int, int]] = deque([(0, 0, 0, size)])
+    while queue:
+        uid, r, c, s = queue.popleft()
+        step = s // k
+        child_ids = []
+        depth = nodes[uid].depth + 1
+        for i in range(1, k + 1):
+            for j in range(1, k + 1):
+                r2 = r + (i - 1) * step
+                c2 = c + (j - 1) * step
+                if step == 1:
+                    attr = int(mat[r2, c2])
+                else:
+                    attr = 1 if count(r2, c2, step) else 0
+                vid = len(nodes)
+                nodes.append(TreeNode(attr=attr, depth=depth, order=(i, j), parent=uid))
+                child_ids.append(vid)
+                if step > 1 and attr:
+                    queue.append((vid, r2, c2, step))
+        nodes[uid].children = tuple(child_ids)
+    return nodes
+
+
+def reference_prune(old: list[TreeNode]) -> list[TreeNode]:
+    """The nodes of a full tree with every subtree strictly above the
+    diagonal dropped, by a breadth-first walk: under a diagonal node only
+    children with ``i >= j`` remain.  The oracle of ``prune``."""
+    new_nodes = [TreeNode(attr=old[0].attr, depth=0, order=None, parent=None)]
+    queue = deque([(0, 0, True)]) if old[0].children else deque()  # (old id, new id, diagonal)
+    while queue:
+        ouid, nuid, diag = queue.popleft()
+        kept = []
+        for cid in old[ouid].children:
+            child = old[cid]
+            i, j = child.order
+            if diag and i < j:
+                continue
+            nid = len(new_nodes)
+            new_nodes.append(TreeNode(attr=child.attr, depth=child.depth,
+                                      order=child.order, parent=nuid))
+            kept.append(nid)
+            if child.children:
+                queue.append((cid, nid, diag and i == j))
+        new_nodes[nuid].children = tuple(kept)
+    return new_nodes
+
+
+def reference_flatten(nodes: list[TreeNode]) -> tuple[Token, ...]:
+    """Breadth-first tokens of a pruned tree's nodes, one per internal node:
+    the tuple of its children's attributes.  The oracle of
+    ``flatten_tokenize``."""
+    tokens = []
+    queue = deque([(0, True)]) if nodes[0].children else deque()
+    while queue:
+        uid, diag = queue.popleft()
+        node = nodes[uid]
+        values = tuple(nodes[cid].attr for cid in node.children)
+        tokens.append(Token(kind=DIAGONAL if diag else OFFDIAGONAL, values=values))
+        for cid in node.children:
+            child = nodes[cid]
+            if child.children:
+                i, j = child.order
+                queue.append((cid, diag and i == j))
+    return tuple(tokens)
+
+
+def reference_path(nodes: list[TreeNode], uid: int) -> tuple[tuple[int, int], ...]:
+    """Root-to-node sibling orders, read up the parent links."""
+    rev = []
+    while uid:
+        rev.append(nodes[uid].order)
+        uid = nodes[uid].parent
+    return tuple(reversed(rev))
+
+
+def reference_stats(nodes: list[TreeNode], levels: int) -> TreeStats:
+    """``tree_stats`` counted node by node."""
+    return TreeStats(node_count=len(nodes), attr_count=len(nodes) - 1,
+                     depth=max(node.depth for node in nodes),
+                     nonzero_maxdepth_leaves=sum(1 for node in nodes
+                                                 if node.depth == levels and node.attr != 0))
+
+
+def label_matrix(g: Graph, size: int | None = None) -> np.ndarray:
+    """Token matrix of a labeled graph: node tokens on the diagonal, edge
+    tokens off it, zero elsewhere and in the padding region."""
+    if g.node_label_array is None or g.edge_label_array is None:
+        raise GraphError("label matrix requires node and edge labels")
+    size = g.n if size is None else size
+    mat = np.zeros((size, size), dtype=np.int64)
+    nodes = np.arange(g.n)
+    mat[nodes, nodes] = node_label_token(g.node_label_array)
+    u, v = g.edge_array[:, 0], g.edge_array[:, 1]
+    mat[u, v] = mat[v, u] = edge_label_token(g.edge_label_array, g.node_vocab)
+    return mat
+
+
+def reference_matrix(g: Graph, k: int) -> np.ndarray:
+    """The padded matrix of ``g``: its token matrix when it is labeled."""
+    size = padded_size(g.n, k)
+    return label_matrix(g, size) if g.labeled else adjacency_matrix(g, size)
+
+
 def reference_encode(g: Graph, k: int, ordering: str = "identity",
                      reverse: bool = False) -> TokenSequence:
     """Encode through the full tree: dense build, prune, then breadth-first
-    flatten.  The reference the level-wise :func:`encode_graph` must match."""
+    flatten, over node lists.  The reference the level-wise
+    :func:`encode_graph` must match."""
     perm = None
     if ordering != "identity":
         perm = order_nodes(g, ordering, reverse=reverse)
         g = apply_ordering(g, perm)
-    t = build_k2tree(g, k)
-    if not t.nodes[t.root].children:
-        return TokenSequence(k=k, padded_n=t.padded_n, original_n=t.original_n,
-                             featured=t.featured, node_vocab=t.node_vocab,
-                             edge_vocab=t.edge_vocab, perm=perm)
-    return replace(flatten_tokenize(prune(t)), perm=perm)
+    nodes = reference_prune(reference_nodes(reference_matrix(g, k), k))
+    return TokenSequence(k=k, padded_n=padded_size(g.n, k), original_n=g.n,
+                         featured=g.labeled, node_vocab=g.node_vocab, edge_vocab=g.edge_vocab,
+                         tokens=reference_flatten(nodes), perm=perm)
 
 
 def reference_level_tokens(rows: np.ndarray, cols: np.ndarray, values: np.ndarray,
@@ -207,6 +324,7 @@ class ReferenceBuilder:
         self.queue: deque[_Pending] = deque(
             [_Pending(path=(), diag=True, r0=0, c0=0, block=padded_n)])
         self._tokens: list[Token] = []
+        self._cells: list[tuple[int, int, int]] = []  # (row, col, value), as filled
         self._rules: tuple[Rule, ...] | None = None  # the front's, once asked
 
     @property
@@ -259,32 +377,23 @@ class ReferenceBuilder:
         self.queue.popleft()
         self._rules = None
         step = front.block // self.k
-        if step > 1:
-            for (i, j), value in zip(child_orders(self.k, front.diag), token.values):
-                if value == 1:
-                    self.queue.append(_Pending(
-                        path=front.path + ((i, j),), diag=front.diag and i == j,
-                        r0=front.r0 + (i - 1) * step, c0=front.c0 + (j - 1) * step,
-                        block=step))
+        for (i, j), value in zip(child_orders(self.k, front.diag), token.values):
+            if step == 1 and value:
+                self._cells.append((front.r0 + i - 1, front.c0 + j - 1, value))
+            elif value == 1:
+                self.queue.append(_Pending(
+                    path=front.path + ((i, j),), diag=front.diag and i == j,
+                    r0=front.r0 + (i - 1) * step, c0=front.c0 + (j - 1) * step,
+                    block=step))
         self._tokens.append(token)
 
     def tree(self) -> K2Tree:
         if not self.complete:
             raise TruncatedSequenceError(
                 f"{len(self.queue)} nodes still pending after {self.steps} tokens")
-        levels = tree_levels(self.padded_n, self.k)
-        nodes = [TreeNode(attr=1, depth=0, order=None, parent=None)]
-        internal = deque([(0, True)])
-        for token in self._tokens:
-            uid, diag = internal.popleft()
-            depth = nodes[uid].depth + 1
-            nodes[uid].children = tuple(range(len(nodes), len(nodes) + len(token.values)))
-            for (i, j), value in zip(child_orders(self.k, diag), token.values):
-                if value == 1 and depth < levels:
-                    internal.append((len(nodes), diag and i == j))
-                nodes.append(TreeNode(attr=value, depth=depth, order=(i, j), parent=uid))
+        rows, cols, values = np.array(self._cells, dtype=np.int64).reshape(-1, 3).T
         return K2Tree(k=self.k, padded_n=self.padded_n, original_n=self.original_n,
-                      nodes=nodes, featured=self.featured,
+                      rows=rows, cols=cols, values=values, featured=self.featured,
                       node_vocab=self.node_vocab, edge_vocab=self.edge_vocab, pruned=True)
 
 
@@ -294,9 +403,9 @@ def reference_build(s: TokenSequence) -> tuple[K2Tree, list[tuple[tuple[int, int
     builder = ReferenceBuilder(s.k, s.padded_n, s.original_n, s.featured,
                                s.node_vocab, s.edge_vocab)
     if not s.tokens:
-        return K2Tree(k=s.k, padded_n=s.padded_n, original_n=s.original_n,
-                      nodes=[TreeNode(attr=0, depth=0, order=None, parent=None)],
-                      featured=s.featured, node_vocab=s.node_vocab,
+        none = np.zeros(0, dtype=np.int64)
+        return K2Tree(k=s.k, padded_n=s.padded_n, original_n=s.original_n, rows=none,
+                      cols=none, values=none, featured=s.featured, node_vocab=s.node_vocab,
                       edge_vocab=s.edge_vocab, pruned=True), []
     paths = []
     for token in s.tokens:
@@ -447,18 +556,18 @@ def reference_token_grid(tokens: tuple[Token, ...],
 
 
 def build_from_matrix(mat: np.ndarray, k: int, original_n: int, featured: bool = False,
-                      node_vocab: int = 0, edge_vocab: int = 0,
-                      pruned: bool = False) -> K2Tree:
-    """Build a tree directly from a padded square matrix (power-of-``k`` side)."""
+                      node_vocab: int = 0, edge_vocab: int = 0) -> K2Tree:
+    """The full tree of the nonzero cells of a padded square matrix
+    (power-of-``k`` side), symmetric or not."""
     if k < 2:
         raise ValueError("k must be >= 2")
     size = mat.shape[0]
     if mat.shape != (size, size) or size != padded_size(size, k):
         raise GraphError("matrix must be square with a power-of-k side of at least k")
-    nodes = _build_nodes(mat, k)
-    return K2Tree(k=k, padded_n=size, original_n=original_n, nodes=nodes,
-                  featured=featured, node_vocab=node_vocab, edge_vocab=edge_vocab,
-                  pruned=pruned)
+    rows, cols = np.nonzero(mat)
+    return K2Tree(k=k, padded_n=size, original_n=original_n, rows=rows, cols=cols,
+                  values=mat[rows, cols], featured=featured, node_vocab=node_vocab,
+                  edge_vocab=edge_vocab)
 
 
 def bandwidth(g: Graph) -> int:

@@ -25,10 +25,10 @@ from k2seq.sequence import (DIAGONAL, OFFDIAGONAL, EmptyGraphError,
                             read_token_stream, tree_levels, write_token_stream,
                             _check_header, _level_cells, _level_tokens, _lower_cells,
                             _plain_ids, _token_grid)
-from k2seq.tree import build_k2tree, tree_stats
+from k2seq.tree import TreeNode, build_k2tree, tree_stats
 
-from helpers import (ReferenceBuilder, graph_strategy, random_er, random_labeled_er,
-                     reference_build, reference_checked_decode, reference_decode,
+from helpers import (ReferenceBuilder, build_from_matrix, graph_strategy, random_er,
+                     random_labeled_er, reference_build, reference_checked_decode, reference_decode,
                      reference_encode, reference_level_cells, reference_level_tokens,
                      reference_peeled_level_tokens, reference_token_grid, reference_write)
 
@@ -105,6 +105,17 @@ class TestPrune:
     def test_flatten_rejects_the_all_zero_tree(self):
         with pytest.raises(EmptyGraphError):
             flatten_tokenize(prune(build_k2tree(Graph(n=4), 2)))
+
+    def test_an_upper_only_tree_prunes_to_the_all_zero_tree(self):
+        # Its one cell lies above the diagonal, so pruning keeps no cell and
+        # no node below the root: there is no token to write, not a d:000
+        # under a nonzero node, which decode refuses.
+        mat = np.zeros((4, 4), dtype=np.int32)
+        mat[0, 1] = 1
+        pt = prune(build_from_matrix(mat, 2, 4))
+        assert [node.attr for node in pt.nodes] == [0]
+        with pytest.raises(EmptyGraphError):
+            flatten_tokenize(pt)
 
     @settings(max_examples=50, deadline=None)
     @given(graph_strategy(max_n=10), st.sampled_from([2, 3]))
@@ -629,7 +640,8 @@ class TestPackedForm:
 class TestHotPathsBuildNoToken:
     """Encode, the wire format, decode and the CLI work on a sequence's
     arrays alone and never build its ``tokens`` view; a rejection makes only
-    the token it names."""
+    the token it names.  None of them, nor the sampler, makes a
+    :class:`~k2seq.tree.TreeNode`."""
 
     @pytest.fixture
     def made(self, monkeypatch):
@@ -642,6 +654,33 @@ class TestHotPathsBuildNoToken:
 
         monkeypatch.setattr(Token, "__post_init__", counting)
         return tokens
+
+    @pytest.fixture
+    def tree_nodes(self, monkeypatch):
+        nodes = []
+        init = TreeNode.__init__
+
+        def counting(node, *args, **kwargs):
+            nodes.append(node)
+            init(node, *args, **kwargs)
+
+        monkeypatch.setattr(TreeNode, "__init__", counting)
+        return nodes
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_codec_and_sampler_make_no_tree_node(self, tree_nodes, k):
+        labeled = random_labeled_er(6, 40, 0.2, node_vocab=3, edge_vocab=2)
+        for g in (random_er(5, 60, 0.1), labeled, Graph(n=5)):
+            text = write_token_stream(encode_graph(g, k, ordering="cm"))
+            assert decode_graph(read_token_stream(text)) == g
+        if k <= 4:
+            sizes = {"padded_n": padded_size(5, k), "original_n": 5}
+            sample_sequence(uniform_model(Vocabulary(k)), GenerationConfig(k=k, seed=3, **sizes))
+            corpus = [encode_graph(labeled, k)]
+            sample_sequence(uniform_model(Vocabulary.from_corpus(k, corpus)), GenerationConfig(
+                k=k, seed=1, featured=True, node_vocab=3, edge_vocab=2, **sizes))
+        assert tree_nodes == []
+        assert build_k2tree(labeled, k).nodes and tree_nodes  # the count sees the view
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_plain_stream_round_trip(self, made, k):
@@ -667,7 +706,7 @@ class TestHotPathsBuildNoToken:
             decode_graph(read_token_stream(f"{header}\n{' '.join(words)}\n"))
         assert len(made) == 1
 
-    def test_cli_encode_decode_and_stats(self, made, tmp_path, capsys):
+    def test_cli_encode_decode_and_stats(self, made, tree_nodes, tmp_path, capsys):
         src, stream = tmp_path / "g.txt", tmp_path / "g.k2s"
         src.write_text(serialize_edge_list(random_er(8, 80, 0.05)))
         for k in ("2", "3"):
@@ -675,7 +714,7 @@ class TestHotPathsBuildNoToken:
                          "--out", str(stream)]) == 0
             assert main(["decode", "--in", str(stream), "--out", str(tmp_path / "b.txt")]) == 0
             assert main(["stats", "--k", k, "--order", "cm", "--in", str(src)]) == 0
-        assert made == []
+        assert made == [] and tree_nodes == []
 
 
 class TestDecodeMakesNoRuleTable:
@@ -1122,13 +1161,30 @@ class TestBuilderMatchesReference:
     paths, or its error class and message, on any stream."""
 
     @staticmethod
-    def assert_agrees(s):
-        got = _outcome(lambda s: (detokenize_build(s), position_paths(s)), s)
+    def stepped(s):
+        """The tree and the paths of an :class:`IncrementalBuilder` stepped
+        through every token of ``s``."""
+        b = IncrementalBuilder(s.k, s.padded_n, s.original_n, s.featured, s.node_vocab,
+                               s.edge_vocab)
+        paths = []
+        for token in s.tokens:
+            paths.append(b.next_path)
+            b.step(token)
+        return b.tree(), paths
+
+    @classmethod
+    def assert_agrees(cls, s):
         ref = _outcome(reference_build, s)
-        if isinstance(ref, Exception):
-            assert (type(got), str(got)) == (type(ref), str(ref))
-        else:
-            assert got == ref
+        # A header-only stream is the all-zero tree, which no builder step makes.
+        replays = [lambda s: (detokenize_build(s), position_paths(s))]
+        if s.tokens:
+            replays.append(cls.stepped)
+        for replay in replays:
+            got = _outcome(replay, s)
+            if isinstance(ref, Exception):
+                assert (type(got), str(got)) == (type(ref), str(ref))
+            else:
+                assert got == ref
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(st.booleans().flatmap(lambda labeled: mutated_streams(labeled=labeled)))
@@ -1307,6 +1363,17 @@ class TestLargeKShortStreams:
         assert peak < 301 * k * k * 8
         ref = _outcome(reference_decode, s)
         assert (type(error), str(error)) == (type(ref), str(ref))
+
+    def test_the_replays_refuse_a_large_k_stream_in_small_memory(self):
+        # 439 bytes: the all-ones root token opens all 210 blocks of 20x20,
+        # and the next token puts a 1 on a diagonal cell.
+        k, arity = 20, diagonal_arity(20)
+        s = read_token_stream(f"{k} 400 400 0\n" + " ".join([f"d:{'1' * arity}"] * 2) + "\n")
+        for replay in (decode_graph, detokenize_build, position_paths):
+            error, peak = traced_peak(lambda: replay(s))
+            assert isinstance(error, InvalidTokenError)
+            assert str(error) == "token 2 (level 2): value 1 not allowed at slot 0"
+            assert peak < 2 * 2 ** 20
 
     def test_a_cut_stream_makes_no_table_for_blocks_it_never_fills(self):
         # The root token opens all 210 blocks of the next level, 400 slots

@@ -4,12 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from k2seq.graphs import Graph, GraphError
-from k2seq.sequence import encode_graph, node_position
-from k2seq.tree import (K2Tree, TreeNode, adjacency_matrix, build_k2tree,
-                        edge_label_token, label_matrix, node_label_token,
-                        rebuild_graph, rebuild_matrix, tree_stats)
+from k2seq.sequence import encode_graph, flatten_tokenize, node_position, prune
+from k2seq.tree import (K2Tree, adjacency_matrix, build_k2tree, edge_label_token,
+                        node_label_token, rebuild_graph, rebuild_matrix, tree_stats)
 
-from helpers import build_from_matrix, graph_strategy, reference_encode
+from helpers import (build_from_matrix, graph_strategy, label_matrix, reference_encode,
+                     reference_flatten, reference_matrix, reference_nodes, reference_path,
+                     reference_prune, reference_stats)
 
 SINGLE_EDGE = Graph(n=4, edges=frozenset({(0, 1)}))
 K4 = Graph(n=4, edges=frozenset({(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)}))
@@ -118,8 +119,7 @@ class TestNavigation:
         assert t.is_diagonal(t.root)
 
     def test_levels_rejects_inconsistent_padded_size(self):
-        bad = K2Tree(k=2, padded_n=6, original_n=6,
-                     nodes=[TreeNode(attr=0, depth=0, order=None, parent=None)])
+        bad = K2Tree(k=2, padded_n=6, original_n=6, rows=[], cols=[], values=[])
         with pytest.raises(GraphError, match="power"):
             bad.levels
 
@@ -153,6 +153,12 @@ class TestRebuild:
         t = build_from_matrix(mat, 2, 4, featured=True, node_vocab=1, edge_vocab=2)
         with pytest.raises(GraphError, match="conflicting"):
             rebuild_matrix(t)
+        # Both nodes labeled: the mirrored cells' labels are the one fault.
+        mat[0, 0] = mat[1, 1] = 1
+        t = build_from_matrix(mat, 2, 2, featured=True, node_vocab=1, edge_vocab=2)
+        for rebuild in (rebuild_matrix, rebuild_graph):
+            with pytest.raises(GraphError, match=r"conflicting leaf values at cell \(0, 1\)"):
+                rebuild(t)
 
     def test_rebuild_graph_rejects_padding_leaves(self):
         mat = np.zeros((4, 4), dtype=np.int32)
@@ -237,3 +243,28 @@ class TestInvariants:
     @given(graph_strategy(max_n=10, labeled=True))
     def test_featured_round_trip_property(self, g):
         assert rebuild_graph(build_k2tree(g, 2)) == g
+
+
+class TestMatchesTheNodeOracles:
+    """A tree holds only its cells; its nodes, paths, diagonal flags,
+    counts, matrix and tokens equal those of the dense node-list build
+    (``reference_nodes``) and of its breadth-first prune and flatten."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.booleans().flatmap(lambda labeled: graph_strategy(max_n=10, labeled=labeled)),
+           st.sampled_from([2, 3, 4]))
+    def test_views_match_the_reference_node_lists(self, g, k):
+        t = build_k2tree(g, k)
+        mat = reference_matrix(g, k)
+        full = reference_nodes(mat, k)
+        pruned = reference_prune(full)
+        for tree, nodes in ((t, full), (prune(t), pruned)):
+            assert tree.nodes == nodes
+            for uid in range(len(nodes)):
+                path = reference_path(nodes, uid)
+                assert tree.path(uid) == path
+                assert tree.is_diagonal(uid) == all(i == j for i, j in path)
+            assert tree_stats(tree) == reference_stats(nodes, tree.levels)
+            assert (rebuild_matrix(tree) == mat).all()
+        if g.m or g.labeled:
+            assert flatten_tokenize(prune(t)).tokens == reference_flatten(pruned)
