@@ -34,9 +34,10 @@ reads them off its level grids, :func:`decode_graph` walks them, and
 ``2 <= k <= 4`` is one :class:`Vocabulary` id, its kind's base plus its
 bits read as a binary number, so :func:`write_token_stream` and
 :func:`encode_ids` compute the ids from the grid by arithmetic, and
-:func:`read_token_stream` looks each word's id up and gathers its row.  One
-table per ``k`` (:func:`_structural`) holds each id's word and grid row;
-:class:`Vocabulary` reads its value tables off the same table.
+:func:`read_token_stream` finds each word's id, by one byte scan of a long
+line or one dictionary lookup per word of a short one, and gathers its
+row.  One table per ``k`` (:func:`_structural`) holds each id's word and
+grid row; :class:`Vocabulary` reads its value tables off the same table.
 
 The wire format holds each integer as ``str`` writes it and each plain bit
 as ``0`` or ``1``.  The reader refuses any other spelling of a number (a
@@ -839,15 +840,74 @@ def _perm_entries(line: str) -> tuple[int, ...]:
     return tuple(values.tolist())
 
 
+# Line length, in bytes, from which a plain token line is read by one byte
+# scan (:func:`_scanned_ids`) rather than one dictionary lookup per word
+# (:func:`_looked_up_ids`).  The scan costs about 45 us more per line and
+# less per word; the crossover, measured per ``k``, moves up with ``k`` as
+# its bit columns grow (ROADMAP, "Codec, large graphs").
+_SCAN_MIN_BYTES = {2: 6144, 3: 16384, 4: 49152}
+
+
+def _looked_up_ids(line: str, k: int) -> np.ndarray | None:
+    """The :class:`Vocabulary` ids of a plain token line's words, one
+    dictionary lookup per word; None if a word is not a structural
+    token's of this ``k``."""
+    words = line.split(" ") if line else []
+    try:
+        return np.fromiter(map(_structural(k).word_ids.__getitem__, words), dtype=np.int64,
+                           count=len(words))
+    except KeyError:
+        return None
+
+
+def _scanned_ids(line: str, k: int) -> np.ndarray | None:
+    """The :class:`Vocabulary` ids of a plain token line's words, read by
+    one scan of its ASCII bytes; None for any line whose words are not all
+    structural tokens of this ``k``, separated by single spaces.
+
+    Words run between spaces, so an empty one (a leading, trailing or
+    doubled space) has length 0.  A word of length ``arity + 2`` must be
+    ``d:`` and one of ``k*k + 2`` must be ``o:``; with two such bytes per
+    word and no others outside spaces, ``0`` and ``1``, every byte past a
+    word's ``:`` is a bit.  The bits are summed one column at a time, each
+    word read ``k*k`` bytes from its first bit, and a diagonal word's
+    columns past its end are shifted off."""
+    if not line.isascii():
+        return None
+    raw = line.encode("ascii")
+    data = np.frombuffer(raw, dtype=np.uint8)
+    spaces = np.flatnonzero(data == ord(" "))
+    starts = np.concatenate(([0], spaces + 1))
+    kk, arity = k * k, diagonal_arity(k)
+    lengths = np.diff(starts, append=len(raw) + 1) - 1
+    diag = lengths == arity + 2
+    if (not (diag | (lengths == kk + 2)).all()
+            or (data.take(starts) != np.where(diag, ord(DIAGONAL), ord(OFFDIAGONAL))).any()
+            or (data.take(starts + 1) != ord(":")).any()
+            or len(raw.translate(None, b" 01")) != 2 * len(starts)):
+        return None
+    ones = np.zeros(len(raw) + kk, dtype=np.int64)
+    ones[:len(raw)] = data == ord("1")
+    values = ones.take(starts + 2)
+    for column in range(3, kk + 2):
+        values <<= 1
+        values |= ones.take(starts + column)
+    return np.where(diag, (values >> (kk - arity)) + _SPECIALS, values + _structural(k).off_base)
+
+
 def read_token_stream(text: str) -> TokenSequence:
     """Inverse of :func:`write_token_stream`, accepting only what it writes:
     lines that each end in ``\n``, nothing after the last, fields separated
     by single spaces, integers written as ``str`` writes them and plain bits
     ``0`` or ``1``.  Lines are split at each space, so a doubled, leading or
-    trailing space leaves an empty field, which no field admits.  A plain
-    stream with ``2 <= k <= 4`` whose every word is a structural token's is
-    read by one dictionary lookup per word, to its vocabulary id, and its
-    rows are gathered by id; any other stream is parsed token by token."""
+    trailing space leaves an empty field, which no field admits.
+
+    A plain stream with ``2 <= k <= 4`` whose every word is a structural
+    token's is read to vocabulary ids, and its rows are gathered by id.  A
+    token line of at least ``_SCAN_MIN_BYTES[k]`` bytes is read by one byte
+    scan (:func:`_scanned_ids`), a shorter one by one dictionary lookup per
+    word (:func:`_looked_up_ids`), which also reads a line the scan refuses.
+    Any other stream is parsed token by token, which names the fault."""
     if not text.endswith("\n"):
         raise SequenceError("stream must end with a newline")
     lines = text[:-1].split("\n")
@@ -866,20 +926,19 @@ def read_token_stream(text: str) -> TokenSequence:
     if len(lines) == 1 + featured:
         raise SequenceError("stream is missing its token line")
     line, *rest = lines[1 + featured:]
-    words = line.split(" ") if line else []
-    for number, line in enumerate(rest, start=featured + 3):
-        if number > featured + 3 or line.split(" ", 1)[0] != "perm":
+    for number, trailing in enumerate(rest, start=featured + 3):
+        if number > featured + 3 or trailing.split(" ", 1)[0] != "perm":
             raise SequenceError(f"unexpected trailing line {number}")
     perm = _perm_entries(rest[0]) if rest else None
     if not featured and 2 <= k <= _MAX_TABLE_K:
-        table = _structural(k)
-        try:
-            ids = np.fromiter(map(table.word_ids.__getitem__, words), dtype=np.int64,
-                              count=len(words))
+        ids = _scanned_ids(line, k) if len(line) >= _SCAN_MIN_BYTES[k] else None
+        if ids is None:
+            ids = _looked_up_ids(line, k)
+        if ids is not None:
+            table = _structural(k)
             return TokenSequence._from_arrays(k, padded_n, original_n, ids < table.off_base,
                                               table.grid[ids], perm=perm)
-        except KeyError:
-            pass
+    words = line.split(" ") if line else []
     # Words repeat: each distinct one is parsed once, in stream order, and
     # its Token is shared by every occurrence.
     parsed = {word: _parse_token(word, featured) for word in dict.fromkeys(words)}
@@ -967,11 +1026,15 @@ def _token_grid(tokens: tuple[Token, ...],
     in its :func:`child_orders` slots and its other slots hold 0.  A token
     whose arity does not match its kind, or that holds a value beyond int64,
     is malformed: its row holds -1 in every slot, and no rule admits it.
+    A diagonal token's arity is its count of held slots, ``k*(k+1)/2`` for
+    ``k >= 0``; a negative ``k``, which only a read header holds, has none,
+    so every diagonal token that holds a value is malformed there.
     """
     diag = np.fromiter((t.kind == DIAGONAL for t in tokens), dtype=bool, count=len(tokens))
     rows = [t.values for t in tokens]
     lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(tokens))
-    kk, arity = k * k, diagonal_arity(k)
+    held = _held_slots(k, True)
+    kk, arity = k * k, len(held)
     expected = np.where(diag, arity, kk)
     malformed = lengths != expected
     try:
@@ -987,7 +1050,7 @@ def _token_grid(tokens: tuple[Token, ...],
     off = np.flatnonzero(~diag)
     grid[off] = flat[starts[off, None] + np.arange(kk)]
     on = np.flatnonzero(diag)
-    grid[on[:, None], _held_slots(k, True)] = flat[starts[on, None] + np.arange(arity)]
+    grid[on[:, None], held] = flat[starts[on, None] + np.arange(arity)]
     grid[malformed] = _MALFORMED
     return diag, grid, malformed
 

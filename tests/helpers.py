@@ -21,7 +21,8 @@ from k2seq.graphs import (GraphError, ParseError, apply_ordering, invert_permuta
 from k2seq.sequence import (BOS, DIAGONAL, EOS, OFFDIAGONAL, InvalidTokenError, Rule,
                             SequenceError, Token, TokenMismatchError, TokenSequence,
                             TrailingTokensError, TruncatedSequenceError, Vocabulary,
-                            _check_header, _level_cells, _level_rules, _row_error,
+                            _MAX_TABLE_K, _check_header, _ints, _level_cells, _level_rules,
+                            _parse_token, _perm_entries, _row_error, _structural,
                             _trailing_error, _truncated_error, child_orders, diagonal_arity,
                             encode_ids, offdiagonal_arity)
 from k2seq.tree import (K2Tree, TreeNode, TreeStats, adjacency_matrix, edge_label_token,
@@ -507,6 +508,49 @@ def reference_write(s: TokenSequence) -> str:
     if s.perm is not None:
         lines.append("perm " + " ".join(str(p) for p in s.perm))
     return "\n".join(lines) + "\n"
+
+
+def reference_read_token_stream(text: str) -> TokenSequence:
+    """The sequence of a wire text, every plain ``2 <= k <= 4`` token line
+    read by one dictionary lookup per word, whatever its length, and any
+    other parsed token by token.  The reference the byte scan of
+    :func:`read_token_stream` must match, sequence or error."""
+    if not text.endswith("\n"):
+        raise SequenceError("stream must end with a newline")
+    lines = text[:-1].split("\n")
+    fields = lines[0].split(" ")
+    if len(fields) != 4:
+        raise SequenceError("header must be 'K PADDED_N ORIGINAL_N FEATURED'")
+    k, padded_n, original_n, featured = _ints(fields, "header field is not a canonical integer")
+    if featured not in (0, 1):
+        raise SequenceError(f"featured flag must be 0 or 1, got {featured}")
+    node_vocab = edge_vocab = 0
+    if featured:
+        fields = lines[1].split(" ") if len(lines) > 1 else []
+        if len(fields) != 2:
+            raise SequenceError("label vocab line must be 'NODE_VOCAB EDGE_VOCAB'")
+        node_vocab, edge_vocab = _ints(fields, "label vocab size is not a canonical integer")
+    if len(lines) == 1 + featured:
+        raise SequenceError("stream is missing its token line")
+    line, *rest = lines[1 + featured:]
+    words = line.split(" ") if line else []
+    for number, trailing in enumerate(rest, start=featured + 3):
+        if number > featured + 3 or trailing.split(" ", 1)[0] != "perm":
+            raise SequenceError(f"unexpected trailing line {number}")
+    perm = _perm_entries(rest[0]) if rest else None
+    if not featured and 2 <= k <= _MAX_TABLE_K:
+        table = _structural(k)
+        try:
+            ids = np.fromiter(map(table.word_ids.__getitem__, words), dtype=np.int64,
+                              count=len(words))
+            return TokenSequence._from_arrays(k, padded_n, original_n, ids < table.off_base,
+                                              table.grid[ids], perm=perm)
+        except KeyError:
+            pass
+    parsed = {word: _parse_token(word, featured) for word in dict.fromkeys(words)}
+    return TokenSequence(k=k, padded_n=padded_n, original_n=original_n,
+                         featured=bool(featured), node_vocab=node_vocab, edge_vocab=edge_vocab,
+                         tokens=tuple([parsed[word] for word in words]), perm=perm)
 
 
 def reference_ngram_scores(sequences: list[TokenSequence], vocab: Vocabulary, n: int,

@@ -30,7 +30,8 @@ from k2seq.tree import TreeNode, build_k2tree, tree_stats
 from helpers import (ReferenceBuilder, build_from_matrix, graph_strategy, random_er,
                      random_labeled_er, reference_build, reference_checked_decode, reference_decode,
                      reference_encode, reference_level_cells, reference_level_tokens,
-                     reference_peeled_level_tokens, reference_token_grid, reference_write)
+                     reference_peeled_level_tokens, reference_read_token_stream,
+                     reference_token_grid, reference_write)
 
 SINGLE_EDGE = Graph(n=4, edges=frozenset({(0, 1)}))
 K4 = Graph(n=4, edges=frozenset({(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)}))
@@ -547,6 +548,112 @@ class TestPermLine:
         with pytest.raises(SequenceError) as exc:
             decode_graph(s)
         assert str(exc.value) == "perm is not a permutation of 0..3"
+
+
+def assert_reads_as_the_reference(text):
+    """``read_token_stream`` and the one-lookup-per-word reference give an
+    equal sequence, ``perm`` included, or the same error and message."""
+    got = _outcome(read_token_stream, text)
+    want = _outcome(reference_read_token_stream, text)
+    if isinstance(want, SequenceError):
+        assert type(got) is type(want) and str(got) == str(want)
+    else:
+        assert got == want and got.perm == want.perm and hash(got) == hash(want)
+
+
+# Node counts whose ER streams (mean degree 8) have token lines well below
+# and well past each k's scan threshold.
+SHORT_AND_LONG_N = {2: ((8, 48), (160, 320)), 3: ((8, 64), (360, 520)),
+                    4: ((8, 96), (760, 1000))}
+
+
+def long_stream(k):
+    """A cm-ordered stream, with its perm line, whose token line is long
+    enough for the scan at ``k``."""
+    n = SHORT_AND_LONG_N[k][1][0]
+    text = write_token_stream(encode_graph(random_er(5, n, 8 / n), k, ordering="cm"))
+    assert len(text.split("\n")[1]) >= sq._SCAN_MIN_BYTES[k]
+    return text
+
+
+class TestScannedTokenLines:
+    """A plain token line of at least ``_SCAN_MIN_BYTES[k]`` bytes is read
+    by one byte scan, a shorter one by one dictionary lookup per word; any
+    line either way reads as the lookup alone reads it, sequence or
+    error."""
+
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        """The results of every call of the scan."""
+        results = []
+        scan = sq._scanned_ids
+
+        def counting(line, k):
+            results.append(scan(line, k))
+            return results[-1]
+
+        monkeypatch.setattr(sq, "_scanned_ids", counting)
+        return results
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([2, 3, 4]), st.booleans(), st.integers(0, 2 ** 16),
+           st.sampled_from(["identity", "cm"]), st.data())
+    def test_encoded_streams_read_as_the_reference(self, k, long, seed, ordering, data):
+        n = data.draw(st.integers(*SHORT_AND_LONG_N[k][long]))
+        s = encode_graph(random_er(seed, n, 8 / n), k, ordering=ordering)
+        text = write_token_stream(s)
+        assert (len(text.split("\n")[1]) >= sq._SCAN_MIN_BYTES[k]) == long
+        assert read_token_stream(text) == s
+        assert_reads_as_the_reference(text)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_mutants_of_a_long_line_read_as_the_reference(self, k):
+        # Every byte of the first two words, of a word of each kind in the
+        # middle and of the last two words, replaced; those words dropped
+        # or doubled; spaces added; the last word cut short.  The scan reads
+        # every word alike, so the words between read as the middle ones.
+        header, line, perm = long_stream(k).split("\n")[:3]
+        words = line.split(" ")
+        kinds = [word[0] for word in words]
+        middle = len(words) // 2
+        picked = sorted({0, 1, kinds.index(D, middle), kinds.index(O, middle),
+                         len(words) - 2, len(words) - 1})
+        starts = np.cumsum([0] + [len(word) + 1 for word in words])
+        lines = []
+        for i in picked:
+            for at in range(starts[i], starts[i + 1] - (i == len(words) - 1)):
+                lines += [line[:at] + c + line[at + 1:] for c in "012do: \t\u00e9"]
+            lines.append(" ".join(words[:i] + words[i + 1:]))
+            lines.append(" ".join(words[:i + 1] + words[i:]))
+            lines.append(line[:starts[i]] + " " + line[starts[i]:])
+        lines += [" " + line, line + " ", ""]
+        lines += [line[:len(line) - cut] for cut in range(1, len(words[-1]) + 2)]
+        for mutant in lines:
+            assert_reads_as_the_reference(f"{header}\n{mutant}\n{perm}\n")
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_lines_at_and_below_the_threshold(self, scans, k):
+        # Prefixes of a long line: cut one byte below and at the threshold,
+        # and at the last whole word below it and the first at or past it.
+        threshold = sq._SCAN_MIN_BYTES[k]
+        header, line = long_stream(k).split("\n")[:2]
+        ends = np.cumsum([len(word) + 1 for word in line.split(" ")]) - 1
+        below, at = ends[ends < threshold].max(), ends[ends >= threshold].min()
+        for size, scanned in ((threshold - 1, False), (threshold, True), (below, False),
+                              (at, True)):
+            del scans[:]
+            assert_reads_as_the_reference(f"{header}\n{line[:size]}\n")
+            assert len(scans) == scanned
+        assert scans[0] is not None
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_a_long_line_runs_the_scan_and_a_short_one_does_not(self, scans, k):
+        text = long_stream(k)
+        assert read_token_stream(text) == reference_read_token_stream(text)
+        assert len(scans) == 1 and scans[0] is not None
+        short = write_token_stream(encode_graph(random_er(5, 40, 0.2), k, ordering="cm"))
+        assert read_token_stream(short) == reference_read_token_stream(short)
+        assert len(scans) == 1
 
 
 class TestPackedForm:
@@ -1307,9 +1414,17 @@ class TestHeaderRule:
         "0 4 3 1\n2 2\nd:1 o:2,3\n",
         "0 4 3 0\nd:1 o:01\n",
         "1 4 3 0\nd:1 o:01\n",
-    ], ids=["k0-header-only", "k0-featured", "k0-plain", "k1-plain"])
+        "-3 3 3 0\nd:010100\n",
+        "-3 3 3 0\nd:010 o:010100001\nperm 0 1 2\n",
+        "-5 3 3 0\nd:0101000000\n",
+        "-5 3 3 0\nd:0101000000 o:01\nperm 2 1 0\n",
+        "-32 3 3 0\nd:1 o:01\n",
+        "-32 3 3 1\n2 2\nd:1,1 o:2,3\nperm 0 1 2\n",
+    ], ids=["k0-header-only", "k0-featured", "k0-plain", "k1-plain", "k-3", "k-3-perm",
+            "k-5", "k-5-perm", "k-32", "k-32-featured-perm"])
     def test_a_read_k_below_two_compares_and_hashes(self, text):
-        # k*k is 0 or 1: rows too narrow to hold a token's values.  The
+        # k*k is 0 or 1: rows too narrow to hold a token's values.  A
+        # negative k holds no diagonal slot, however wide its rows.  The
         # reader takes such a header; only decode refuses it.
         s, again = read_token_stream(text), read_token_stream(text)
         assert s == again and hash(s) == hash(again)
