@@ -34,6 +34,15 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def count(text: str) -> int:
+    """A ``--count``: a non-negative integer (argparse names the type in
+    its message for any other text)."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {value}")
+    return value
+
+
 def _float_str(x: float) -> str:
     return format(x, ".12g")
 
@@ -206,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train", help="dataset file used to train and to draw sizes")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--order", choices=("bfs", "dfs", "cm", "identity"), default="identity")
-    p.add_argument("--count", type=int, default=1)
+    p.add_argument("--count", type=count, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--padded-n", type=int, dest="padded_n")
     p.add_argument("--max-tokens", type=int, default=4096)
@@ -216,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-dataset", help="generate a synthetic graph dataset")
     p.add_argument("--family", choices=FAMILIES, required=True)
-    p.add_argument("--count", type=int, default=1)
+    p.add_argument("--count", type=count, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--rows", default="10:20")
     p.add_argument("--cols", default="10:20")

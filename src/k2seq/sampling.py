@@ -1,11 +1,16 @@
 """Autoregressive sequence models and structurally constrained decoding.
 
-Models map a prefix of token ids plus the pending position (token kind and
-root-to-parent path) to a distribution over the vocabulary.  Decoding is
-driven by the FIFO builder: each step masks the model's distribution down to
-tokens the builder would accept, renormalizes, samples (or takes the argmax),
-and feeds the token back.  A sequence is complete exactly when the builder's
-queue empties; EOS is never required to stop.
+Models map a prefix of token ids and the builder at the pending position to
+scores over the vocabulary.  Decoding is driven by the level-wise builder:
+each step masks the model's scores down to the ids the builder would accept
+(the per-signature masks of Willard & Louf, "Efficient Guided Generation
+for Large Language Models", 2023), renormalizes, samples (or takes the
+argmax), and feeds the id back.  The sampler works on ids throughout: the
+model reads the sampler's own id list, and the builder checks the drawn id
+with one lookup in the mask it was drawn under, so no step makes a
+:class:`~k2seq.sequence.Token` or copies the prefix.  A sequence is complete
+exactly when the builder's last level is full; EOS is never required to
+stop.
 """
 
 from __future__ import annotations
@@ -15,8 +20,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .sequence import (BOS, EOS, IncrementalBuilder, Rule, TokenSequence, Vocabulary,
-                       encode_ids)
+from .sequence import BOS, EOS, IncrementalBuilder, TokenSequence, Vocabulary, encode_ids
 
 
 class GenerationError(RuntimeError):
@@ -32,10 +36,17 @@ class ZeroMassError(GenerationError):
 
 
 class SamplerModel(Protocol):
+    """Scores over ``vocab`` for the next token.
+
+    ``prefix`` is the sampler's own list of the ids drawn so far, BOS
+    first: it grows by one id after each call and must only be read, not
+    kept or changed.  ``builder`` is at the pending position; a model that
+    needs the pending kind or path reads ``builder.next_kind`` or
+    ``builder.next_path``, which the sampler itself never computes."""
+
     vocab: Vocabulary
 
-    def __call__(self, prefix: Sequence[int], kind: str,
-                 path: tuple[tuple[int, int], ...]) -> np.ndarray: ...
+    def __call__(self, prefix: Sequence[int], builder: IncrementalBuilder) -> np.ndarray: ...
 
 
 @dataclass(frozen=True)
@@ -65,48 +76,15 @@ class GenerationConfig:
             raise ValueError("either padded_n or a non-empty sizes multiset is required")
 
 
-def _mask_for_rules(vocab: Vocabulary, kind: str, rules: tuple[Rule, ...]) -> np.ndarray:
-    """Boolean mask over all vocabulary ids for one pending sibling group:
-    the tokens of ``kind`` in the vocabulary's value table that are not all
-    zero and whose every slot holds a value its rule allows."""
-    ids, values = vocab._tables[kind]
-    top = int(values.max()) + 1
-    admitted = values.any(axis=1)
-    for slot, (zero_ok, nonzero) in enumerate(rules):
-        lookup = np.zeros(top, dtype=bool)
-        lookup[:1] = zero_ok
-        lookup[nonzero.start:nonzero.stop] = True
-        admitted &= lookup[values[:, slot]]
-    mask = np.zeros(vocab.size, dtype=bool)
-    mask[ids[admitted]] = True
-    return mask
-
-
-# Masks a vocabulary keeps, the oldest dropped first.  A sampler meets few
-# rule signatures (6 at K=2 and 10 at K=3 on planar graphs), and one K=4
-# mask is 66,563 bytes.
-_MASK_CACHE_SIZE = 32
-
-
 def builder_mask(builder: IncrementalBuilder, vocab: Vocabulary) -> np.ndarray:
     """Mask for the builder's pending position; all False when complete.
     Masks are kept, read-only, on ``vocab``, since they depend on its
     featured tokens, by the pending block's rule signature: its kind and
     its row of the level table, as bytes
-    (:meth:`~k2seq.sequence.IncrementalBuilder._mask_key`).  Blocks with
-    equal kinds and rules share a signature, so the block's rules are made
-    and its mask built (:func:`_mask_for_rules`) only on a miss."""
+    (:meth:`~k2seq.sequence.Vocabulary._mask_for`)."""
     if builder.complete:
         return np.zeros(vocab.size, dtype=bool)
-    key = builder._mask_key()
-    mask = vocab._masks.get(key)
-    if mask is None:
-        if len(vocab._masks) >= _MASK_CACHE_SIZE:
-            del vocab._masks[next(iter(vocab._masks))]
-        mask = vocab._masks[key] = _mask_for_rules(vocab, builder.next_kind,
-                                                   builder.next_rules())
-        mask.flags.writeable = False
-    return mask
+    return vocab._mask_for(builder)
 
 
 class UniformModel:
@@ -118,7 +96,7 @@ class UniformModel:
         self._scores = np.full(vocab.size, 1.0 / vocab.size)
         self._scores.flags.writeable = False
 
-    def __call__(self, prefix, kind, path) -> np.ndarray:
+    def __call__(self, prefix, builder) -> np.ndarray:
         return self._scores
 
 
@@ -173,7 +151,7 @@ class NGramModel:
         tail = tuple(prefix[-(self.n - 1):])
         return (BOS,) * (self.n - 1 - len(tail)) + tail
 
-    def __call__(self, prefix, kind, path) -> np.ndarray:
+    def __call__(self, prefix, builder) -> np.ndarray:
         context = self._context(prefix)
         sparse = self._sparse.get(context)
         if sparse is None:
@@ -223,7 +201,7 @@ def sample_sequence(model: SamplerModel, config: GenerationConfig) -> TokenSeque
     """Decode one sequence; deterministic given the config seed.
 
     Structural completion is authoritative: decoding stops when the builder's
-    queue empties.  Running past ``max_tokens`` raises
+    tree is complete.  Running past ``max_tokens`` raises
     :class:`MaxLengthExceededError`; a model that puts zero mass on every
     admissible token raises :class:`ZeroMassError`, and, when sampling, one
     that puts negative, NaN or infinite mass on them raises
@@ -233,7 +211,10 @@ def sample_sequence(model: SamplerModel, config: GenerationConfig) -> TokenSeque
     :class:`~k2seq.sequence.SequenceError` before any token.
 
     Each draw picks the id ``rng.choice`` would (:func:`_draw`), so samples
-    stay as they were.  The model's scores are only read.
+    stay as they were.  The model's scores are only read.  The model gets
+    the one growing id list (see :class:`SamplerModel`), and the drawn id
+    goes to ``builder.step(token_id, vocab)``, whose mask lookup admits
+    what the draw's mask admitted.
     """
     vocab = model.vocab
     if vocab.k != config.k:
@@ -252,8 +233,7 @@ def sample_sequence(model: SamplerModel, config: GenerationConfig) -> TokenSeque
             raise MaxLengthExceededError(
                 f"tree incomplete after {config.max_tokens} tokens")
         mask = builder_mask(builder, vocab)
-        scores = np.asarray(model(tuple(ids), builder.next_kind, builder.next_path),
-                            dtype=float)
+        scores = np.asarray(model(ids, builder), dtype=float)
         if scores.shape != (vocab.size,):
             raise GenerationError(
                 f"model returned shape {scores.shape}, expected ({vocab.size},)")
@@ -265,7 +245,7 @@ def sample_sequence(model: SamplerModel, config: GenerationConfig) -> TokenSeque
             token_id = int(masked.argmax())
         else:
             token_id = _draw(rng, masked, total)
-        builder.step(vocab.decode(token_id))
+        builder.step(token_id, vocab)
         ids.append(token_id)
     diag, grid = vocab._rows(np.array(ids[1:], dtype=np.int64))
     return TokenSequence._from_arrays(config.k, padded_n, original_n, diag, grid,

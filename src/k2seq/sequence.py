@@ -501,10 +501,10 @@ class IncrementalBuilder:
     The builder holds the current level's pending blocks, its rule table
     (:func:`_level_rules`, made when first needed) and a cursor on its next
     pending block.  Each step checks one token against that block's row
-    (:func:`_row_error`) and moves the cursor; when a level is full, the
-    nonzero slots of its tokens give the next level's blocks, as in
-    :func:`decode_graph`.  The tree is complete when the last
-    level is full.  The builder keeps a step count and the current level's
+    (:func:`_row_error`), or one id against that block's mask, and moves
+    the cursor; when a level is full, the nonzero slots of its tokens give
+    the next level's blocks, as in :func:`decode_graph`.  The tree is
+    complete when the last level is full.  The builder keeps a step count and the current level's
     accepted values, not its tokens; :meth:`tree` takes the last level's
     nonzero cells.  A step that raises leaves the builder as it was.
     """
@@ -593,18 +593,31 @@ class IncrementalBuilder:
             raise _trailing_error(self.steps + 1)
         return _row_rules(*self._block_row(), self._diag[self._cursor], self.k)
 
-    def step(self, token: Token) -> None:
+    def step(self, token: Token | int, vocab: Vocabulary | None = None) -> None:
         """Check one token against the pending block's row of the level's
         table and move on; raises a :class:`SequenceError` subclass on
-        misuse."""
+        misuse.
+
+        ``step(token_id, vocab)`` takes the token by its id in ``vocab``
+        and checks it with one lookup in the mask of the pending block's
+        rule signature (:meth:`Vocabulary._mask_for`), which admits
+        exactly the tokens :func:`_row_error` passes; a refused id raises
+        the error its :class:`Token` would."""
         if self._cursor == len(self._diag):
             raise _trailing_error(self._steps + 1)
-        error = _row_error(token, self._steps + 1, self._depth, self._diag[self._cursor],
-                           self.k, self._block_row)
-        if error is not None:
-            raise error
+        if vocab is None:
+            error = _row_error(token, self._steps + 1, self._depth, self._diag[self._cursor],
+                               self.k, self._block_row)
+            if error is not None:
+                raise error
+            values = token.values
+        elif 0 <= token < vocab.size and vocab._mask_for(self)[token]:
+            values = vocab._values(token)
+        else:
+            raise _row_error(vocab.decode(token), self._steps + 1, self._depth,
+                             self._diag[self._cursor], self.k, self._block_row)
         self._steps += 1
-        self._values.append(token.values)
+        self._values.append(values)
         self._cursor += 1
         if self._cursor < len(self._diag) or self._depth == self._levels:
             return
@@ -661,6 +674,12 @@ def position_paths(s: TokenSequence) -> list[tuple[tuple[int, int], ...]]:
     return [t.path(uid) for uid, node in enumerate(t.nodes) if node.children]
 
 
+# Masks a vocabulary keeps, the oldest dropped first.  A sampler meets few
+# rule signatures (6 at K=2 and 10 at K=3 on planar graphs), and one K=4
+# mask is 66,563 bytes.
+_MASK_CACHE_SIZE = 32
+
+
 class Vocabulary:
     """Token ids for one ``k``: 0..2 are BOS/EOS/PAD, then all diagonal bit
     patterns, then all off-diagonal bit patterns, then any registered featured
@@ -675,13 +694,15 @@ class Vocabulary:
     array and an ``ids x arity`` array of values, first every bit pattern in
     id order, read off the structural table of ``k`` that the codec shares,
     then the featured tokens of that kind and arity (those with a negative
-    value are left out, as no position admits them).  Masks read it, and
-    ``_masks`` keeps the sampler's masks by the rule signature of the
-    pending block's row of the level table (:func:`_rule_keys`,
-    :func:`~k2seq.sampling.builder_mask`).
+    value are left out, as no position admits them).  Masks read it
+    (:meth:`_mask_for_rules`), and ``_masks`` keeps them by the rule
+    signature of the pending block's row of the level table
+    (:func:`_rule_keys`, :meth:`_mask_for`).
 
-    :meth:`decode` makes a structural id's one :class:`Token` when the id
-    is first asked for (``k=4`` has 66,563 ids; a sampler meets few).
+    ``_held`` keeps each id's values, as its :class:`Token` holds them,
+    when the id is first asked for (``k=4`` has 66,563 ids; a sampler
+    meets few): :meth:`IncrementalBuilder.step` takes an id's values from
+    it and :meth:`decode` makes the id's :class:`Token` from them.
     """
 
     BOS = BOS
@@ -708,7 +729,7 @@ class Vocabulary:
         self._tables = {DIAGONAL: self._value_table(DIAGONAL, self._diag_base, self._off_base),
                         OFFDIAGONAL: self._value_table(OFFDIAGONAL, self._off_base, self._ext_base)}
         self._featured_rows = _token_grid(self.featured_tokens, k)[:2]
-        self._decoded: dict[int, Token] = {}
+        self._held: dict[int, tuple[int, ...]] = {}
         self._masks: dict[bytes, np.ndarray] = {}
 
     def _value_table(self, kind: str, base: int, end: int) -> tuple[np.ndarray, np.ndarray]:
@@ -749,13 +770,57 @@ class Vocabulary:
             raise SequenceError(f"token {token} is not in the vocabulary") from None
 
     def decode(self, token_id: int) -> Token:
-        if self._diag_base <= token_id < self._ext_base:
-            if token_id not in self._decoded:
-                self._decoded[token_id] = _row_tokens(*self._rows(np.array([token_id])), self.k)[0]
-            return self._decoded[token_id]
         if self._ext_base <= token_id < self.size:
             return self.featured_tokens[token_id - self._ext_base]
-        raise SequenceError(f"id {token_id} is reserved or out of range")
+        return Token(DIAGONAL if token_id < self._off_base else OFFDIAGONAL,
+                     self._values(token_id))
+
+    def _values(self, token_id: int) -> tuple[int, ...]:
+        """The values of the token with this id, kept in ``_held``."""
+        values = self._held.get(token_id)
+        if values is None:
+            if not self._diag_base <= token_id < self.size:
+                raise SequenceError(f"id {token_id} is reserved or out of range")
+            if token_id >= self._ext_base:
+                values = self.featured_tokens[token_id - self._ext_base].values
+            else:
+                slots = _held_slots(self.k, token_id < self._off_base)
+                values = tuple(_structural(self.k).grid[token_id, slots].tolist())
+            self._held[token_id] = values
+        return values
+
+    def _mask_for_rules(self, kind: str, rules: tuple[Rule, ...]) -> np.ndarray:
+        """Boolean mask over all ids for one pending sibling group: the
+        tokens of ``kind`` in the value table that are not all zero and
+        whose every slot holds a value its rule allows."""
+        ids, values = self._tables[kind]
+        top = int(values.max()) + 1
+        admitted = values.any(axis=1)
+        for slot, (zero_ok, nonzero) in enumerate(rules):
+            lookup = np.zeros(top, dtype=bool)
+            lookup[:1] = zero_ok
+            lookup[nonzero.start:nonzero.stop] = True
+            admitted &= lookup[values[:, slot]]
+        mask = np.zeros(self.size, dtype=bool)
+        mask[ids[admitted]] = True
+        return mask
+
+    def _mask_for(self, builder: IncrementalBuilder) -> np.ndarray:
+        """The read-only mask of an incomplete builder's pending block, kept
+        in ``_masks`` by its rule signature
+        (:meth:`IncrementalBuilder._mask_key`).  Blocks with equal kinds and
+        rules share a signature, so the block's rules are made and its mask
+        built only on a miss; past ``_MASK_CACHE_SIZE`` masks the oldest is
+        dropped."""
+        key = builder._mask_key()
+        mask = self._masks.get(key)
+        if mask is None:
+            if len(self._masks) >= _MASK_CACHE_SIZE:
+                del self._masks[next(iter(self._masks))]
+            mask = self._masks[key] = self._mask_for_rules(builder.next_kind,
+                                                           builder.next_rules())
+            mask.flags.writeable = False
+        return mask
 
     def _rows(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Diagonal flags and grid rows of the tokens with these ids, none

@@ -18,9 +18,11 @@ from k2seq import Graph
 from k2seq.generators import gen_community, gen_er, gen_grid, gen_planar
 from k2seq.graphs import (GraphError, ParseError, apply_ordering, invert_permutation,
                           order_nodes, padded_size, permutation_array)
-from k2seq.sequence import (BOS, DIAGONAL, EOS, OFFDIAGONAL, InvalidTokenError, Rule,
-                            SequenceError, Token, TokenMismatchError, TokenSequence,
-                            TrailingTokensError, TruncatedSequenceError, Vocabulary,
+from k2seq.sampling import (GenerationError, MaxLengthExceededError, ZeroMassError, _draw,
+                            builder_mask)
+from k2seq.sequence import (BOS, DIAGONAL, EOS, OFFDIAGONAL, IncrementalBuilder,
+                            InvalidTokenError, Rule, SequenceError, Token, TokenMismatchError,
+                            TokenSequence, TrailingTokensError, TruncatedSequenceError, Vocabulary,
                             _MAX_TABLE_K, _check_header, _ints, _level_cells, _level_rules,
                             _parse_token, _perm_entries, _row_error, _structural,
                             _trailing_error, _truncated_error, child_orders, diagonal_arity,
@@ -570,6 +572,48 @@ def reference_ngram_scores(sequences: list[TokenSequence], vocab: Vocabulary, n:
         followers = [i for ids in framed for i in ids[n - 1:]]
     counts = np.bincount(followers, minlength=vocab.size)
     return (counts + 1) / (counts.sum() + vocab.size)
+
+
+def reference_sample_sequence(model, config) -> TokenSequence:
+    """``sample_sequence`` as it was before it stepped by id: the model gets
+    a copy of the prefix at each step, and each drawn id becomes a
+    :class:`Token` that the builder checks against its row
+    (:func:`_row_error`).  The sequence is made from those tokens."""
+    vocab = model.vocab
+    if vocab.k != config.k:
+        raise ValueError(f"model vocabulary has k={vocab.k}, config has k={config.k}")
+    rng = np.random.default_rng(config.seed)
+    if config.padded_n is not None:
+        padded_n = config.padded_n
+        original_n = config.original_n if config.original_n is not None else padded_n
+    else:
+        padded_n, original_n = config.sizes[rng.integers(len(config.sizes))]
+    builder = IncrementalBuilder(config.k, padded_n, original_n, config.featured,
+                                 config.node_vocab, config.edge_vocab)
+    ids, tokens = [BOS], []
+    while not builder.complete:
+        if len(ids) > config.max_tokens:
+            raise MaxLengthExceededError(f"tree incomplete after {config.max_tokens} tokens")
+        mask = builder_mask(builder, vocab)
+        scores = np.asarray(model(tuple(ids), builder), dtype=float)
+        if scores.shape != (vocab.size,):
+            raise GenerationError(
+                f"model returned shape {scores.shape}, expected ({vocab.size},)")
+        masked = np.where(mask, scores, 0.0)
+        total = masked.sum()
+        if total <= 0.0:
+            raise ZeroMassError("no probability mass on admissible tokens")
+        if config.greedy:
+            token_id = int(masked.argmax())
+        else:
+            token_id = _draw(rng, masked, total)
+        token = vocab.decode(token_id)
+        builder.step(token)
+        ids.append(token_id)
+        tokens.append(token)
+    return TokenSequence(k=config.k, padded_n=padded_n, original_n=original_n,
+                         featured=config.featured, node_vocab=config.node_vocab,
+                         edge_vocab=config.edge_vocab, tokens=tuple(tokens))
 
 
 def reference_token_grid(tokens: tuple[Token, ...],

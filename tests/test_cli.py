@@ -155,6 +155,16 @@ class TestExitCodes:
         assert main(["gen-dataset", "--family", "er", "--n", "x",
                      "--out", str(tmp_path / "o.ds")]) == 1
 
+    @pytest.mark.parametrize("argv", [["sample", "--k", "2", "--padded-n", "4"],
+                                      ["gen-dataset", "--family", "er"]],
+                             ids=["sample", "gen-dataset"])
+    def test_negative_count_is_a_usage_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "o.ds"
+        assert main(argv + ["--count", "-1", "--out", str(out)]) == 1
+        assert "--count: must not be negative" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(argv + ["--count", "0", "--out", str(out)]) == 0
+
     def test_malformed_input_is_a_data_error(self, tmp_path, capsys):
         bad = write(tmp_path / "bad.txt", "2 1\n1 0\n")
         assert main(["encode", "--k", "2", "--in", bad,

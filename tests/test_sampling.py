@@ -1,23 +1,23 @@
 import copy
 from collections import defaultdict
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from k2seq import sampling
+from k2seq import sequence
 from k2seq.graphs import Graph
 from k2seq.sampling import (GenerationConfig, GenerationError,
                             MaxLengthExceededError, NGramModel, UniformModel,
                             ZeroMassError, builder_mask, empirical_sizes,
-                            ngram_model, sample_sequence, uniform_model,
-                            _draw, _mask_for_rules)
-from k2seq.sequence import (DIAGONAL, OFFDIAGONAL, IncrementalBuilder,
+                            ngram_model, sample_sequence, uniform_model, _draw)
+from k2seq.sequence import (BOS, DIAGONAL, OFFDIAGONAL, IncrementalBuilder,
                             SequenceError, Token, Vocabulary, decode_graph,
-                            encode_graph, read_token_stream, write_token_stream,
-                            _rule_keys)
+                            detokenize_build, encode_graph, read_token_stream,
+                            write_token_stream, _row_error, _rule_keys)
 
 from helpers import (mixed_family_graphs, random_er, random_labeled_er,
-                     reference_ngram_scores)
+                     reference_ngram_scores, reference_sample_sequence)
 
 SINGLE_EDGE = Graph(n=4, edges=frozenset({(0, 1)}))
 K4 = Graph(n=4, edges=frozenset({(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)}))
@@ -58,19 +58,30 @@ def assert_masks_agree_along(sequence, vocab):
         via_simulation = simulated_mask(builder, vocab)
         assert (via_builder == via_simulation).all()
         # The mask kept for this signature is the one a fresh build gives.
-        assert (via_builder == _mask_for_rules(vocab, builder.next_kind,
-                                               builder.next_rules())).all()
+        assert (via_builder == vocab._mask_for_rules(builder.next_kind,
+                                                     builder.next_rules())).all()
         assert via_builder[vocab.encode(token)]
         builder.step(token)
     assert not builder_mask(builder, vocab).any()
 
 
-def mask_after(tokens, vocab, *builder_args):
-    """builder_mask once ``tokens`` have been stepped into a fresh builder."""
+def builder_after(tokens, *builder_args):
+    """A fresh builder that has stepped ``tokens``."""
     builder = IncrementalBuilder(*builder_args)
     for token in tokens:
         builder.step(token)
-    return builder_mask(builder, vocab)
+    return builder
+
+
+def mask_after(tokens, vocab, *builder_args):
+    """builder_mask once ``tokens`` have been stepped into a fresh builder."""
+    return builder_mask(builder_after(tokens, *builder_args), vocab)
+
+
+# Builders for calling models directly: at the root of a 4-node K=2 tree,
+# and at its off-diagonal block (2, 1).
+AT_ROOT = IncrementalBuilder(2, 4)
+AT_OFF = builder_after((tok(D, 0, 1, 0),), 2, 4)
 
 
 class TestValidTokenMask:
@@ -248,13 +259,13 @@ class TestMaskCache:
         model = ngram_model(corpus, 3)
         for seed in range(20):
             sample_sequence(model, GenerationConfig(k=k, seed=seed, sizes=empirical_sizes(corpus)))
-        assert 0 < len(model.vocab._masks) <= sampling._MASK_CACHE_SIZE
+        assert 0 < len(model.vocab._masks) <= sequence._MASK_CACHE_SIZE
 
     def test_evicting_masks_leaves_samples_unchanged(self, monkeypatch):
         corpus = golden_corpus(3)
         config = GenerationConfig(k=3, seed=1, sizes=empirical_sizes(corpus))
         kept = sample_sequence(ngram_model(corpus, 3), config)
-        monkeypatch.setattr(sampling, "_MASK_CACHE_SIZE", 2)
+        monkeypatch.setattr(sequence, "_MASK_CACHE_SIZE", 2)
         model = ngram_model(corpus, 3)
         assert sample_sequence(model, config) == kept
         assert len(model.vocab._masks) == 2
@@ -382,7 +393,7 @@ class TestNGram:
         corpus = [encode_graph(SINGLE_EDGE, 2)]
         model = ngram_model(corpus, 2)
         v = model.vocab
-        probs = model((v.BOS,), D, ())
+        probs = model((v.BOS,), AT_ROOT)
         assert probs.shape == (27,)
         assert probs[7] == pytest.approx(2 / 28)
         assert probs[5] == pytest.approx(1 / 28)
@@ -391,7 +402,7 @@ class TestNGram:
     def test_unseen_context_falls_back_to_the_unigram(self):
         corpus = [encode_graph(SINGLE_EDGE, 2)]
         model = ngram_model(corpus, 2)
-        probs = model((0, 26), D, ())
+        probs = model((0, 26), AT_ROOT)
         assert probs[7] == pytest.approx(2 / 30)
         assert probs[3] == pytest.approx(1 / 30)
         assert probs.sum() == pytest.approx(1.0)
@@ -399,8 +410,8 @@ class TestNGram:
     def test_unigram_model_ignores_context(self):
         corpus = [encode_graph(K4, 2)]
         model = ngram_model(corpus, 1)
-        a = model((0,), D, ())
-        b = model((0, 10, 5), O, ((2, 1),))
+        a = model((0,), AT_ROOT)
+        b = model((0, 10, 5), AT_OFF)
         assert (a == b).all()
         out = sample_sequence(model, GenerationConfig(k=2, padded_n=4, seed=4))
         assert decode_graph(out).n == 4
@@ -451,7 +462,7 @@ class TestNGramMatchesReference:
             for prefix in prefixes:
                 want = reference_ngram_scores(corpus, vocab, n, prefix)
                 for _ in range(2):
-                    assert np.array_equal(model(prefix, D, ()), want)
+                    assert np.array_equal(model(prefix, AT_ROOT), want)
 
     def test_a_long_prefix_reads_only_its_last_ids(self):
         corpus = golden_corpus(3)
@@ -463,8 +474,8 @@ class TestNGramMatchesReference:
                 head = rng.integers(3, vocab.size, 10_000 - len(context)).tolist()
                 prefix = tuple(head) + context
                 want = reference_ngram_scores(corpus, vocab, n, prefix)
-                assert np.array_equal(model(prefix, D, ()), want)
-                assert np.array_equal(model(context, D, ()), want)
+                assert np.array_equal(model(prefix, AT_ROOT), want)
+                assert np.array_equal(model(context, AT_ROOT), want)
 
     def test_training_again_counts_both_corpora(self):
         first, second = golden_corpus(2)[:4], golden_corpus(2)[4:]
@@ -472,10 +483,10 @@ class TestNGramMatchesReference:
         model = NGramModel(vocab, 2).train(first)
         prefixes = list(model._rows) + [(vocab.PAD,)]
         for prefix in prefixes:
-            model(prefix, D, ())
+            model(prefix, AT_ROOT)
         model.train(second)
         for prefix in prefixes + list(model._rows):
-            assert np.array_equal(model(prefix, D, ()),
+            assert np.array_equal(model(prefix, AT_ROOT),
                                   reference_ngram_scores(first + second, vocab, 2, prefix))
 
 
@@ -552,7 +563,7 @@ class TestSamplingErrors:
         class ZeroModel:
             vocab = v
 
-            def __call__(self, prefix, kind, path):
+            def __call__(self, prefix, builder):
                 return np.zeros(v.size)
 
         with pytest.raises(ZeroMassError):
@@ -566,7 +577,7 @@ class TestSamplingErrors:
         class BadModel:
             vocab = v
 
-            def __call__(self, prefix, kind, path):
+            def __call__(self, prefix, builder):
                 scores = np.ones(v.size)
                 scores[4] = bad
                 return scores
@@ -576,8 +587,8 @@ class TestSamplingErrors:
 
     def test_scores_are_only_read(self):
         model = uniform_model(Vocabulary(2))
-        scores = model((), D, ())
-        assert not scores.flags.writeable and model((0, 5), O, ((1, 1),)) is scores
+        scores = model((), AT_ROOT)
+        assert not scores.flags.writeable and model((0, 5), AT_OFF) is scores
         s = sample_sequence(model, GenerationConfig(k=2, padded_n=8, seed=3))
         assert decode_graph(s).n == 8
         assert (scores == 1 / 27).all()
@@ -588,7 +599,7 @@ class TestSamplingErrors:
         class BadModel:
             vocab = v
 
-            def __call__(self, prefix, kind, path):
+            def __call__(self, prefix, builder):
                 return np.ones(5)
 
         with pytest.raises(GenerationError, match="shape"):
@@ -600,3 +611,194 @@ class TestSamplingErrors:
         model = uniform_model(Vocabulary(2))
         with pytest.raises(ZeroMassError):
             sample_sequence(model, GenerationConfig(k=2, padded_n=2, original_n=1))
+
+
+def labeled_corpus(k):
+    """Labeled graphs at ``k``, with 2 node and 2 edge labels."""
+    return [encode_graph(random_labeled_er(seed, 6, 0.5, 2, 2), k) for seed in range(4)]
+
+
+def outcome(sampler, model, config):
+    """A sample's stream text, or its error's class and message."""
+    try:
+        return write_token_stream(sampler(model, config))
+    except (GenerationError, SequenceError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_samplers_agree(model, config):
+    want = outcome(reference_sample_sequence, model, config)
+    assert outcome(sample_sequence, model, config) == want
+    return want
+
+
+class TestSamplerMatchesReference:
+    """``sample_sequence``, which steps the builder by id and hands models
+    its own id list, gives the stream text of ``reference_sample_sequence``,
+    which steps by :class:`Token` and hands models a copy of the prefix, or
+    raises the same error."""
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("featured", [False, True], ids=["plain", "featured"])
+    def test_uniform_and_ngram_models(self, k, featured):
+        corpus = labeled_corpus(k) if featured else golden_corpus(k)
+        vocab = Vocabulary.from_corpus(k, corpus)
+        labels = {"featured": True, "node_vocab": 2, "edge_vocab": 2} if featured else {}
+        first = corpus[0]
+        policies = ({"padded_n": first.padded_n, "original_n": first.original_n},
+                    {"sizes": empirical_sizes(corpus)})
+        models = [uniform_model(vocab)] + [NGramModel(vocab, n).train(corpus) for n in (1, 2, 3)]
+        texts = set()
+        for model in models:
+            for policy in policies:
+                for greedy in (False, True):
+                    for seed in range(3 if k < 4 else 1):
+                        texts.add(assert_samplers_agree(model, GenerationConfig(
+                            k=k, seed=seed, greedy=greedy, **policy, **labels)))
+        assert len([t for t in texts if isinstance(t, str)]) > 4
+
+    @pytest.mark.parametrize("featured", [False, True], ids=["plain", "featured"])
+    def test_bad_models(self, featured):
+        corpus = labeled_corpus(2) if featured else golden_corpus(2)
+        vocab = Vocabulary.from_corpus(2, corpus)
+        config = GenerationConfig(k=2, seed=5, sizes=empirical_sizes(corpus), featured=featured,
+                                  node_vocab=2 * featured, edge_vocab=2 * featured)
+
+        class Model:
+            def __init__(self, scores):
+                self.vocab, self.scores = vocab, scores
+
+            def __call__(self, prefix, builder):
+                return self.scores(builder)
+
+        def with_bad(value):
+            # ``value`` on every admissible id from the second step on.
+            def scores(builder):
+                row = np.ones(vocab.size)
+                if builder.steps:
+                    row[builder_mask(builder, vocab)] = value
+                return row
+            return scores
+
+        bad = [Model(lambda b: np.zeros(vocab.size)), Model(lambda b: np.ones(vocab.size + 1)),
+               Model(lambda b: np.ones((1, vocab.size)))]
+        bad += [Model(with_bad(value)) for value in (0.0, -1.0, np.nan, np.inf)]
+        greedy_errors = set()
+        for model in bad:
+            assert not isinstance(assert_samplers_agree(model, config), str)
+            got = assert_samplers_agree(model, replace(config, greedy=True))
+            greedy_errors.add(got[0] if isinstance(got, tuple) else None)
+        # The argmax reads no sign: NaN and infinite mass are picked as
+        # they are, and only a wrong shape or a total of at most 0 raises.
+        assert greedy_errors == {ZeroMassError, GenerationError, None}
+
+    def test_a_run_past_max_tokens(self):
+        corpus = golden_corpus(2)
+        model = ngram_model(corpus, 2)
+        got = {max_tokens: [assert_samplers_agree(model, GenerationConfig(
+                   k=2, seed=seed, max_tokens=max_tokens, padded_n=32, original_n=32))
+                   for seed in range(4)] for max_tokens in (1, 5, 12)}
+        assert {out[0] for out in got[1] + got[5]} == {MaxLengthExceededError}
+        # Some trees need more than 12 tokens and some fewer.
+        assert {isinstance(out, str) for out in got[12]} == {False, True}
+
+
+def stream_positions(s, vocab):
+    """Each position a builder meets while it steps ``s`` by id, the
+    builder at it, and the builder once complete."""
+    builder = IncrementalBuilder(s.k, s.padded_n, s.original_n, s.featured,
+                                 s.node_vocab, s.edge_vocab)
+    for token in s.tokens:
+        yield builder
+        builder.step(vocab.encode(token), vocab)
+    assert builder.tree() == detokenize_build(s)
+    yield builder
+
+
+def refusal(step, *args):
+    with pytest.raises(SequenceError) as info:
+        step(*args)
+    return type(info.value), str(info.value)
+
+
+class TestStepById:
+    """``IncrementalBuilder.step(token_id, vocab)`` checks the id with one
+    lookup in the pending block's mask.  At every position met while
+    stepping encoded streams, the mask admits exactly the ids whose
+    :class:`Token` passes ``_row_error``, and a refused id raises the error
+    its :class:`Token` raises."""
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("featured", [False, True], ids=["plain", "featured"])
+    def test_the_mask_admits_exactly_what_the_row_check_passes(self, k, featured):
+        g = random_labeled_er(k, 5, 0.6, 2, 2) if featured else random_er(k, 7, 0.5)
+        s = encode_graph(g, k, ordering="cm")
+        # A negative value and a wrong arity: no position admits either.
+        odd = (tok(D, 1, -1, 1), tok(O, 1, 2)) if featured else ()
+        vocab = Vocabulary(k, Vocabulary.from_corpus(k, [s]).featured_tokens + odd)
+        rng = np.random.default_rng(k)
+        met = 0
+        for b in stream_positions(s, vocab):
+            mask = builder_mask(b, vocab)
+            if b.complete:
+                assert not mask.any()
+                break
+            assert not mask[:3].any()
+            passed = [_row_error(vocab.decode(i), b.steps + 1, b._depth, b._diag[b._cursor],
+                                 k, b._block_row) is None for i in range(3, vocab.size)]
+            assert mask[3:].tolist() == passed
+            refused = np.flatnonzero(~mask[3:]) + 3
+            for i in rng.choice(refused, min(len(refused), 40), replace=False).tolist():
+                assert refusal(b.step, i, vocab) == refusal(b.step, vocab.decode(i))
+            met += 1
+        assert met == len(s.diag) > 1
+
+    def test_reserved_out_of_range_and_trailing_ids(self):
+        s = encode_graph(K4, 2)
+        vocab = Vocabulary(2)
+        b = IncrementalBuilder(s.k, s.padded_n, s.original_n)
+        for bad in (BOS, 2, -1, vocab.size):
+            assert refusal(b.step, bad, vocab) == (SequenceError,
+                                                   f"id {bad} is reserved or out of range")
+        *_, done = stream_positions(s, vocab)
+        assert refusal(done.step, 4, vocab) == refusal(done.step, vocab.decode(4))
+
+
+class TestSamplerPassesNoCopy:
+    """The model gets the sampler's own id list, one id longer at each
+    step, and the sampler never computes ``next_path``."""
+
+    def test_the_model_reads_one_growing_list(self):
+        vocab = Vocabulary(2)
+
+        class Recording:
+            def __init__(self):
+                self.vocab, self.seen = vocab, []
+                self.scores = np.full(vocab.size, 1.0 / vocab.size)
+
+            def __call__(self, prefix, builder):
+                self.seen.append((prefix, len(prefix), prefix[0]))
+                return self.scores
+
+        model = Recording()
+        s = sample_sequence(model, GenerationConfig(k=2, padded_n=16, seed=2))
+        prefix = model.seen[0][0]
+        assert isinstance(prefix, list) and len(prefix) == len(s.diag) + 1
+        assert [(p is prefix, n, first) for p, n, first in model.seen] == \
+            [(True, n, BOS) for n in range(1, len(s.diag) + 1)]
+
+    def test_next_path_is_never_computed(self, monkeypatch):
+        paths, next_path = [], IncrementalBuilder.next_path
+
+        def counting(builder):
+            paths.append(None)
+            return next_path.fget(builder)
+
+        monkeypatch.setattr(IncrementalBuilder, "next_path", property(counting))
+        corpus = golden_corpus(2)
+        for model in (uniform_model(Vocabulary(2)), ngram_model(corpus, 3)):
+            for seed in range(3):
+                sample_sequence(model, GenerationConfig(k=2, seed=seed,
+                                                        sizes=empirical_sizes(corpus)))
+        assert paths == []
+        assert IncrementalBuilder(2, 4).next_path == () and paths  # the count sees a read

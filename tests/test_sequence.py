@@ -13,7 +13,8 @@ from k2seq.cli import main
 from k2seq.generators import gen_er, gen_grid, gen_planar
 from k2seq.graphs import (Graph, GraphError, apply_ordering, order_nodes, padded_size,
                           serialize_edge_list)
-from k2seq.sampling import GenerationConfig, sample_sequence, uniform_model
+from k2seq.sampling import (GenerationConfig, empirical_sizes, ngram_model, sample_sequence,
+                            uniform_model)
 from k2seq.sequence import (DIAGONAL, OFFDIAGONAL, EmptyGraphError,
                             IncrementalBuilder, InvalidTokenError, SequenceError,
                             Token, TokenMismatchError, TokenSequence,
@@ -794,6 +795,15 @@ class TestHotPathsBuildNoToken:
         for g in (random_er(5, 60, 0.1), Graph(n=5)):
             text = write_token_stream(encode_graph(g, k, ordering="cm"))
             assert decode_graph(read_token_stream(text)) == g
+        assert made == []
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_plain_sampling(self, made, k):
+        corpus = [encode_graph(random_er(seed, 12, 0.3), k, ordering="cm") for seed in range(4)]
+        sizes = empirical_sizes(corpus)
+        for model in (uniform_model(Vocabulary(k)), ngram_model(corpus, 3)):
+            for seed in range(3):
+                sample_sequence(model, GenerationConfig(k=k, seed=seed, sizes=sizes))
         assert made == []
 
     @pytest.mark.parametrize("g, k", [
