@@ -34,13 +34,28 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _bounded(text: str, low: int, high: int | None, why: str) -> int:
+    value = int(text)
+    if value < low or high is not None and value > high:
+        raise argparse.ArgumentTypeError(f"{why}, got {value}")
+    return value
+
+
 def count(text: str) -> int:
     """A ``--count``: a non-negative integer (argparse names the type in
     its message for any other text)."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must not be negative, got {value}")
-    return value
+    return _bounded(text, 0, None, "must not be negative")
+
+
+def positive(text: str) -> int:
+    """A ``--max-tokens``, ``--padded-n`` or ``--ngram-order``: an integer
+    of at least 1."""
+    return _bounded(text, 1, None, "must be at least 1")
+
+
+def vocabulary_k(text: str) -> int:
+    """A ``sample --k``: 2, 3 or 4, as a :class:`Vocabulary` holds."""
+    return _bounded(text, 2, 4, "must be 2, 3 or 4")
 
 
 def _float_str(x: float) -> str:
@@ -211,14 +226,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="sample graphs from a sequence model")
     p.add_argument("--model", choices=("uniform", "ngram"), default="uniform")
-    p.add_argument("--ngram-order", type=int, default=2)
+    p.add_argument("--ngram-order", type=positive, default=2)
     p.add_argument("--train", help="dataset file used to train and to draw sizes")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=vocabulary_k, required=True)
     p.add_argument("--order", choices=("bfs", "dfs", "cm", "identity"), default="identity")
     p.add_argument("--count", type=count, default=1)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--padded-n", type=int, dest="padded_n")
-    p.add_argument("--max-tokens", type=int, default=4096)
+    p.add_argument("--padded-n", type=positive, dest="padded_n")
+    p.add_argument("--max-tokens", type=positive, default=4096)
     p.add_argument("--greedy", action="store_true")
     p.add_argument("--out", dest="outfile", required=True)
     p.set_defaults(func=_cmd_sample)

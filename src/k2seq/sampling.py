@@ -80,7 +80,8 @@ def builder_mask(builder: IncrementalBuilder, vocab: Vocabulary) -> np.ndarray:
     """Mask for the builder's pending position; all False when complete.
     Masks are kept, read-only, on ``vocab``, since they depend on its
     featured tokens, by the pending block's rule signature: its kind and
-    its row of the level table, as bytes
+    its row of the level table, as bytes.  A mask is built on a miss by
+    comparing that row with the rows of ``vocab``'s tokens of that kind
     (:meth:`~k2seq.sequence.Vocabulary._mask_for`)."""
     if builder.complete:
         return np.zeros(vocab.size, dtype=bool)
@@ -188,10 +189,8 @@ def _draw(rng: np.random.Generator, masked: np.ndarray, total: float) -> int:
     arithmetic (the inverse CDF at one ``rng.random()``) without the cost of
     its argument checks.  ``total`` is ``masked.sum()`` over the whole
     vocabulary, as a sum over fewer ids could round differently and flip a
-    draw.  Negative, NaN or infinite mass, which ``choice`` refused, raises
-    :class:`GenerationError`."""
-    if not total < np.inf or masked.min() < 0.0:
-        raise GenerationError("model put negative, NaN or infinite mass on admissible tokens")
+    draw.  The mass must be finite and non-negative, as ``choice`` checked
+    and :func:`sample_sequence` checks."""
     cdf = (masked / total).cumsum()
     cdf /= cdf[-1]
     return int(cdf.searchsorted(rng.random(), side="right"))
@@ -203,9 +202,9 @@ def sample_sequence(model: SamplerModel, config: GenerationConfig) -> TokenSeque
     Structural completion is authoritative: decoding stops when the builder's
     tree is complete.  Running past ``max_tokens`` raises
     :class:`MaxLengthExceededError`; a model that puts zero mass on every
-    admissible token raises :class:`ZeroMassError`, and, when sampling, one
-    that puts negative, NaN or infinite mass on them raises
-    :class:`GenerationError`.  Sizes that are not a header
+    admissible token raises :class:`ZeroMassError`, and one that puts
+    negative, NaN or infinite mass on them raises :class:`GenerationError`,
+    greedy or not.  Sizes that are not a header
     :func:`~k2seq.sequence.encode_graph` writes, such as ``padded_n`` past
     the smallest power of ``k`` holding ``original_n``, raise
     :class:`~k2seq.sequence.SequenceError` before any token.
@@ -241,10 +240,9 @@ def sample_sequence(model: SamplerModel, config: GenerationConfig) -> TokenSeque
         total = masked.sum()
         if total <= 0.0:
             raise ZeroMassError("no probability mass on admissible tokens")
-        if config.greedy:
-            token_id = int(masked.argmax())
-        else:
-            token_id = _draw(rng, masked, total)
+        if not total < np.inf or masked.min() < 0.0:
+            raise GenerationError("model put negative, NaN or infinite mass on admissible tokens")
+        token_id = int(masked.argmax()) if config.greedy else _draw(rng, masked, total)
         builder.step(token_id, vocab)
         ids.append(token_id)
     diag, grid = vocab._rows(np.array(ids[1:], dtype=np.int64))

@@ -37,7 +37,9 @@ bits read as a binary number, so :func:`write_token_stream` and
 :func:`read_token_stream` finds each word's id, by one byte scan of a long
 line or one dictionary lookup per word of a short one, and gathers its
 row.  One table per ``k`` (:func:`_structural`) holds each id's word and
-grid row; :class:`Vocabulary` reads its value tables off the same table.
+grid row; a :class:`Vocabulary`'s id -> row table is that table followed
+by its featured tokens' rows, and a mask compares the rows of the pending
+block's kind with the block's rule row.
 
 The wire format holds each integer as ``str`` writes it and each plain bit
 as ``0`` or ``1``.  The reader refuses any other spelling of a number (a
@@ -263,7 +265,8 @@ class _Structural:
     ``grid`` is ids x ``k*k``: each token's values in their slots ``i*k + j``
     (0-based), a diagonal token's other slots 0, as :func:`_level_tokens` and
     :func:`_token_grid` lay them out.  ``words`` is an object array of each
-    id's stream word; ``word_ids`` maps a word back to its id.
+    id's stream word; ``word_ids`` maps a word back to its id.  A
+    :class:`Vocabulary`'s id -> row table starts with ``grid``.
     ``weights[diagonal]`` turns a grid row into the id's offset from its
     kind's base: the bits of the held slots, the first most significant.
     """
@@ -527,10 +530,8 @@ class IncrementalBuilder:
         self._depth = depth
         self._origins = origins
         self._diag = (origins[0] == origins[1]).tolist()
-        self._table: list[list] | None = None  # made by _level_table
+        self._rules: list[np.ndarray] | None = None  # made by _level_table
         self._keys: list[bytes] | None = None  # made by _mask_key
-        self._r0, self._c0 = origins.tolist()
-        self._sizes = [self.padded_n // self.k ** d for d in range(1, depth)]  # along a path
         self._cursor = 0
         self._values: list[tuple[int, ...]] = []  # of the level's accepted tokens
 
@@ -556,25 +557,24 @@ class IncrementalBuilder:
         its origin, most significant first."""
         if self._cursor == len(self._diag):
             return None
-        k, r0, c0 = self.k, self._r0[self._cursor], self._c0[self._cursor]
-        return tuple([(r0 // size % k + 1, c0 // size % k + 1) for size in self._sizes])
+        k, (r0, c0) = self.k, self._origins[:, self._cursor].tolist()
+        sizes = [self.padded_n // k ** d for d in range(1, self._depth)]
+        return tuple([(r0 // size % k + 1, c0 // size % k + 1) for size in sizes])
 
-    def _level_table(self) -> list[list]:
-        """The level's ``zero_ok``, ``lo`` and ``hi`` rows as lists, made the
-        first time a block's rules are asked for, with the child origins
-        ``_rc`` and the rows as arrays, ``_rule_arrays``: a builder whose
-        first token is malformed never makes the ``k*k``-wide root table."""
-        if self._table is None:
-            _, self._rc, *self._rule_arrays = _level_rules(
+    def _level_table(self) -> list[np.ndarray]:
+        """The level's ``zero_ok``, ``lo`` and ``hi`` rows, blocks x
+        ``k*k``, made the first time a block's rules are asked for, with the
+        child origins ``_rc``: a builder whose first token is malformed
+        never makes the ``k*k``-wide root table."""
+        if self._rules is None:
+            _, self._rc, *self._rules = _level_rules(
                 self._origins, self.padded_n // self.k ** (self._depth - 1), self.k,
                 self.original_n, self.featured, self.node_vocab, self.edge_vocab)
-            self._table = [rows.tolist() for rows in self._rule_arrays]
-        return self._table
+        return self._rules
 
-    def _block_row(self) -> tuple[list, list, list]:
-        """The pending block's ``zero_ok``, ``lo`` and ``hi`` rows."""
-        zero_ok, lo, hi = self._level_table()
-        return zero_ok[self._cursor], lo[self._cursor], hi[self._cursor]
+    def _block_row(self) -> list[list]:
+        """The pending block's ``zero_ok``, ``lo`` and ``hi`` rows, as lists."""
+        return [rows[self._cursor].tolist() for rows in self._level_table()]
 
     def _mask_key(self) -> bytes:
         """The pending block's rule signature (:func:`_rule_keys`), by which
@@ -582,8 +582,7 @@ class IncrementalBuilder:
         time one is asked for, so a replay that only steps never makes
         them."""
         if self._keys is None:
-            self._level_table()
-            self._keys = _rule_keys(np.array(self._diag), *self._rule_arrays)
+            self._keys = _rule_keys(np.array(self._diag), *self._level_table())
         return self._keys[self._cursor]
 
     def next_rules(self) -> tuple[Rule, ...]:
@@ -690,14 +689,20 @@ class Vocabulary:
     same bits get distinct ids.  Featured tokens whose values happen to be all
     binary coincide with structural tokens and share their ids.
 
-    ``_tables`` maps each kind to its value table, built once: an ``ids``
-    array and an ``ids x arity`` array of values, first every bit pattern in
-    id order, read off the structural table of ``k`` that the codec shares,
-    then the featured tokens of that kind and arity (those with a negative
-    value are left out, as no position admits them).  Masks read it
-    (:meth:`_mask_for_rules`), and ``_masks`` keeps them by the rule
-    signature of the pending block's row of the level table
-    (:func:`_rule_keys`, :meth:`_mask_for`).
+    ``_diag`` and ``_grid`` are one table of every id's row, laid out as a
+    :class:`TokenSequence` lays out its tokens: first the structural table
+    of ``k`` that the codec reads (:func:`_structural`), whose ids 0..2 are
+    zero rows and which a vocabulary with no featured tokens uses as it is,
+    then the featured tokens' rows as :func:`_token_grid` makes them, so a
+    token whose arity is not its kind's is a row of -1s.
+    ``_by_kind`` keeps, per diagonal flag, the ids whose row is nonzero and
+    those rows, transposed to ``k*k`` slots x ids so that each comparison
+    runs along contiguous ids.  A mask compares them with the pending
+    block's ``zero_ok``, ``lo`` and ``hi`` row over all ``k*k`` slots
+    (:meth:`_mask_for`): a diagonal row's unheld slots hold 0, which their
+    rules admit, and no rule admits a negative value or a -1 row.
+    ``_masks`` keeps the masks by the rule signature of that row
+    (:func:`_rule_keys`).
 
     ``_held`` keeps each id's values, as its :class:`Token` holds them,
     when the id is first asked for (``k=4`` has 66,563 ids; a sampler
@@ -713,35 +718,33 @@ class Vocabulary:
         if k < 2:
             raise ValueError("k must be >= 2")
         if k > _MAX_TABLE_K:
-            # The off-diagonal value table alone would hold 2**(k*k) rows.
+            # The off-diagonal rows alone would number 2**(k*k).
             raise ValueError(f"k={k} has 2**{k * k} off-diagonal tokens; "
                              "vocabularies support k <= 4")
         self.k = k
         self.diag_arity = diagonal_arity(k)
         self.off_arity = offdiagonal_arity(k)
-        self._diag_base = _SPECIALS
-        self._off_base = self._diag_base + (1 << self.diag_arity)
-        self._ext_base = self._off_base + (1 << self.off_arity)
+        table = _structural(k)
+        self._off_base, self._ext_base = table.off_base, len(table.grid)
         ext = sorted({t for t in featured_tokens if not self._is_structural(t)},
                      key=lambda t: (t.kind, t.values))
+        arity = {DIAGONAL: self.diag_arity, OFFDIAGONAL: self.off_arity}
+        if big := [t for t in ext if len(t.values) == arity[t.kind] and min(t.values) >= 0
+                   and max(t.values) > _INT64_MAX]:
+            raise SequenceError(f"token {big[0]} has a value beyond int64")
         self.featured_tokens = tuple(ext)
         self._ext_ids = {t: self._ext_base + i for i, t in enumerate(ext)}
-        self._tables = {DIAGONAL: self._value_table(DIAGONAL, self._diag_base, self._off_base),
-                        OFFDIAGONAL: self._value_table(OFFDIAGONAL, self._off_base, self._ext_base)}
-        self._featured_rows = _token_grid(self.featured_tokens, k)[:2]
+        diag, grid, _ = _token_grid(self.featured_tokens, k)
+        self._diag = np.concatenate([np.arange(self._ext_base) < self._off_base, diag])
+        self._grid = np.concatenate([table.grid, grid]) if len(grid) else table.grid
+        columns = self._grid.T.copy()
+        nonzero = columns.any(axis=0)
+        self._by_kind = {}
+        for on in (True, False):
+            ids = np.flatnonzero(nonzero & (self._diag == on))
+            self._by_kind[on] = ids, columns.take(ids, axis=1)
         self._held: dict[int, tuple[int, ...]] = {}
         self._masks: dict[bytes, np.ndarray] = {}
-
-    def _value_table(self, kind: str, base: int, end: int) -> tuple[np.ndarray, np.ndarray]:
-        arity = self.diag_arity if kind == DIAGONAL else self.off_arity
-        bits = _structural(self.k).grid[base:end, _held_slots(self.k, kind == DIAGONAL)]
-        featured = [t for t in self.featured_tokens
-                    if t.kind == kind and len(t.values) == arity and min(t.values) >= 0]
-        if big := [t for t in featured if max(t.values) > _INT64_MAX]:
-            raise SequenceError(f"token {big[0]} has a value beyond int64")
-        ids = np.array([self._ext_ids[t] for t in featured], dtype=np.int64)
-        values = np.array([t.values for t in featured], dtype=np.int64).reshape(-1, arity)
-        return np.concatenate([np.arange(base, end), ids]), np.concatenate([bits, values])
 
     def _is_structural(self, token: Token) -> bool:
         arity = self.diag_arity if token.kind == DIAGONAL else self.off_arity
@@ -755,15 +758,14 @@ class Vocabulary:
     @property
     def size(self) -> int:
         """Total id count including the three reserved ids and featured tokens."""
-        return self._ext_base + len(self.featured_tokens)
+        return len(self._grid)
 
     def encode(self, token: Token) -> int:
         if self._is_structural(token):
             value = 0
             for v in token.values:
                 value = (value << 1) | v
-            base = self._diag_base if token.kind == DIAGONAL else self._off_base
-            return base + value
+            return (_SPECIALS if token.kind == DIAGONAL else self._off_base) + value
         try:
             return self._ext_ids[token]
         except KeyError:
@@ -779,61 +781,38 @@ class Vocabulary:
         """The values of the token with this id, kept in ``_held``."""
         values = self._held.get(token_id)
         if values is None:
-            if not self._diag_base <= token_id < self.size:
+            if not _SPECIALS <= token_id < self.size:
                 raise SequenceError(f"id {token_id} is reserved or out of range")
             if token_id >= self._ext_base:
                 values = self.featured_tokens[token_id - self._ext_base].values
             else:
                 slots = _held_slots(self.k, token_id < self._off_base)
-                values = tuple(_structural(self.k).grid[token_id, slots].tolist())
+                values = tuple(self._grid[token_id, slots].tolist())
             self._held[token_id] = values
         return values
-
-    def _mask_for_rules(self, kind: str, rules: tuple[Rule, ...]) -> np.ndarray:
-        """Boolean mask over all ids for one pending sibling group: the
-        tokens of ``kind`` in the value table that are not all zero and
-        whose every slot holds a value its rule allows."""
-        ids, values = self._tables[kind]
-        top = int(values.max()) + 1
-        admitted = values.any(axis=1)
-        for slot, (zero_ok, nonzero) in enumerate(rules):
-            lookup = np.zeros(top, dtype=bool)
-            lookup[:1] = zero_ok
-            lookup[nonzero.start:nonzero.stop] = True
-            admitted &= lookup[values[:, slot]]
-        mask = np.zeros(self.size, dtype=bool)
-        mask[ids[admitted]] = True
-        return mask
 
     def _mask_for(self, builder: IncrementalBuilder) -> np.ndarray:
         """The read-only mask of an incomplete builder's pending block, kept
         in ``_masks`` by its rule signature
         (:meth:`IncrementalBuilder._mask_key`).  Blocks with equal kinds and
-        rules share a signature, so the block's rules are made and its mask
-        built only on a miss; past ``_MASK_CACHE_SIZE`` masks the oldest is
-        dropped."""
+        rules share a signature, so a mask is built only on a miss, by
+        comparing the rows of the block's kind with its rule row; past
+        ``_MASK_CACHE_SIZE`` masks the oldest is dropped."""
         key = builder._mask_key()
         mask = self._masks.get(key)
         if mask is None:
             if len(self._masks) >= _MASK_CACHE_SIZE:
                 del self._masks[next(iter(self._masks))]
-            mask = self._masks[key] = self._mask_for_rules(builder.next_kind,
-                                                           builder.next_rules())
+            ids, rows = self._by_kind[builder._diag[builder._cursor]]  # slots x ids
+            zero_ok, lo, hi = (rule[builder._cursor, :, None] for rule in builder._level_table())
+            mask = self._masks[key] = np.zeros(self.size, dtype=bool)
+            mask[ids[((rows <= hi) & ((rows >= lo) | (rows == 0) & zero_ok)).all(axis=0)]] = True
             mask.flags.writeable = False
         return mask
 
     def _rows(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Diagonal flags and grid rows of the tokens with these ids, none
-        reserved: structural rows from the table of ``k``, featured rows
-        from the featured tokens."""
-        featured = ids >= self._ext_base
-        structural = np.where(featured, self._diag_base, ids)
-        table = _structural(self.k)
-        diag, grid = structural < table.off_base, table.grid[structural]
-        if featured.any():
-            at = ids[featured] - self._ext_base
-            diag[featured], grid[featured] = self._featured_rows[0][at], self._featured_rows[1][at]
-        return diag, grid
+        """Diagonal flags and grid rows of the tokens with these ids."""
+        return self._diag[ids], self._grid[ids]
 
     @classmethod
     def from_corpus(cls, k: int, sequences: list[TokenSequence]) -> "Vocabulary":

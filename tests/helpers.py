@@ -574,11 +574,28 @@ def reference_ngram_scores(sequences: list[TokenSequence], vocab: Vocabulary, n:
     return (counts + 1) / (counts.sum() + vocab.size)
 
 
+def reference_mask_for_rules(vocab: Vocabulary, kind: str, rules: tuple[Rule, ...]) -> np.ndarray:
+    """Boolean mask over all ids for one pending sibling group, read id by
+    id through ``vocab.decode``: the tokens of ``kind`` with one value per
+    rule, not all zero, whose every value is 0 where its rule admits 0 or
+    in its rule's nonzero range."""
+    mask = np.zeros(vocab.size, dtype=bool)
+    for token_id in range(vocab.PAD + 1, vocab.size):
+        token = vocab.decode(token_id)
+        mask[token_id] = (token.kind == kind and len(token.values) == len(rules)
+                          and any(token.values)
+                          and all(value in nonzero or value == 0 and zero_ok
+                                  for value, (zero_ok, nonzero) in zip(token.values, rules)))
+    return mask
+
+
 def reference_sample_sequence(model, config) -> TokenSequence:
     """``sample_sequence`` as it was before it stepped by id: the model gets
     a copy of the prefix at each step, and each drawn id becomes a
     :class:`Token` that the builder checks against its row
-    (:func:`_row_error`).  The sequence is made from those tokens."""
+    (:func:`_row_error`).  The sequence is made from those tokens.  Greedy
+    or drawn, negative, NaN or infinite admissible mass raises
+    :class:`GenerationError`."""
     vocab = model.vocab
     if vocab.k != config.k:
         raise ValueError(f"model vocabulary has k={vocab.k}, config has k={config.k}")
@@ -603,6 +620,8 @@ def reference_sample_sequence(model, config) -> TokenSequence:
         total = masked.sum()
         if total <= 0.0:
             raise ZeroMassError("no probability mass on admissible tokens")
+        if not np.isfinite(masked).all() or (masked < 0.0).any():
+            raise GenerationError("model put negative, NaN or infinite mass on admissible tokens")
         if config.greedy:
             token_id = int(masked.argmax())
         else:

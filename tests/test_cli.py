@@ -155,6 +155,19 @@ class TestExitCodes:
         assert main(["gen-dataset", "--family", "er", "--n", "x",
                      "--out", str(tmp_path / "o.ds")]) == 1
 
+    @pytest.mark.parametrize("option, value, why", [
+        ("--k", "5", "must be 2, 3 or 4"), ("--k", "1", "must be 2, 3 or 4"),
+        ("--max-tokens", "0", "must be at least 1"), ("--padded-n", "-4", "must be at least 1"),
+        ("--ngram-order", "0", "must be at least 1")])
+    def test_bad_sample_option_is_a_usage_error(self, tmp_path, capsys, option, value, why):
+        out = tmp_path / "o.ds"
+        argv = ["sample", "--k", "2", "--padded-n", "4", "--out", str(out), option, value]
+        assert main(argv) == 1
+        assert f"usage error: argument {option}: {why}, got {value}" in capsys.readouterr().err
+        assert not out.exists()
+        good = {"--k": "4", "--padded-n": "16", "--max-tokens": "64"}.get(option, "1")
+        assert main(argv[:-1] + [good]) == 0
+
     @pytest.mark.parametrize("argv", [["sample", "--k", "2", "--padded-n", "4"],
                                       ["gen-dataset", "--family", "er"]],
                              ids=["sample", "gen-dataset"])

@@ -17,7 +17,8 @@ from k2seq.sequence import (BOS, DIAGONAL, OFFDIAGONAL, IncrementalBuilder,
                             write_token_stream, _row_error, _rule_keys)
 
 from helpers import (mixed_family_graphs, random_er, random_labeled_er,
-                     reference_ngram_scores, reference_sample_sequence)
+                     reference_mask_for_rules, reference_ngram_scores,
+                     reference_sample_sequence)
 
 SINGLE_EDGE = Graph(n=4, edges=frozenset({(0, 1)}))
 K4 = Graph(n=4, edges=frozenset({(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)}))
@@ -57,9 +58,9 @@ def assert_masks_agree_along(sequence, vocab):
         via_builder = builder_mask(builder, vocab)
         via_simulation = simulated_mask(builder, vocab)
         assert (via_builder == via_simulation).all()
-        # The mask kept for this signature is the one a fresh build gives.
-        assert (via_builder == vocab._mask_for_rules(builder.next_kind,
-                                                     builder.next_rules())).all()
+        # The mask kept for this signature is the one read id by id.
+        assert (via_builder == reference_mask_for_rules(vocab, builder.next_kind,
+                                                        builder.next_rules())).all()
         assert via_builder[vocab.encode(token)]
         builder.step(token)
     assert not builder_mask(builder, vocab).any()
@@ -131,6 +132,33 @@ class TestMaskMatchesBuilder:
         s = encode_graph(TRIANGLE_LABELED, 2)
         v = Vocabulary.from_corpus(2, [s])
         assert_masks_agree_along(s, v)
+
+    def test_a_huge_label_builds_every_mask_in_small_memory(self):
+        # A node label value of 2**40: a mask built through a lookup as long
+        # as the largest value would ask for 1 TiB.
+        from test_sequence import traced_peak
+
+        big = 2 ** 40
+        g = Graph(n=3, edges=frozenset({(0, 1), (1, 2)}), node_labels={0: big - 1, 1: 0, 2: 5},
+                  edge_labels={(0, 1): 0, (1, 2): 1}, node_vocab=big, edge_vocab=2)
+        s = encode_graph(g, 2)
+        vocab = Vocabulary.from_corpus(2, [s])
+        assert max(max(t.values) for t in vocab.featured_tokens) == big + 2
+        header = (2, s.padded_n, s.original_n, True, big, 2)
+        masks = []
+
+        def mask_along():
+            builder = IncrementalBuilder(*header)
+            for token in s.tokens:
+                masks.append(builder_mask(builder, vocab))
+                builder.step(token)
+
+        error, peak = traced_peak(mask_along)
+        assert error is None and peak < 2 * 2 ** 20
+        builder = IncrementalBuilder(*header)
+        for token, mask in zip(s.tokens, masks, strict=True):
+            assert (mask == simulated_mask(builder, vocab)).all() and mask[vocab.encode(token)]
+            builder.step(token)
 
     def test_featured_tokens_no_position_admits(self):
         # A negative value and a wrong arity: each decodes, and no mask admits it.
@@ -688,9 +716,10 @@ class TestSamplerMatchesReference:
             assert not isinstance(assert_samplers_agree(model, config), str)
             got = assert_samplers_agree(model, replace(config, greedy=True))
             greedy_errors.add(got[0] if isinstance(got, tuple) else None)
-        # The argmax reads no sign: NaN and infinite mass are picked as
-        # they are, and only a wrong shape or a total of at most 0 raises.
-        assert greedy_errors == {ZeroMassError, GenerationError, None}
+        # Greedy or drawn, every bad model raises: a total of at most 0 as
+        # ZeroMassError, a wrong shape and NaN or infinite mass as
+        # GenerationError.
+        assert greedy_errors == {ZeroMassError, GenerationError}
 
     def test_a_run_past_max_tokens(self):
         corpus = golden_corpus(2)
