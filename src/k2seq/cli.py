@@ -15,7 +15,8 @@ import numpy as np
 
 from .generators import (FAMILIES, Dataset, gen_community, gen_er, gen_grid,
                          gen_planar, read_dataset, write_dataset)
-from .graphs import GraphError, order_nodes, apply_ordering, parse_edge_list, serialize_edge_list
+from .graphs import (GraphError, order_nodes, apply_ordering, padded_size, parse_edge_list,
+                     serialize_edge_list)
 from .metrics import (METRIC_NAMES, KernelConfig, MetricsError, evaluate_sets,
                       sequence_ratio)
 from .sampling import (GenerationConfig, GenerationError, empirical_sizes,
@@ -106,6 +107,11 @@ def _cmd_order(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    # The original size defaults to the padded one, which must then be the
+    # padded size the encoder gives it.
+    if args.padded_n is not None and padded_size(args.padded_n, args.k) != args.padded_n:
+        raise UsageError(f"argument --padded-n: must be {args.k}**d for some d >= 1, "
+                         f"got {args.padded_n}")
     vocab = Vocabulary(args.k)
     sizes = None
     if args.train:

@@ -6,10 +6,18 @@ orbits of the six connected 4-node graphlets.  Sets of graphs are compared
 with a biased squared MMD estimate under a Gaussian kernel over total
 variation distance for histograms, or over Euclidean distance for plain
 feature vectors.
+
+A graph cannot change, so :func:`degree_histogram`,
+:func:`clustering_histogram` and :func:`mean_orbit_vector` compute their
+result once per :class:`Graph` instance and keep it on that instance, as
+the graph keeps its cached ``edges``: a reference set scored again costs
+only its MMD.  Kept results are read-only.  :func:`orbit4_counts` and
+:func:`clustering_values`, a row or a value per node, are not kept.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -48,8 +56,30 @@ class Histogram:
         return self.counts.astype(float) / total
 
 
+def _kept_per_graph(feature):
+    """``feature`` computed on the first call for a graph instance and kept
+    in that instance's dict (where the frozen ``Graph`` keeps its cached
+    views) under the feature's name; its arrays are made read-only, as
+    every later caller shares them."""
+    key = f"_{feature.__name__}"
+
+    @functools.wraps(feature)
+    def kept(g: Graph):
+        cache = vars(g)
+        if key not in cache:
+            value = feature(g)
+            for array in ((value.counts, value.edges) if isinstance(value, Histogram)
+                          else (value,)):
+                array.flags.writeable = False
+            cache[key] = value
+        return cache[key]
+    return kept
+
+
+@_kept_per_graph
 def degree_histogram(g: Graph) -> Histogram:
-    """Counts of node degrees 0..max on unit-width integer bins."""
+    """Counts of node degrees 0..max on unit-width integer bins; kept per
+    graph, read-only."""
     counts = np.bincount(g.degree_array())
     return Histogram(counts=counts.astype(np.int64),
                      edges=np.arange(len(counts) + 1, dtype=float))
@@ -82,8 +112,10 @@ def clustering_values(g: Graph) -> np.ndarray:
     return 2.0 * np.bincount(tri.ravel(), minlength=g.n) / np.maximum(d * (d - 1), 1)
 
 
+@_kept_per_graph
 def clustering_histogram(g: Graph) -> Histogram:
-    """Local clustering coefficients on 100 uniform bins over [0, 1]."""
+    """Local clustering coefficients on 100 uniform bins over [0, 1]; kept
+    per graph, read-only."""
     counts, edges = np.histogram(clustering_values(g), bins=CLUSTERING_BINS,
                                  range=(0.0, 1.0))
     return Histogram(counts=counts.astype(np.int64), edges=edges)
@@ -146,8 +178,10 @@ def orbit4_counts(g: Graph) -> np.ndarray:
     return np.stack([o4, o5, o6, o7, o8, o9, o10, o11, o12, o13, o14], axis=1)
 
 
+@_kept_per_graph
 def mean_orbit_vector(g: Graph) -> np.ndarray:
-    """Mean of per-node orbit counts; the per-graph orbit feature."""
+    """Mean of per-node orbit counts; the per-graph orbit feature, kept per
+    graph, read-only."""
     return orbit4_counts(g).mean(axis=0)
 
 

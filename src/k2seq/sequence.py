@@ -269,6 +269,8 @@ class _Structural:
     :class:`Vocabulary`'s id -> row table starts with ``grid``.
     ``weights[diagonal]`` turns a grid row into the id's offset from its
     kind's base: the bits of the held slots, the first most significant.
+    ``diag`` is each id's diagonal flag and ``by_kind`` the table's rows by
+    kind (:func:`_rows_by_kind`), which every vocabulary of ``k`` shares.
     """
 
     k: int
@@ -277,6 +279,24 @@ class _Structural:
     words: np.ndarray
     word_ids: dict[str, int]
     weights: np.ndarray
+    diag: np.ndarray
+    by_kind: dict[bool, tuple[np.ndarray, np.ndarray]]
+
+
+def _rows_by_kind(first_id: int, diag: np.ndarray,
+                  grid: np.ndarray) -> dict[bool, tuple[np.ndarray, np.ndarray]]:
+    """Per diagonal flag, the ids of the nonzero rows of that kind in the
+    id -> row table ``diag``, ``grid`` that starts at id ``first_id``, and
+    those rows transposed to ``k*k`` slots x ids, so that each comparison
+    of :meth:`Vocabulary._mask_for` runs along contiguous ids."""
+    nonzero = grid.any(axis=1)
+    out = {}
+    for on in (True, False):
+        rows = np.flatnonzero(nonzero & (diag == on))
+        out[on] = first_id + rows, grid.take(rows, axis=0).T.copy()
+        for array in out[on]:
+            array.flags.writeable = False
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -294,9 +314,11 @@ def _structural(k: int) -> _Structural:
         words += [f"{kind}:{offset:0{len(slots)}b}" for offset in range(count)]
     word_ids = {word: i for i, word in enumerate(words) if word is not None}
     words = np.array(words, dtype=object)
-    for array in (grid, words, weights):
+    diag = np.arange(len(grid)) < off_base
+    for array in (grid, words, weights, diag):
         array.flags.writeable = False  # every caller shares them
-    return _Structural(k, off_base, grid, words, word_ids, weights)
+    return _Structural(k, off_base, grid, words, word_ids, weights, diag,
+                       _rows_by_kind(0, diag, grid))
 
 
 def _plain_ids(s: TokenSequence) -> np.ndarray | None:
@@ -695,12 +717,12 @@ class Vocabulary:
     zero rows and which a vocabulary with no featured tokens uses as it is,
     then the featured tokens' rows as :func:`_token_grid` makes them, so a
     token whose arity is not its kind's is a row of -1s.
-    ``_by_kind`` keeps, per diagonal flag, the ids whose row is nonzero and
-    those rows, transposed to ``k*k`` slots x ids so that each comparison
-    runs along contiguous ids.  A mask compares them with the pending
-    block's ``zero_ok``, ``lo`` and ``hi`` row over all ``k*k`` slots
-    (:meth:`_mask_for`): a diagonal row's unheld slots hold 0, which their
-    rules admit, and no rule admits a negative value or a -1 row.
+    ``_by_kind`` keeps, per diagonal flag, two parts of the table
+    (:func:`_rows_by_kind`): the structural one, built once per ``k`` and
+    shared, and the featured tokens' one.  A mask compares their rows with
+    the pending block's ``zero_ok``, ``lo`` and ``hi`` row over all ``k*k``
+    slots (:meth:`_mask_for`): a diagonal row's unheld slots hold 0, which
+    their rules admit, and no rule admits a negative value or a -1 row.
     ``_masks`` keeps the masks by the rule signature of that row
     (:func:`_rule_keys`).
 
@@ -735,14 +757,12 @@ class Vocabulary:
         self.featured_tokens = tuple(ext)
         self._ext_ids = {t: self._ext_base + i for i, t in enumerate(ext)}
         diag, grid, _ = _token_grid(self.featured_tokens, k)
-        self._diag = np.concatenate([np.arange(self._ext_base) < self._off_base, diag])
-        self._grid = np.concatenate([table.grid, grid]) if len(grid) else table.grid
-        columns = self._grid.T.copy()
-        nonzero = columns.any(axis=0)
-        self._by_kind = {}
-        for on in (True, False):
-            ids = np.flatnonzero(nonzero & (self._diag == on))
-            self._by_kind[on] = ids, columns.take(ids, axis=1)
+        self._diag, self._grid = table.diag, table.grid
+        if len(grid):
+            self._diag = np.concatenate([table.diag, diag])
+            self._grid = np.concatenate([table.grid, grid])
+        featured = _rows_by_kind(self._ext_base, diag, grid)
+        self._by_kind = {on: (table.by_kind[on], featured[on]) for on in (True, False)}
         self._held: dict[int, tuple[int, ...]] = {}
         self._masks: dict[bytes, np.ndarray] = {}
 
@@ -803,10 +823,10 @@ class Vocabulary:
         if mask is None:
             if len(self._masks) >= _MASK_CACHE_SIZE:
                 del self._masks[next(iter(self._masks))]
-            ids, rows = self._by_kind[builder._diag[builder._cursor]]  # slots x ids
             zero_ok, lo, hi = (rule[builder._cursor, :, None] for rule in builder._level_table())
             mask = self._masks[key] = np.zeros(self.size, dtype=bool)
-            mask[ids[((rows <= hi) & ((rows >= lo) | (rows == 0) & zero_ok)).all(axis=0)]] = True
+            for ids, rows in self._by_kind[builder._diag[builder._cursor]]:  # rows: slots x ids
+                mask[ids[((rows <= hi) & ((rows >= lo) | (rows == 0) & zero_ok)).all(axis=0)]] = True
             mask.flags.writeable = False
         return mask
 

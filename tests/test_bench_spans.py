@@ -55,3 +55,35 @@ def test_encode_calls_the_ordering_functions_by_name(monkeypatch):
     s = sq.encode_graph(g, 2, ordering="cm")
     assert calls == {"order_nodes": 1, "apply_ordering": 1}
     assert s.perm is not None and sq.decode_graph(s) == g
+
+
+def test_evaluate_calls_each_feature_and_mmd_by_name(monkeypatch):
+    """The traced ``metrics.degree_ms``, ``metrics.clustering_ms``,
+    ``metrics.orbit_ms`` and ``metrics.mmd_ms`` time these functions where
+    ``evaluate_sets`` looks them up, in ``k2seq.metrics``: once per graph of
+    each set, kept features or not, and ``mmd`` once per metric."""
+    import k2seq.metrics as mt
+    from k2seq.generators import gen_er
+
+    features = ("degree_histogram", "clustering_histogram", "mean_orbit_vector")
+    calls = {name: [] for name in features + ("mmd",)}
+
+    def counted(name):
+        inner = getattr(mt, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name].append(args[0])
+            return inner(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(mt, name, counted(name))
+    ref = [gen_er(12, 0.3, seed) for seed in range(3)]
+    gen = [gen_er(10, 0.4, seed) for seed in range(3, 5)]
+    for _ in range(2):  # the second pass finds the features kept
+        for name in calls:
+            calls[name].clear()
+        mt.evaluate_sets(ref, gen)
+        for name in features:
+            assert [id(g) for g in calls[name]] == [id(g) for g in ref + gen]
+        assert len(calls["mmd"]) == len(mt.METRIC_NAMES)

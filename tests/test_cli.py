@@ -158,6 +158,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("option, value, why", [
         ("--k", "5", "must be 2, 3 or 4"), ("--k", "1", "must be 2, 3 or 4"),
         ("--max-tokens", "0", "must be at least 1"), ("--padded-n", "-4", "must be at least 1"),
+        ("--padded-n", "3", "must be 2**d for some d >= 1"),
         ("--ngram-order", "0", "must be at least 1")])
     def test_bad_sample_option_is_a_usage_error(self, tmp_path, capsys, option, value, why):
         out = tmp_path / "o.ds"

@@ -284,6 +284,40 @@ class TestEvaluateSets:
         with pytest.raises(MetricsError, match="unknown"):
             evaluate_sets([K4], [K4], metrics=("nope",))
 
+    def test_a_reference_set_scored_twice_counts_its_orbits_once(self, monkeypatch):
+        import k2seq.metrics as mt
+
+        ref = [random_er(s, 12, 0.4) for s in range(4)]
+        gens = [[random_er(s, 10, 0.5) for s in range(4, 7)],
+                [random_er(s, 14, 0.3) for s in range(7, 10)]]
+        counted, inner = [], mt.orbit4_counts
+
+        def orbit4_counts(g):
+            counted.append(g)
+            return inner(g)
+
+        monkeypatch.setattr(mt, "orbit4_counts", orbit4_counts)
+        scores = [evaluate_sets(ref, gen) for gen in gens]
+        assert [sum(c is g for c in counted) for g in ref] == [1] * len(ref)
+        assert len(counted) == len(ref) + sum(map(len, gens))
+        # The kept features are bit for bit those of equal graphs built anew.
+        fresh = [Graph.from_arrays(g.n, g.edge_array) for g in ref]
+        for g, h in zip(ref, fresh):
+            for feature in (degree_histogram, clustering_histogram):
+                kept, anew = feature(g), feature(h)
+                assert kept.counts.tobytes() == anew.counts.tobytes()
+                assert kept.edges.tobytes() == anew.edges.tobytes()
+            assert mean_orbit_vector(g).tobytes() == mean_orbit_vector(h).tobytes()
+        assert [evaluate_sets(fresh, gen) for gen in gens] == scores
+
+    def test_kept_features_are_read_only(self):
+        g = random_er(3, 10, 0.4)
+        for array in (degree_histogram(g).counts, clustering_histogram(g).counts,
+                      mean_orbit_vector(g)):
+            with pytest.raises(ValueError):
+                array[0] = 5
+        assert degree_histogram(g) is degree_histogram(g)
+
 
 class TestCompressionRatio:
     def test_frozen_ratios(self):

@@ -378,6 +378,18 @@ class TestVocabulary:
         with pytest.raises(ValueError, match="k <= 4"):
             Vocabulary(5)
 
+    def test_a_second_k4_vocabulary_shares_the_structural_rows(self):
+        # The structural table's rows by kind, 8.5 MiB at k=4, are built once
+        # per k; a vocabulary adds only its featured tokens' part.
+        Vocabulary(4)
+        tracemalloc.start()
+        try:
+            v = Vocabulary(4)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert v.size == 66563 and retained < 2 ** 20
+
     def test_featured_values_beyond_int64_are_a_sequence_error(self):
         big = 2 ** 70
         s = read_token_stream(f"2 2 2 1\n{big} 1\nd:1,{big + 1},2\n")
