@@ -21,7 +21,7 @@ from .metrics import (METRIC_NAMES, KernelConfig, MetricsError, evaluate_sets,
                       sequence_ratio)
 from .sampling import (GenerationConfig, GenerationError, empirical_sizes,
                        ngram_model, sample_sequence, uniform_model)
-from .sequence import (SequenceError, Vocabulary, decode_graph, encode_graph,
+from .sequence import (SequenceError, Vocabulary, _check_header, decode_graph, encode_graph,
                        full_tree_attrs, read_token_stream, tree_levels,
                        write_token_stream)
 
@@ -107,11 +107,14 @@ def _cmd_order(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    # The original size defaults to the padded one, which must then be the
-    # padded size the encoder gives it.
-    if args.padded_n is not None and padded_size(args.padded_n, args.k) != args.padded_n:
-        raise UsageError(f"argument --padded-n: must be {args.k}**d for some d >= 1, "
-                         f"got {args.padded_n}")
+    # The original size defaults to the padded one: it must pass the header rule.
+    if args.padded_n is not None:
+        try:
+            _check_header(args.k, args.padded_n, args.padded_n, False, 0, 0)
+        except SequenceError as exc:
+            power = padded_size(args.padded_n, args.k) == args.padded_n
+            why = exc if power else f"must be {args.k}**d for some d >= 1"
+            raise UsageError(f"argument --padded-n: {why}, got {args.padded_n}") from None
     vocab = Vocabulary(args.k)
     sizes = None
     if args.train:

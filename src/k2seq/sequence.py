@@ -30,16 +30,15 @@ one bool per token, and ``grid``, one row per token of ``k*k`` int64 child
 slots ``i*k + j`` (0-based), a diagonal token's values in its
 :func:`child_orders` slots and its other slots 0.  :func:`encode_graph`
 reads them off its level grids, :func:`decode_graph` walks them, and
-``tokens`` is a view built on first use.  A plain token with
-``2 <= k <= 4`` is one :class:`Vocabulary` id, its kind's base plus its
-bits read as a binary number, so :func:`write_token_stream` and
-:func:`encode_ids` compute the ids from the grid by arithmetic, and
-:func:`read_token_stream` finds each word's id, by one byte scan of a long
-line or one dictionary lookup per word of a short one, and gathers its
-row.  One table per ``k`` (:func:`_structural`) holds each id's word and
-grid row; a :class:`Vocabulary`'s id -> row table is that table followed
-by its featured tokens' rows, and a mask compares the rows of the pending
-block's kind with the block's rule row.
+``tokens`` is a view built on first use.  A plain token is written as its
+kind, ``:`` and its held slots' bits by one byte pass over the grid, and
+read into rows by one byte scan, or one lookup per word on a short line at
+``k <= 3``.  With ``2 <= k <= 4`` it is also one :class:`Vocabulary` id,
+its kind's base plus its bits read as a binary number, which
+:func:`encode_ids` computes from the grid.  One table per ``k``
+(:func:`_structural`) holds each id's row; a :class:`Vocabulary`'s id ->
+row table is that table followed by its featured tokens' rows, and a mask
+compares the rows of the pending block's kind with the block's rule row.
 
 The wire format holds each integer as ``str`` writes it and each plain bit
 as ``0`` or ``1``.  The reader refuses any other spelling of a number (a
@@ -260,25 +259,18 @@ _MAX_TABLE_K = 4
 class _Structural:
     """Every structural token of one ``k``, indexed by its :class:`Vocabulary`
     id: the diagonal bit patterns from id 3, then the off-diagonal ones from
-    ``off_base``.  Rows 0..2 (BOS, EOS, PAD) hold zeros and None.
+    ``off_base``.  Rows 0..2 (BOS, EOS, PAD) hold zeros.
 
     ``grid`` is ids x ``k*k``: each token's values in their slots ``i*k + j``
     (0-based), a diagonal token's other slots 0, as :func:`_level_tokens` and
-    :func:`_token_grid` lay them out.  ``words`` is an object array of each
-    id's stream word; ``word_ids`` maps a word back to its id.  A
-    :class:`Vocabulary`'s id -> row table starts with ``grid``.
-    ``weights[diagonal]`` turns a grid row into the id's offset from its
-    kind's base: the bits of the held slots, the first most significant.
-    ``diag`` is each id's diagonal flag and ``by_kind`` the table's rows by
-    kind (:func:`_rows_by_kind`), which every vocabulary of ``k`` shares.
+    :func:`_token_grid` lay them out.  A :class:`Vocabulary`'s id -> row
+    table starts with ``grid``.  ``diag`` is each id's diagonal flag and
+    ``by_kind`` the table's rows by kind (:func:`_rows_by_kind`), which
+    every vocabulary of ``k`` shares.  Streams read it at ``k <= 3`` only.
     """
 
-    k: int
     off_base: int
     grid: np.ndarray
-    words: np.ndarray
-    word_ids: dict[str, int]
-    weights: np.ndarray
     diag: np.ndarray
     by_kind: dict[bool, tuple[np.ndarray, np.ndarray]]
 
@@ -304,33 +296,26 @@ def _structural(k: int) -> _Structural:
     kk = k * k
     off_base = _SPECIALS + (1 << diagonal_arity(k))
     grid = np.zeros((off_base + (1 << kk), kk), dtype=np.int64)
-    weights = np.zeros((2, kk), dtype=np.int64)
-    words = [None] * _SPECIALS
-    for kind, base in ((DIAGONAL, _SPECIALS), (OFFDIAGONAL, off_base)):
-        slots = _held_slots(k, kind == DIAGONAL)
+    for diagonal, base in ((True, _SPECIALS), (False, off_base)):
+        slots = _held_slots(k, diagonal)
         count, shifts = 1 << len(slots), np.arange(len(slots) - 1, -1, -1)
-        weights[int(kind == DIAGONAL), slots] = 1 << shifts
         grid[base:base + count, slots] = np.arange(count)[:, None] >> shifts & 1
-        words += [f"{kind}:{offset:0{len(slots)}b}" for offset in range(count)]
-    word_ids = {word: i for i, word in enumerate(words) if word is not None}
-    words = np.array(words, dtype=object)
     diag = np.arange(len(grid)) < off_base
-    for array in (grid, words, weights, diag):
-        array.flags.writeable = False  # every caller shares them
-    return _Structural(k, off_base, grid, words, word_ids, weights, diag,
-                       _rows_by_kind(0, diag, grid))
+    grid.flags.writeable = diag.flags.writeable = False  # every caller shares them
+    return _Structural(off_base, grid, diag, _rows_by_kind(0, diag, grid))
 
 
 def _plain_ids(s: TokenSequence) -> np.ndarray | None:
     """The :class:`Vocabulary` ids of the tokens of a plain sequence with
     ``2 <= k <= 4`` whose every row holds only 0s and 1s, a structural
     token's; None for any other sequence.  An id's offset from its kind's
-    base is its row weighed by :class:`_Structural`'s ``weights``."""
+    base is the bits of its held slots, the first most significant."""
     if s.featured or not 2 <= s.k <= _MAX_TABLE_K or (s.grid & -2).any():
         return None
-    table = _structural(s.k)
-    offsets = np.einsum("ij,ij->i", s.grid, table.weights.take(s.diag.astype(np.intp), axis=0))
-    return np.where(s.diag, _SPECIALS, table.off_base) + offsets
+    arity, held = diagonal_arity(s.k), np.greater_equal(*_slot_digits(s.k))
+    shifts = np.stack([np.arange(s.k * s.k - 1, -1, -1), arity - held.cumsum()])  # per kind
+    offsets = np.einsum("ij,ij->i", s.grid, (1 << shifts).take(s.diag, axis=0))
+    return np.where(s.diag, _SPECIALS, _SPECIALS + (1 << arity)) + offsets
 
 
 def node_position(path: tuple[tuple[int, int], ...], k: int) -> tuple[int, int]:
@@ -713,8 +698,8 @@ class Vocabulary:
 
     ``_diag`` and ``_grid`` are one table of every id's row, laid out as a
     :class:`TokenSequence` lays out its tokens: first the structural table
-    of ``k`` that the codec reads (:func:`_structural`), whose ids 0..2 are
-    zero rows and which a vocabulary with no featured tokens uses as it is,
+    of ``k`` (:func:`_structural`), whose ids 0..2 are zero rows and which
+    a vocabulary with no featured tokens uses as it is,
     then the featured tokens' rows as :func:`_token_grid` makes them, so a
     token whose arity is not its kind's is a row of -1s.
     ``_by_kind`` keeps, per diagonal flag, two parts of the table
@@ -853,6 +838,20 @@ def encode_ids(s: TokenSequence, vocab: Vocabulary) -> list[int]:
     return [vocab.encode(t) for t in s.tokens]
 
 
+def _token_line(diag: np.ndarray, grid: np.ndarray, k: int) -> str:
+    """The token line of plain rows of 0s and 1s, the one spelling of a plain
+    word, by one ``uint8`` pass: per token its kind, ``:``, the bits of its
+    held slots (a diagonal row's others masked out) and a space but the last."""
+    i, j = _slot_digits(k)
+    chars = np.empty((len(grid), k * k + 3), dtype=np.uint8)
+    chars[:, 0] = np.where(diag, ord(DIAGONAL), ord(OFFDIAGONAL))
+    chars[:, 1], chars[:, -1] = ord(":"), ord(" ")
+    np.add(grid, ord("0"), out=chars[:, 2:-1], casting="unsafe")
+    keep = np.ones((2, k * k + 3), dtype=bool)  # per diagonal flag
+    keep[1, 2:-1] = i >= j
+    return chars[keep.take(diag, axis=0)].tobytes()[:-1].decode("ascii")
+
+
 def write_token_stream(s: TokenSequence) -> str:
     """Line-oriented text form.
 
@@ -861,15 +860,14 @@ def write_token_stream(s: TokenSequence) -> str:
     ``d:``/``o:`` prefixed, values comma-separated for featured streams and
     concatenated bits otherwise; empty for a header-only sequence.  An optional
     trailing ``perm`` line records the node ordering applied before encoding.
-    A plain sequence whose tokens have vocabulary ids (:func:`_plain_ids`)
-    looks its words up by id; any other is written token by token.
+    Plain rows of 0s and 1s at ``k >= 2`` are written by :func:`_token_line`;
+    featured or ``tokens=`` ones token by token, making no ``k*k``-wide row.
     """
     lines = [f"{s.k} {s.padded_n} {s.original_n} {int(s.featured)}"]
     if s.featured:
         lines.append(f"{s.node_vocab} {s.edge_vocab}")
-    ids = _plain_ids(s)
-    if ids is not None:
-        lines.append(" ".join(_structural(s.k).words[ids].tolist()))
+    if not s.featured and s.k >= 2 and "_arrays" in vars(s) and not (s.grid & -2).any():
+        lines.append(_token_line(s.diag, s.grid, s.k))
     else:
         sep = "," if s.featured else ""
         lines.append(" ".join([f"{t.kind}:{sep.join(map(str, t.values))}" for t in s.tokens]))
@@ -904,44 +902,51 @@ def _perm_entries(line: str) -> tuple[int, ...]:
     return tuple(values.tolist())
 
 
-# Line length, in bytes, from which a plain token line is read by one byte
-# scan (:func:`_scanned_ids`) rather than one dictionary lookup per word
-# (:func:`_looked_up_ids`).  The scan costs about 45 us more per line and
-# less per word; the crossover, measured per ``k``, moves up with ``k`` as
-# its bit columns grow (ROADMAP, "Codec, large graphs").
-_SCAN_MIN_BYTES = {2: 6144, 3: 16384, 4: 49152}
+# Line length, in bytes, below which a plain line at K=2 or K=3 is read by one
+# lookup per word (:func:`_looked_up_rows`), not one byte scan
+# (:func:`_scanned_rows`), which costs ~40 us more per line and less per word:
+# they cross near 4 KiB at K=2 and 7 KiB at K=3.  K >= 4 always scans.
+_SCAN_MIN_BYTES = {2: 4096, 3: 8192}
 
 
-def _looked_up_ids(line: str, k: int) -> np.ndarray | None:
-    """The :class:`Vocabulary` ids of a plain token line's words, one
-    dictionary lookup per word; None if a word is not a structural
-    token's of this ``k``."""
+@lru_cache(maxsize=None)
+def _word_ids(k: int) -> dict[str, int]:
+    """Each structural token's word at ``k <= 3``, as :func:`_token_line`
+    spells it, mapped to its :class:`Vocabulary` id."""
+    table = _structural(k)
+    words = _token_line(table.diag[_SPECIALS:], table.grid[_SPECIALS:], k).split(" ")
+    return {word: i for i, word in enumerate(words, start=_SPECIALS)}
+
+
+def _looked_up_rows(line: str, k: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """The diagonal flags and grid rows of a plain token line's words, one
+    lookup per word; None if a word is not a structural token's of ``k``."""
     words = line.split(" ") if line else []
     try:
-        return np.fromiter(map(_structural(k).word_ids.__getitem__, words), dtype=np.int64,
-                           count=len(words))
+        ids = np.fromiter(map(_word_ids(k).__getitem__, words), dtype=np.intp, count=len(words))
     except KeyError:
         return None
+    table = _structural(k)
+    return table.diag[ids], table.grid[ids]
 
 
-def _scanned_ids(line: str, k: int) -> np.ndarray | None:
-    """The :class:`Vocabulary` ids of a plain token line's words, read by
-    one scan of its ASCII bytes; None for any line whose words are not all
-    structural tokens of this ``k``, separated by single spaces.
+def _scanned_rows(line: str, k: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """The diagonal flags and grid rows of a plain token line's words, read
+    by one scan of its ASCII bytes; None for any line whose words are not
+    all structural tokens of this ``k``, separated by single spaces.
 
     Words run between spaces, so an empty one (a leading, trailing or
     doubled space) has length 0.  A word of length ``arity + 2`` must be
     ``d:`` and one of ``k*k + 2`` must be ``o:``; with two such bytes per
     word and no others outside spaces, ``0`` and ``1``, every byte past a
-    word's ``:`` is a bit.  The bits are summed one column at a time, each
-    word read ``k*k`` bytes from its first bit, and a diagonal word's
-    columns past its end are shifted off."""
+    word's ``:`` is a bit.  Only then is anything ``k*k`` wide made: one
+    gather of each slot's byte, ``1`` or not (a diagonal word's unheld
+    slots read its ``:``)."""
     if not line.isascii():
         return None
     raw = line.encode("ascii")
     data = np.frombuffer(raw, dtype=np.uint8)
-    spaces = np.flatnonzero(data == ord(" "))
-    starts = np.concatenate(([0], spaces + 1))
+    starts = np.concatenate(([0], np.flatnonzero(data == ord(" ")) + 1))
     kk, arity = k * k, diagonal_arity(k)
     lengths = np.diff(starts, append=len(raw) + 1) - 1
     diag = lengths == arity + 2
@@ -950,13 +955,10 @@ def _scanned_ids(line: str, k: int) -> np.ndarray | None:
             or (data.take(starts + 1) != ord(":")).any()
             or len(raw.translate(None, b" 01")) != 2 * len(starts)):
         return None
-    ones = np.zeros(len(raw) + kk, dtype=np.int64)
-    ones[:len(raw)] = data == ord("1")
-    values = ones.take(starts + 2)
-    for column in range(3, kk + 2):
-        values <<= 1
-        values |= ones.take(starts + column)
-    return np.where(diag, (values >> (kk - arity)) + _SPECIALS, values + _structural(k).off_base)
+    held = np.greater_equal(*_slot_digits(k))
+    offsets = np.stack([np.arange(2, kk + 2), np.where(held, held.cumsum() + 1, 1)])  # by kind
+    ones = data.take(offsets.take(diag, axis=0) + starts[:, None]) == ord("1")
+    return diag, ones.astype(np.int64)
 
 
 def read_token_stream(text: str) -> TokenSequence:
@@ -966,12 +968,10 @@ def read_token_stream(text: str) -> TokenSequence:
     ``0`` or ``1``.  Lines are split at each space, so a doubled, leading or
     trailing space leaves an empty field, which no field admits.
 
-    A plain stream with ``2 <= k <= 4`` whose every word is a structural
-    token's is read to vocabulary ids, and its rows are gathered by id.  A
-    token line of at least ``_SCAN_MIN_BYTES[k]`` bytes is read by one byte
-    scan (:func:`_scanned_ids`), a shorter one by one dictionary lookup per
-    word (:func:`_looked_up_ids`), which also reads a line the scan refuses.
-    Any other stream is parsed token by token, which names the fault."""
+    A plain line at ``k >= 2`` of structural words only is read into rows by
+    one byte scan from ``_SCAN_MIN_BYTES[k]`` bytes on (0 past ``k = 3``),
+    else one lookup per word.  Any other is parsed token by token, which
+    names the fault."""
     if not text.endswith("\n"):
         raise SequenceError("stream must end with a newline")
     lines = text[:-1].split("\n")
@@ -994,14 +994,11 @@ def read_token_stream(text: str) -> TokenSequence:
         if number > featured + 3 or trailing.split(" ", 1)[0] != "perm":
             raise SequenceError(f"unexpected trailing line {number}")
     perm = _perm_entries(rest[0]) if rest else None
-    if not featured and 2 <= k <= _MAX_TABLE_K:
-        ids = _scanned_ids(line, k) if len(line) >= _SCAN_MIN_BYTES[k] else None
-        if ids is None:
-            ids = _looked_up_ids(line, k)
-        if ids is not None:
-            table = _structural(k)
-            return TokenSequence._from_arrays(k, padded_n, original_n, ids < table.off_base,
-                                              table.grid[ids], perm=perm)
+    if not featured and k >= 2:
+        read = _scanned_rows if len(line) >= _SCAN_MIN_BYTES.get(k, 0) else _looked_up_rows
+        rows = read(line, k)
+        if rows is not None:
+            return TokenSequence._from_arrays(k, padded_n, original_n, *rows, perm=perm)
     words = line.split(" ") if line else []
     # Words repeat: each distinct one is parsed once, in stream order, and
     # its Token is shared by every occurrence.

@@ -23,10 +23,9 @@ from k2seq.sampling import (GenerationError, MaxLengthExceededError, ZeroMassErr
 from k2seq.sequence import (BOS, DIAGONAL, EOS, OFFDIAGONAL, IncrementalBuilder,
                             InvalidTokenError, Rule, SequenceError, Token, TokenMismatchError,
                             TokenSequence, TrailingTokensError, TruncatedSequenceError, Vocabulary,
-                            _MAX_TABLE_K, _check_header, _ints, _level_cells, _level_rules,
-                            _parse_token, _perm_entries, _row_error, _structural,
-                            _trailing_error, _truncated_error, child_orders, diagonal_arity,
-                            encode_ids, offdiagonal_arity)
+                            _check_header, _ints, _level_cells, _level_rules, _parse_token,
+                            _perm_entries, _row_error, _trailing_error, _truncated_error,
+                            child_orders, diagonal_arity, encode_ids, offdiagonal_arity)
 from k2seq.tree import (K2Tree, TreeNode, TreeStats, adjacency_matrix, edge_label_token,
                         node_label_token, rebuild_graph, tree_levels)
 
@@ -501,7 +500,7 @@ def reference_checked_decode(s: TokenSequence) -> Graph:
 
 def reference_write(s: TokenSequence) -> str:
     """The wire text of ``s``, formatted token by token from ``s.tokens``.
-    The reference the id-table :func:`write_token_stream` must match."""
+    The reference the byte pass of :func:`write_token_stream` must match."""
     lines = [f"{s.k} {s.padded_n} {s.original_n} {int(s.featured)}"]
     if s.featured:
         lines.append(f"{s.node_vocab} {s.edge_vocab}")
@@ -513,10 +512,10 @@ def reference_write(s: TokenSequence) -> str:
 
 
 def reference_read_token_stream(text: str) -> TokenSequence:
-    """The sequence of a wire text, every plain ``2 <= k <= 4`` token line
-    read by one dictionary lookup per word, whatever its length, and any
-    other parsed token by token.  The reference the byte scan of
-    :func:`read_token_stream` must match, sequence or error."""
+    """The sequence of a wire text, its token line parsed token by token,
+    plain or featured, at any ``k`` and whatever its length.  The reference
+    the byte scan and the word lookup of :func:`read_token_stream` must
+    match, sequence or error."""
     if not text.endswith("\n"):
         raise SequenceError("stream must end with a newline")
     lines = text[:-1].split("\n")
@@ -540,15 +539,6 @@ def reference_read_token_stream(text: str) -> TokenSequence:
         if number > featured + 3 or trailing.split(" ", 1)[0] != "perm":
             raise SequenceError(f"unexpected trailing line {number}")
     perm = _perm_entries(rest[0]) if rest else None
-    if not featured and 2 <= k <= _MAX_TABLE_K:
-        table = _structural(k)
-        try:
-            ids = np.fromiter(map(table.word_ids.__getitem__, words), dtype=np.int64,
-                              count=len(words))
-            return TokenSequence._from_arrays(k, padded_n, original_n, ids < table.off_base,
-                                              table.grid[ids], perm=perm)
-        except KeyError:
-            pass
     parsed = {word: _parse_token(word, featured) for word in dict.fromkeys(words)}
     return TokenSequence(k=k, padded_n=padded_n, original_n=original_n,
                          featured=bool(featured), node_vocab=node_vocab, edge_vocab=edge_vocab,

@@ -159,6 +159,7 @@ class TestExitCodes:
         ("--k", "5", "must be 2, 3 or 4"), ("--k", "1", "must be 2, 3 or 4"),
         ("--max-tokens", "0", "must be at least 1"), ("--padded-n", "-4", "must be at least 1"),
         ("--padded-n", "3", "must be 2**d for some d >= 1"),
+        ("--padded-n", "4294967296", "padded size 4294967296 gives cell paths beyond int64"),
         ("--ngram-order", "0", "must be at least 1")])
     def test_bad_sample_option_is_a_usage_error(self, tmp_path, capsys, option, value, why):
         out = tmp_path / "o.ds"

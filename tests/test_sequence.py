@@ -574,10 +574,10 @@ def assert_reads_as_the_reference(text):
         assert got == want and got.perm == want.perm and hash(got) == hash(want)
 
 
-# Node counts whose ER streams (mean degree 8) have token lines well below
-# and well past each k's scan threshold.
+# Node counts whose ER streams (mean degree 8) have short and long token
+# lines: at K=2 and K=3 well below and well past the scan threshold.
 SHORT_AND_LONG_N = {2: ((8, 48), (160, 320)), 3: ((8, 64), (360, 520)),
-                    4: ((8, 96), (760, 1000))}
+                    4: ((8, 96), (160, 320)), 5: ((8, 96), (160, 320))}
 
 
 def long_stream(k):
@@ -585,41 +585,42 @@ def long_stream(k):
     enough for the scan at ``k``."""
     n = SHORT_AND_LONG_N[k][1][0]
     text = write_token_stream(encode_graph(random_er(5, n, 8 / n), k, ordering="cm"))
-    assert len(text.split("\n")[1]) >= sq._SCAN_MIN_BYTES[k]
+    assert len(text.split("\n")[1]) >= sq._SCAN_MIN_BYTES.get(k, 0)
     return text
 
 
 class TestScannedTokenLines:
-    """A plain token line of at least ``_SCAN_MIN_BYTES[k]`` bytes is read
-    by one byte scan, a shorter one by one dictionary lookup per word; any
-    line either way reads as the lookup alone reads it, sequence or
-    error."""
+    """A plain token line at K=2 or K=3 of at least ``_SCAN_MIN_BYTES[k]``
+    bytes, and any line at K >= 4, is read by one byte scan; a shorter one
+    at K=2 or K=3 by one dictionary lookup per word.  Any line either way
+    reads as the token-by-token reference reads it, sequence or error."""
 
     @pytest.fixture
     def scans(self, monkeypatch):
         """The results of every call of the scan."""
         results = []
-        scan = sq._scanned_ids
+        scan = sq._scanned_rows
 
         def counting(line, k):
             results.append(scan(line, k))
             return results[-1]
 
-        monkeypatch.setattr(sq, "_scanned_ids", counting)
+        monkeypatch.setattr(sq, "_scanned_rows", counting)
         return results
 
     @settings(max_examples=40, deadline=None)
-    @given(st.sampled_from([2, 3, 4]), st.booleans(), st.integers(0, 2 ** 16),
+    @given(st.sampled_from([2, 3, 4, 5]), st.booleans(), st.integers(0, 2 ** 16),
            st.sampled_from(["identity", "cm"]), st.data())
     def test_encoded_streams_read_as_the_reference(self, k, long, seed, ordering, data):
         n = data.draw(st.integers(*SHORT_AND_LONG_N[k][long]))
         s = encode_graph(random_er(seed, n, 8 / n), k, ordering=ordering)
         text = write_token_stream(s)
-        assert (len(text.split("\n")[1]) >= sq._SCAN_MIN_BYTES[k]) == long
+        scanned = len(text.split("\n")[1]) >= sq._SCAN_MIN_BYTES.get(k, 0)
+        assert scanned == (long or k >= 4)
         assert read_token_stream(text) == s
         assert_reads_as_the_reference(text)
 
-    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_mutants_of_a_long_line_read_as_the_reference(self, k):
         # Every byte of the first two words, of a word of each kind in the
         # middle and of the last two words, replaced; those words dropped
@@ -644,7 +645,7 @@ class TestScannedTokenLines:
         for mutant in lines:
             assert_reads_as_the_reference(f"{header}\n{mutant}\n{perm}\n")
 
-    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("k", [2, 3])
     def test_lines_at_and_below_the_threshold(self, scans, k):
         # Prefixes of a long line: cut one byte below and at the threshold,
         # and at the last whole word below it and the first at or past it.
@@ -659,7 +660,18 @@ class TestScannedTokenLines:
             assert len(scans) == scanned
         assert scans[0] is not None
 
-    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("k", [4, 5])
+    def test_every_line_past_k3_is_scanned(self, scans, k):
+        # One word, two words and the whole line: each is scanned alone,
+        # and no lookup table exists for it to fall back on.
+        header, line = long_stream(k).split("\n")[:2]
+        words = line.split(" ")
+        for count in (1, 2, len(words)):
+            del scans[:]
+            assert_reads_as_the_reference(f"{header}\n{' '.join(words[:count])}\n")
+            assert len(scans) == 1 and scans[0] is not None
+
+    @pytest.mark.parametrize("k", [2, 3])
     def test_a_long_line_runs_the_scan_and_a_short_one_does_not(self, scans, k):
         text = long_stream(k)
         assert read_token_stream(text) == reference_read_token_stream(text)
@@ -680,6 +692,7 @@ class TestPackedForm:
     def assert_matches_references(s):
         assert write_token_stream(s) == reference_write(s)
         diag, grid = s.diag, s.grid
+        assert write_token_stream(s) == reference_write(s)  # once its rows exist
         ref = reference_token_grid(s.tokens, s.k)
         assert _token_grid(s.tokens, s.k)[2].any() == (ref is None)
         if ref is not None:
@@ -690,20 +703,24 @@ class TestPackedForm:
 
     @settings(max_examples=80, deadline=None)
     @given(st.booleans().flatmap(lambda labeled: graph_strategy(max_n=12, labeled=labeled)),
-           st.sampled_from([2, 3]), st.sampled_from(["identity", "cm"]))
+           st.integers(2, 5), st.sampled_from(["identity", "cm"]))
     def test_encoded_and_read_streams_match_the_references(self, g, k, ordering):
         s = encode_graph(g, k, ordering=ordering)
-        packed = not g.labeled
+        packed = not g.labeled and k <= 4
         assert (_plain_ids(s) is not None) == packed
-        r = read_token_stream(reference_write(s))
+        text = reference_write(s)
+        r = read_token_stream(text)
         assert r == s and (_plain_ids(r) is not None) == packed
+        assert_reads_as_the_reference(text)
         for seq in (s, r):
             self.assert_matches_references(seq)
-        vocab = Vocabulary(k) if not g.labeled else Vocabulary.from_corpus(k, [s])
-        assert encode_ids(r, vocab) == [vocab.encode(t) for t in r.tokens]
+        if k <= 4:  # vocabularies stop at k=4
+            vocab = Vocabulary(k) if not g.labeled else Vocabulary.from_corpus(k, [s])
+            assert encode_ids(r, vocab) == [vocab.encode(t) for t in r.tokens]
 
     @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(st.booleans().flatmap(lambda labeled: mutated_streams(labeled=labeled)))
+    @given(st.booleans().flatmap(lambda labeled: mutated_streams(labeled=labeled,
+                                                                 ks=(2, 3, 4, 5))))
     def test_mutants_match_the_references(self, s):
         self.assert_matches_references(s)
 
@@ -802,12 +819,24 @@ class TestHotPathsBuildNoToken:
         assert tree_nodes == []
         assert build_k2tree(labeled, k).nodes and tree_nodes  # the count sees the view
 
-    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_plain_stream_round_trip(self, made, k):
         for g in (random_er(5, 60, 0.1), Graph(n=5)):
             text = write_token_stream(encode_graph(g, k, ordering="cm"))
             assert decode_graph(read_token_stream(text)) == g
         assert made == []
+
+    @pytest.mark.parametrize("k", [4, 5])
+    def test_plain_stream_io_past_k3_builds_no_structural_table(self, monkeypatch, k):
+        # The K=4 table holds 66,563 rows; writing, reading and decoding a
+        # plain stream need none of them, at any length.
+        def refuse(k):
+            raise AssertionError(f"the structural table of k={k} was built")
+
+        monkeypatch.setattr(sq, "_structural", refuse)
+        for g in (random_er(5, 600, 8 / 600), random_er(5, 12, 0.3), Graph(n=5)):
+            text = write_token_stream(encode_graph(g, k, ordering="cm"))
+            assert decode_graph(read_token_stream(text)) == g
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_plain_sampling(self, made, k):
@@ -1480,6 +1509,13 @@ class TestLargeKShortStreams:
         assert isinstance(error, TokenMismatchError)
         assert str(error).startswith("token 1 (level 1): arity 1 where")
         assert peak < 2 * 2 ** 20
+
+    def test_a_misfit_stream_is_written_back_in_small_memory(self):
+        # Read token by token, its 200 rows of 200*200 slots are never made.
+        text = "200 200 5 0\n" + " ".join(["d:1"] * 200) + "\n"
+        s = read_token_stream(text)
+        out, peak = traced_peak(lambda: write_token_stream(s))
+        assert out == text and peak < 2 ** 20
 
     def test_the_builder_makes_no_root_table_for_a_misfit(self):
         def build_and_step():
