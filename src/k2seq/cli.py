@@ -7,6 +7,8 @@ Exit codes: 0 success, 1 usage error, 2 data error.
 from __future__ import annotations
 
 import argparse
+import os
+import stat
 import sys
 from functools import lru_cache
 from pathlib import Path
@@ -68,7 +70,30 @@ def _read(path: str) -> str:
 
 
 def _write(path: str, text: str) -> None:
-    Path(path).write_text(text, encoding="ascii")
+    """Write ``text`` to ``path`` as ASCII, rewriting the file in place.
+
+    The text is encoded before the file is opened, so an encoding error
+    leaves the file as it was.  The open has no ``O_TRUNC``: the bytes go
+    from offset 0, then a regular file is cut to their length, so the
+    output keeps its inode and hard links, a symlink writes its target and
+    a new file gets mode ``0o666 & ~umask``, as with ``open(path, "w")``.
+    A truncating open frees the old blocks first, which stalls for tens of
+    ms on some filesystems (ext4 mounted with ``discard``); a rewrite of
+    equal or greater length frees none.  The rewrite is not atomic, as
+    before: a crash between the write and the cut of a shorter rewrite can
+    leave the old file's tail after the new bytes.  A FIFO or device
+    (``/dev/null``) is only written.
+    """
+    data = text.encode("ascii")
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 def _cmd_encode(args) -> int:

@@ -249,6 +249,109 @@ class TestExitCodes:
         assert "k must be >= 2" in proc.stderr
 
 
+class TestOutputFiles:
+    """Outputs are rewritten in place: the open has no ``O_TRUNC``, the
+    bytes go from offset 0 and a regular file is cut to their length."""
+
+    @pytest.mark.parametrize("old", [b"x" * 1000, b"y", b"0123456789abcdef!\n"],
+                             ids=["longer-to-shorter", "shorter-to-longer", "equal-length"])
+    def test_a_rewrite_leaves_exactly_the_new_bytes(self, tmp_path, old):
+        out = tmp_path / "out.txt"
+        out.write_bytes(old)
+        inode = out.stat().st_ino
+        cli._write(str(out), "0123456789abcdef\n")
+        assert out.read_bytes() == b"0123456789abcdef\n"
+        assert out.stat().st_ino == inode
+
+    def test_short_writes_are_continued(self, tmp_path, monkeypatch):
+        out = tmp_path / "out.txt"
+        real_write = cli.os.write
+        monkeypatch.setattr(cli.os, "write", lambda fd, data: real_write(fd, data[:3]))
+        cli._write(str(out), "0123456789abcdef\n")
+        assert out.read_bytes() == b"0123456789abcdef\n"
+
+    def test_a_hard_link_sees_the_new_output(self, tmp_path):
+        src = write(tmp_path / "g.txt", serialize_edge_list(STAR4))
+        out, link = tmp_path / "g.k2s", tmp_path / "link.k2s"
+        out.write_text("old output, longer than the new one\n" * 3)
+        os.link(out, link)
+        assert main(["encode", "--k", "2", "--order", "cm", "--in", src, "--out", str(out)]) == 0
+        assert link.read_text() == out.read_text() == "2 4 4 0\nd:110 d:010 o:0101\nperm 1 0 2 3\n"
+
+    def test_a_symlinked_output_writes_its_target(self, tmp_path):
+        target, out = tmp_path / "target.txt", tmp_path / "out.txt"
+        target.write_text("old\n")
+        out.symlink_to(target)
+        cli._write(str(out), "new text\n")
+        assert out.is_symlink() and target.read_text() == "new text\n"
+
+    def test_a_new_output_gets_the_umask_mode(self, tmp_path):
+        out = tmp_path / "new.txt"
+        old = os.umask(0o027)
+        try:
+            cli._write(str(out), "text\n")
+        finally:
+            os.umask(old)
+        assert out.stat().st_mode & 0o777 == 0o666 & ~0o027 == 0o640
+
+    def test_an_unencodable_text_leaves_the_file_as_it_was(self, tmp_path):
+        out = tmp_path / "out.txt"
+        out.write_bytes(b"before\n")
+        with pytest.raises(UnicodeEncodeError):
+            cli._write(str(out), "caf\u00e9\n")
+        assert out.read_bytes() == b"before\n"
+
+    def test_devnull_output_exits_0(self, tmp_path):
+        src = write(tmp_path / "g.txt", serialize_edge_list(STAR4))
+        assert main(["encode", "--k", "2", "--in", src, "--out", os.devnull]) == 0
+
+    def test_a_directory_output_is_a_data_error(self, tmp_path, capsys):
+        src = write(tmp_path / "g.txt", serialize_edge_list(STAR4))
+        assert main(["encode", "--k", "2", "--in", src, "--out", str(tmp_path)]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, text", [
+        ("encode", "2 1\n1 0\n"), ("decode", "2 4 4 0\nd:120\n"), ("order", "3 1\n0 5\n")])
+    def test_a_failed_command_leaves_an_existing_output_unchanged(self, tmp_path, command, text):
+        bad = write(tmp_path / "bad.txt", text)
+        out = tmp_path / "out.txt"
+        out.write_bytes(b"an earlier output\n")
+        options = {"encode": ["--k", "2"], "order": ["--scheme", "cm"]}.get(command, [])
+        assert main([command, *options, "--in", bad, "--out", str(out)]) == 2
+        assert out.read_bytes() == b"an earlier output\n"
+
+    def test_no_output_is_opened_with_o_trunc(self, tmp_path, monkeypatch, capsys):
+        src = write(tmp_path / "g.txt", serialize_edge_list(STAR4))
+        ds = write(tmp_path / "d.ds", write_dataset(Dataset("d", 0, (STAR4, SINGLE_EDGE))))
+        names = ("g.k2s", "back.txt", "ordered.txt", "sample.ds", "gen.ds", "table.tsv")
+        outs = {name: tmp_path / name for name in names}
+        for path in outs.values():
+            path.write_text("an existing output, longer than most new ones\n" * 40)
+        opened = []
+        real_open = cli.os.open
+
+        def recording_open(path, flags, *args, **kwargs):
+            opened.append((os.fspath(path), flags))
+            return real_open(path, flags, *args, **kwargs)
+
+        monkeypatch.setattr(cli.os, "open", recording_open)
+        calls = [
+            ["encode", "--k", "2", "--order", "cm", "--in", src, "--out", str(outs["g.k2s"])],
+            ["decode", "--in", str(outs["g.k2s"]), "--out", str(outs["back.txt"])],
+            ["order", "--scheme", "bfs", "--in", src, "--out", str(outs["ordered.txt"])],
+            ["sample", "--k", "2", "--padded-n", "4", "--out", str(outs["sample.ds"])],
+            ["gen-dataset", "--family", "er", "--n", "5", "--out", str(outs["gen.ds"])],
+            ["eval", "--ref", ds, "--gen", ds, "--table", str(outs["table.tsv"])],
+        ]
+        for argv in calls:
+            assert main(argv) == 0, argv
+        written = {path: flags for path, flags in opened if path in map(str, outs.values())}
+        assert sorted(written) == sorted(map(str, outs.values()))
+        assert not [path for path, flags in opened
+                    if path in written and flags & os.O_TRUNC]
+        assert outs["back.txt"].read_text() == serialize_edge_list(STAR4)
+
+
 class TestParserReuse:
     def test_calls_in_one_process_match_fresh_runs(self, tmp_path, capsys, monkeypatch):
         src = write(tmp_path / "g.txt", serialize_edge_list(STAR4))

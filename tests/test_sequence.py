@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import itertools
 import tracemalloc
 from dataclasses import replace
 
@@ -962,6 +963,66 @@ class TestGraphPipeline:
         assert decode_graph(encode_graph(g, k, ordering=ordering)) == g
 
 
+@st.composite
+def perm_streams(draw):
+    """The stream, as read back from its text, of a small graph encoded
+    under a drawn ordering or an explicit random permutation."""
+    g = draw(graph_strategy(max_n=12, labeled=draw(st.booleans())))
+    k = draw(st.sampled_from([2, 3]))
+    scheme = draw(st.sampled_from(["bfs", "dfs", "cm", "perm"]))
+    if scheme == "perm":
+        s = encode_graph(g, k, perm=draw(st.permutations(range(g.n))))
+    else:
+        s = encode_graph(g, k, ordering=scheme, reverse=draw(st.booleans()))
+    return read_token_stream(write_token_stream(s))
+
+
+class TestExplicitPerm:
+    """``encode_graph(g, k, perm=p)`` applies and stores ``p`` as an
+    ordering's permutation, so every stream with a ``perm`` line that the
+    decoder accepts is one the encoder writes."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(perm_streams())
+    def test_decoded_stream_re_encodes_under_its_perm(self, s):
+        again = encode_graph(decode_graph(s), s.k, perm=s.perm)
+        assert write_token_stream(again) == write_token_stream(s)
+
+    @settings(max_examples=60, deadline=None)
+    @given(graph_strategy(max_n=12, labeled=False), st.sampled_from([2, 3]), st.data())
+    def test_a_given_perm_is_stored_and_undone(self, g, k, data):
+        perm = data.draw(st.permutations(range(g.n)))
+        s = encode_graph(g, k, perm=perm)
+        assert s.perm == tuple(perm)
+        assert s == replace(encode_graph(apply_ordering(g, perm), k), perm=tuple(perm))
+        assert decode_graph(s) == g
+
+    def test_each_ordering_matches_its_permutation(self):
+        for scheme in ("bfs", "dfs", "cm"):
+            for reverse in (False, True):
+                perm = order_nodes(STAR4, scheme, reverse=reverse)
+                assert (encode_graph(STAR4, 2, perm=perm)
+                        == encode_graph(STAR4, 2, ordering=scheme, reverse=reverse))
+
+    def test_identity_perm_writes_its_perm_line(self):
+        s = encode_graph(STAR4, 2, perm=np.arange(4))
+        assert s.perm == (0, 1, 2, 3) and all(type(p) is int for p in s.perm)
+        assert write_token_stream(s) == "2 4 4 0\nd:110 d:010 o:1010\nperm 0 1 2 3\n"
+        assert decode_graph(read_token_stream(write_token_stream(s))) == STAR4
+
+    @pytest.mark.parametrize("perm", ["1 1 2 3", "-1 0 2 3", "1 0 2", "1 0 2 3 4"])
+    def test_a_bad_perm_raises_the_decoders_error(self, perm):
+        with pytest.raises(SequenceError) as decoded:
+            decode_graph(read_token_stream(f"2 4 4 0\nd:110 d:010 o:0101\nperm {perm}\n"))
+        with pytest.raises(SequenceError) as encoded:
+            encode_graph(STAR4, 2, perm=[int(p) for p in perm.split()])
+        assert str(encoded.value) == str(decoded.value) == "perm is not a permutation of 0..3"
+
+    def test_a_perm_with_an_ordering_is_a_value_error(self):
+        with pytest.raises(ValueError, match="perm cannot be combined with ordering 'cm'"):
+            encode_graph(STAR4, 2, ordering="cm", perm=(0, 1, 2, 3))
+
+
 class TestLevelEncoder:
     """``encode_graph`` encodes level by level; ``reference_encode`` goes through
     the full tree.  Their streams must agree byte for byte."""
@@ -1483,6 +1544,51 @@ class TestHeaderRule:
         assert s != replace(s, tokens=s.tokens + (Token(DIAGONAL, (1, 1)),))
         with pytest.raises(SequenceError, match="k must be >= 2"):
             decode_graph(s)
+
+
+def plain_alphabet(k):
+    """Every plain token at ``k``: each pattern of bits over a diagonal
+    token's held slots, then each over an off-diagonal token's slots."""
+    return ([tok(D, *bits) for bits in itertools.product((0, 1), repeat=diagonal_arity(k))]
+            + [tok(O, *bits) for bits in itertools.product((0, 1), repeat=k * k)])
+
+
+class TestDecoderLanguage:
+    """At small sizes the decoder accepts exactly the encoder's image, by
+    enumeration (the small-scope hypothesis): every token stream over a
+    header's alphabet is tried, extending only the header-only stream and
+    the prefixes that ``decode_graph`` calls truncated.  Featured streams,
+    K=4 and n=6 are not enumerated: they take seconds to minutes each."""
+
+    @pytest.mark.parametrize("k, n", [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 3), (3, 4)],
+                             ids=lambda v: str(v))
+    def test_plain_streams_are_the_encoders_image(self, k, n):
+        padded_n, alphabet = padded_size(n, k), plain_alphabet(k)
+        graphs, frontier = [], [()]
+
+        def accept(tokens):
+            s = TokenSequence(k, padded_n, n, tokens=tokens)
+            g = decode_graph(s)
+            assert encode_graph(g, k) == s, tokens
+            graphs.append(g)
+
+        accept(())
+        while frontier:
+            prefixes, frontier = frontier, []
+            for prefix in prefixes:
+                for token in alphabet:
+                    tokens = prefix + (token,)
+                    try:
+                        accept(tokens)
+                    except TruncatedSequenceError:
+                        frontier.append(tokens)
+                    except (SequenceError, GraphError):
+                        pass
+        assert len(set(graphs)) == len(graphs) == 2 ** (n * (n - 1) // 2)
+        # A padded size one power too large is no header the encoder writes.
+        for tokens in [()] + [(token,) for token in alphabet]:
+            with pytest.raises(SequenceError, match="padded size"):
+                decode_graph(TokenSequence(k, padded_n * k, n, tokens=tokens))
 
 
 def traced_peak(call):
