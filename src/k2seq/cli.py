@@ -77,23 +77,18 @@ def _write(path: str, text: str) -> None:
     from offset 0, then a regular file is cut to their length, so the
     output keeps its inode and hard links, a symlink writes its target and
     a new file gets mode ``0o666 & ~umask``, as with ``open(path, "w")``.
-    A truncating open frees the old blocks first, which stalls for tens of
-    ms on some filesystems (ext4 mounted with ``discard``); a rewrite of
-    equal or greater length frees none.  The rewrite is not atomic, as
-    before: a crash between the write and the cut of a shorter rewrite can
-    leave the old file's tail after the new bytes.  A FIFO or device
-    (``/dev/null``) is only written.
+    On some filesystems a truncating open of an existing file stalls for
+    tens of ms (seen on ext4); a rewrite of equal or greater length cuts
+    nothing and skips that, a shorter one still cuts.  The rewrite is not
+    atomic, as before: a crash between the write and the cut of a shorter
+    rewrite can leave the old file's tail after the new bytes.  A FIFO or
+    device (``/dev/null``) is only written.
     """
     data = text.encode("ascii")
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-    try:
-        view = memoryview(data)
-        while view:
-            view = view[os.write(fd, view):]
-        if stat.S_ISREG(os.fstat(fd).st_mode):
-            os.ftruncate(fd, len(data))
-    finally:
-        os.close(fd)
+    with open(path, "wb", opener=lambda p, flags: os.open(p, flags & ~os.O_TRUNC, 0o666)) as f:
+        f.write(data)
+        if stat.S_ISREG(os.fstat(f.fileno()).st_mode):
+            f.truncate()
 
 
 def _cmd_encode(args) -> int:

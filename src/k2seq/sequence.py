@@ -58,7 +58,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from itertools import chain
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -1047,7 +1047,7 @@ def _row_tokens(diag: np.ndarray, grid: np.ndarray, k: int) -> tuple[Token, ...]
 
 
 def encode_graph(g: Graph, k: int, ordering: str = "identity",
-                 reverse: bool = False, perm: Sequence[int] | None = None) -> TokenSequence:
+                 reverse: bool = False) -> TokenSequence:
     """Full encode pipeline: order, then encode level by level from the
     lower-triangle cells (:func:`_level_tokens`).
 
@@ -1061,23 +1061,14 @@ def encode_graph(g: Graph, k: int, ordering: str = "identity",
     label vocab sizes do not fit int64 raises :class:`SequenceError` before
     any per-node work.  With a
     non-identity ordering the permutation is stored on the sequence so
-    :func:`decode_graph` can restore original node ids.  A given ``perm``
-    (new index -> original id) is applied and stored the same way, so
-    ``encode_graph(decode_graph(s), s.k, perm=s.perm)`` writes any stream
-    ``s`` that the decoder accepts; it must be a permutation of
-    ``0..n-1`` (else :class:`SequenceError`, as the decoder raises) and
-    needs the identity ``ordering`` (else :class:`ValueError`).  The
-    sequence keeps the level grids as its arrays.
+    :func:`decode_graph` can restore original node ids.  The sequence
+    keeps the level grids as its arrays.
     """
     padded_n = padded_size(g.n, k)
     _check_header(k, padded_n, g.n, g.labeled, g.node_vocab, g.edge_vocab)
-    if perm is not None:
-        if ordering != "identity":
-            raise ValueError(f"perm cannot be combined with ordering {ordering!r}")
-        perm = tuple(_perm_array(perm, g.n).tolist())
-    elif ordering != "identity":
+    perm = None
+    if ordering != "identity":
         perm = order_nodes(g, ordering, reverse=reverse)
-    if perm is not None:
         g = apply_ordering(g, perm)
     rows, cols, values = _lower_cells(g)
     diag, grid = np.zeros(0, dtype=bool), np.zeros((0, k * k), dtype=np.int64)
@@ -1203,15 +1194,6 @@ def _level_cells(s: TokenSequence) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return r[cells:], c[cells:], values[cells - 1:]
 
 
-def _perm_array(perm: Sequence[int], n: int) -> np.ndarray:
-    """A stored ``perm`` as an int64 array; :class:`SequenceError` unless it
-    is a permutation of ``0..n-1``."""
-    array = permutation_array(perm, n)
-    if array is None:
-        raise SequenceError(f"perm is not a permutation of 0..{n - 1}")
-    return array
-
-
 def decode_graph(s: TokenSequence) -> Graph:
     """Inverse of :func:`encode_graph`, undoing any stored node ordering.
 
@@ -1231,7 +1213,9 @@ def decode_graph(s: TokenSequence) -> Graph:
     """
     _check_header(s.k, s.padded_n, s.original_n, s.featured, s.node_vocab, s.edge_vocab)
     n = s.original_n
-    perm = None if s.perm is None else _perm_array(s.perm, n)
+    perm = None if s.perm is None else permutation_array(s.perm, n)
+    if s.perm is not None and perm is None:
+        raise SequenceError(f"perm is not a permutation of 0..{n - 1}")
     s = s._through_first_misfit()
     if not len(s.diag):
         if s.featured:

@@ -963,64 +963,48 @@ class TestGraphPipeline:
         assert decode_graph(encode_graph(g, k, ordering=ordering)) == g
 
 
+def encode_under(g, k, perm):
+    """``g`` encoded under the permutation ``perm`` (new index -> original
+    id), stored as an ordering's permutation is."""
+    return replace(encode_graph(apply_ordering(g, perm), k), perm=tuple(perm))
+
+
 @st.composite
 def perm_streams(draw):
     """The stream, as read back from its text, of a small graph encoded
-    under a drawn ordering or an explicit random permutation."""
+    under a drawn ordering or a random permutation."""
     g = draw(graph_strategy(max_n=12, labeled=draw(st.booleans())))
     k = draw(st.sampled_from([2, 3]))
     scheme = draw(st.sampled_from(["bfs", "dfs", "cm", "perm"]))
     if scheme == "perm":
-        s = encode_graph(g, k, perm=draw(st.permutations(range(g.n))))
+        s = encode_under(g, k, draw(st.permutations(range(g.n))))
     else:
         s = encode_graph(g, k, ordering=scheme, reverse=draw(st.booleans()))
     return read_token_stream(write_token_stream(s))
 
 
-class TestExplicitPerm:
-    """``encode_graph(g, k, perm=p)`` applies and stores ``p`` as an
-    ordering's permutation, so every stream with a ``perm`` line that the
-    decoder accepts is one the encoder writes."""
+class TestPermInEncoderImage:
+    """Every stream with a ``perm`` line that the decoder accepts is the
+    encoding of its decoded graph under that permutation."""
 
     @settings(max_examples=120, deadline=None)
     @given(perm_streams())
     def test_decoded_stream_re_encodes_under_its_perm(self, s):
-        again = encode_graph(decode_graph(s), s.k, perm=s.perm)
+        again = encode_under(decode_graph(s), s.k, s.perm)
         assert write_token_stream(again) == write_token_stream(s)
 
     @settings(max_examples=60, deadline=None)
     @given(graph_strategy(max_n=12, labeled=False), st.sampled_from([2, 3]), st.data())
-    def test_a_given_perm_is_stored_and_undone(self, g, k, data):
-        perm = data.draw(st.permutations(range(g.n)))
-        s = encode_graph(g, k, perm=perm)
-        assert s.perm == tuple(perm)
-        assert s == replace(encode_graph(apply_ordering(g, perm), k), perm=tuple(perm))
-        assert decode_graph(s) == g
+    def test_a_random_perm_is_undone(self, g, k, data):
+        s = encode_under(g, k, data.draw(st.permutations(range(g.n))))
+        assert decode_graph(read_token_stream(write_token_stream(s))) == g
 
     def test_each_ordering_matches_its_permutation(self):
         for scheme in ("bfs", "dfs", "cm"):
             for reverse in (False, True):
                 perm = order_nodes(STAR4, scheme, reverse=reverse)
-                assert (encode_graph(STAR4, 2, perm=perm)
+                assert (encode_under(STAR4, 2, perm)
                         == encode_graph(STAR4, 2, ordering=scheme, reverse=reverse))
-
-    def test_identity_perm_writes_its_perm_line(self):
-        s = encode_graph(STAR4, 2, perm=np.arange(4))
-        assert s.perm == (0, 1, 2, 3) and all(type(p) is int for p in s.perm)
-        assert write_token_stream(s) == "2 4 4 0\nd:110 d:010 o:1010\nperm 0 1 2 3\n"
-        assert decode_graph(read_token_stream(write_token_stream(s))) == STAR4
-
-    @pytest.mark.parametrize("perm", ["1 1 2 3", "-1 0 2 3", "1 0 2", "1 0 2 3 4"])
-    def test_a_bad_perm_raises_the_decoders_error(self, perm):
-        with pytest.raises(SequenceError) as decoded:
-            decode_graph(read_token_stream(f"2 4 4 0\nd:110 d:010 o:0101\nperm {perm}\n"))
-        with pytest.raises(SequenceError) as encoded:
-            encode_graph(STAR4, 2, perm=[int(p) for p in perm.split()])
-        assert str(encoded.value) == str(decoded.value) == "perm is not a permutation of 0..3"
-
-    def test_a_perm_with_an_ordering_is_a_value_error(self):
-        with pytest.raises(ValueError, match="perm cannot be combined with ordering 'cm'"):
-            encode_graph(STAR4, 2, ordering="cm", perm=(0, 1, 2, 3))
 
 
 class TestLevelEncoder:
